@@ -12,19 +12,30 @@ Three measurements per dataset size:
   one Python round-trip per interval).  The speedup column is the headline
   number of the write-path overhaul;
 * **refresh** — replay a delta log of ``--ops`` balanced writes on an
-  n-interval single-shard engine and check, via the tree's snapshot
-  counters, that the re-snapshot ran through the *incremental* dirty-node
-  patch path rather than a full ``FlatAIT.from_tree`` re-flatten (the script
-  errors if a full rebuild was triggered while the log is small relative to
-  the tree).  The full-rebuild time is measured next to it for scale;
+  n-interval single-shard engine and check, via the shard's counters, that
+  the writes landed in the shard's overlay rather than rebuilding its base
+  (the script errors if a base rebuild ran while the log is small relative
+  to the shard, or if the shard's node tree was materialised).  In the
+  payload ``full_builds_delta`` counts base rebuilds and
+  ``incremental_refreshes_delta`` overlay refreshes.  The time of a base
+  rebuild (``Shard.compact``) is measured next to it for scale;
+* **overlay** — the cost of a one-interval write (overlay refresh plus
+  overlay republish) and of a small read batch, against the overlay's size,
+  next to the cost of a compaction (base rebuild plus base republish) on
+  the same shard.  ``break_even_work`` is the compaction's cost per base
+  interval over the overlay's cost per entry: the value
+  ``repro.service.shard.COMPACT_WORK`` is set from;
 * **mixed** — the ``update_throughput`` experiment's mixed read/write rounds
-  (write ratio x shard count), reusing the same measurement helper.
+  (write ratio x shard count), reusing the same measurement helper.  Each
+  round deletes the ids it inserted before its reads refresh, so those
+  writes cancel inside one refresh and leave no overlay: the rows measure
+  the read path and the delta-log fold, not an overlay rebuild.
 
 The emitted payload is shape-validated before it is written, so a CI smoke
 invocation at tiny sizes doubles as a schema regression test:
 
     {"config": {...}, "results": {"bulk_insert": [...], "refresh": [...],
-      "mixed": [...]}}
+      "overlay": [...], "mixed": [...]}}
 """
 
 from __future__ import annotations
@@ -41,12 +52,15 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro import AIT, IntervalDataset, ShardedEngine, __version__  # noqa: E402
-from repro.core.flat import FlatAIT  # noqa: E402
 from repro.datasets import generate_paper_dataset, generate_queries  # noqa: E402
 from repro.experiments.exp_update_throughput import (  # noqa: E402
     WRITE_RATIOS,
     measure_mixed_round,
 )
+from repro.service.shm import publish_overlay, publish_shard  # noqa: E402
+
+#: Overlay sizes swept by ``bench_overlay``, as fractions of the shard size.
+OVERLAY_FRACTIONS = (1 / 1024, 1 / 256, 1 / 64, 1 / 16, 1 / 4)
 
 
 def _empty_tree() -> AIT:
@@ -95,13 +109,13 @@ def bench_bulk_insert(n: int, repeats: int) -> dict:
 
 
 def bench_refresh(n: int, ops: int) -> dict:
-    """Replay an ops-long delta log on an n-interval shard; verify no full rebuild."""
+    """Replay an ops-long delta log on an n-interval shard; verify no base rebuild."""
     dataset = generate_paper_dataset("btc", n=n, random_state=1)
     engine = ShardedEngine(dataset, num_shards=1)
     engine.refresh()
-    tree = engine.shards[0].tree
-    full_before = tree.snapshot_full_builds
-    incremental_before = tree.snapshot_incremental_refreshes
+    shard = engine.shards[0]
+    rebuilds_before = shard.base_rebuilds
+    version_before = shard.version
 
     rng = np.random.default_rng(11)
     half = max(1, ops // 2)
@@ -114,24 +128,26 @@ def bench_refresh(n: int, ops: int) -> dict:
     engine.refresh()
     refresh_seconds = time.perf_counter() - start
 
-    full_delta = tree.snapshot_full_builds - full_before
-    incremental_delta = tree.snapshot_incremental_refreshes - incremental_before
-    # A delta log this small relative to the shard must NOT trigger a full
-    # re-flatten — the rebuild counter is the acceptance check.
+    full_delta = shard.base_rebuilds - rebuilds_before
+    incremental_delta = shard.version - version_before - full_delta
+    # A delta log this small relative to the shard must land in the overlay,
+    # NOT rebuild the base — the shard's base-rebuild counter is the check.
     if n >= 20 * ops and full_delta != 0:
         raise AssertionError(
             f"refresh of a {ops}-op delta log on a {n}-interval shard triggered "
-            f"{full_delta} full FlatAIT rebuild(s); expected the incremental path"
+            f"{full_delta} base rebuild(s); expected an overlay refresh"
         )
+    if shard.tree.tree_materialised:
+        raise AssertionError("the refresh materialised the shard's node tree")
 
     start = time.perf_counter()
-    FlatAIT.from_tree(tree)
+    shard.compact()
     full_rebuild_seconds = time.perf_counter() - start
     engine.close()
     print(
         f"n={n:>7} refresh       {ops} ops replayed in {refresh_seconds * 1e3:9.1f} ms   "
-        f"(full re-flatten alone: {full_rebuild_seconds * 1e3:.1f} ms, "
-        f"full_builds_delta={full_delta})"
+        f"(base rebuild alone: {full_rebuild_seconds * 1e3:.1f} ms, "
+        f"base_rebuilds={full_delta})"
     )
     return {
         "n": n,
@@ -141,6 +157,104 @@ def bench_refresh(n: int, ops: int) -> dict:
         "refresh_seconds": round(refresh_seconds, 4),
         "full_rebuild_seconds": round(full_rebuild_seconds, 4),
     }
+
+
+def _timed(fn, repeats: int) -> float:
+    """Median wall time of ``repeats`` calls of ``fn``."""
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    return float(np.median(times))
+
+
+def _publish_and_unlink(publish, shard) -> None:
+    segment = publish(shard)
+    if segment is not None:
+        segment.unlink()
+
+
+def bench_overlay(n: int, repeats: int) -> list[dict]:
+    """Write and read cost against overlay size on one n-interval shard."""
+    dataset = generate_paper_dataset("btc", n=n, random_state=1)
+    engine = ShardedEngine(dataset, num_shards=1)
+    engine.refresh()
+    shard = engine.shards[0]
+    lo, hi = dataset.domain()
+    rng = np.random.default_rng(17)
+    extent = (hi - lo) * 0.08
+    query_lefts = rng.uniform(lo, hi - extent, 8)
+    queries = np.column_stack((query_lefts, query_lefts + extent))
+    victims = rng.permutation(n)
+    used = 0
+    base_times = []
+    rows = []
+    for fraction in OVERLAY_FRACTIONS:
+        entries = max(2, int(n * fraction))
+        # Start from a fresh base, then build an overlay of `entries` in one
+        # refresh: half inserts, half tombstones, so the base keeps n intervals.
+        start = time.perf_counter()
+        shard.compact()
+        _publish_and_unlink(publish_shard, shard)
+        base_times.append(time.perf_counter() - start)
+        half = entries // 2
+        lefts = rng.uniform(lo, hi, entries - half)
+        engine.insert_many(lefts, lefts + rng.exponential((hi - lo) * 0.002, lefts.shape[0]))
+        engine.delete_many(victims[used : used + half])
+        used += half
+        engine.refresh()
+        rebuilds = shard.base_rebuilds
+
+        def one_write():
+            left = float(rng.uniform(lo, hi))
+            engine.insert_many([left], [left + 1.0])
+            engine.refresh()
+
+        refresh_seconds = _timed(one_write, repeats)
+        publish_seconds = _timed(lambda: _publish_and_unlink(publish_overlay, shard), repeats)
+        if shard.base_rebuilds != rebuilds:
+            raise AssertionError(
+                f"a one-interval write on an overlay of {entries} entries compacted "
+                f"an {n}-interval shard; the sweep measures overlay refreshes"
+            )
+        count_seconds = _timed(lambda: engine.count_many(queries), 5 * repeats)
+        sample_seconds = _timed(
+            lambda: engine.sample_many(queries, 100, random_state=3), 5 * repeats
+        )
+        rows.append(
+            {
+                "n": n,
+                "entries": entries,
+                "refresh_seconds": round(refresh_seconds, 5),
+                "publish_seconds": round(publish_seconds, 5),
+                "count_seconds": round(count_seconds, 5),
+                "sample_seconds": round(sample_seconds, 5),
+            }
+        )
+    engine.close()
+    base_seconds = float(np.median(base_times[1:]))  # the first compaction had no overlay
+    per_entry = np.polyfit(
+        [row["entries"] for row in rows],
+        [row["refresh_seconds"] + row["publish_seconds"] for row in rows],
+        1,
+    )[0]
+    break_even = (base_seconds / n) / per_entry if per_entry > 0 else float("inf")
+    for row in rows:
+        row["base_seconds"] = round(base_seconds, 4)
+        row["break_even_work"] = round(break_even, 2)
+        print(
+            f"n={n:>7} overlay       {row['entries']:>6} entries  write "
+            f"{(row['refresh_seconds'] + row['publish_seconds']) * 1e3:6.2f} ms   "
+            f"count8 {row['count_seconds'] * 1e3:5.2f} ms   sample8 "
+            f"{row['sample_seconds'] * 1e3:5.2f} ms"
+        )
+    print(
+        f"n={n:>7} overlay       compaction {base_seconds * 1e3:.1f} ms  "
+        f"({base_seconds / n * 1e6:.2f} us/interval vs {per_entry * 1e6:.2f} us/overlay entry: "
+        f"break-even work {break_even:.2f} x n)"
+    )
+    return rows
 
 
 def bench_mixed(n: int, query_count: int, shard_counts: list[int], rounds: int) -> list[dict]:
@@ -186,7 +300,9 @@ def validate_payload(payload: dict) -> None:
     """Assert the emitted JSON has the committed schema; raise on drift."""
     assert set(payload) == {"config", "results"}, "payload must have config + results"
     results = payload["results"]
-    assert set(results) == {"bulk_insert", "refresh", "mixed"}, "unexpected result sections"
+    assert set(results) == {"bulk_insert", "refresh", "overlay", "mixed"}, (
+        "unexpected result sections"
+    )
     for row in results["bulk_insert"]:
         assert {"n", "bulk_seconds", "scalar_seconds", "speedup"} <= set(row)
     for row in results["refresh"]:
@@ -198,9 +314,20 @@ def validate_payload(payload: dict) -> None:
             "refresh_seconds",
             "full_rebuild_seconds",
         } <= set(row)
+    for row in results["overlay"]:
+        assert {
+            "n",
+            "entries",
+            "refresh_seconds",
+            "publish_seconds",
+            "count_seconds",
+            "sample_seconds",
+            "base_seconds",
+            "break_even_work",
+        } <= set(row)
     for row in results["mixed"]:
         assert {"n", "shards", "write_ratio", "reads_per_sec", "ops_per_sec"} <= set(row)
-    assert results["bulk_insert"] and results["refresh"] and results["mixed"], (
+    assert all(results[section] for section in results), (
         "every section must carry at least one row"
     )
 
@@ -225,10 +352,12 @@ def main(argv: list[str] | None = None) -> int:
 
     bulk_rows = []
     refresh_rows = []
+    overlay_rows = []
     mixed_rows = []
     for n in args.sizes:
         bulk_rows.append(bench_bulk_insert(n, args.repeats))
         refresh_rows.append(bench_refresh(n, args.ops))
+        overlay_rows.extend(bench_overlay(n, max(3, args.repeats)))
         mixed_rows.extend(bench_mixed(n, args.queries, args.shards, args.rounds))
 
     payload = {
@@ -248,6 +377,7 @@ def main(argv: list[str] | None = None) -> int:
         "results": {
             "bulk_insert": bulk_rows,
             "refresh": refresh_rows,
+            "overlay": overlay_rows,
             "mixed": mixed_rows,
         },
     }

@@ -18,8 +18,8 @@ first epoch whose files all pass validation, then replays **every** WAL with
 epoch >= the restored one, oldest first — epochs partition time, so the
 concatenated logs replay the exact acknowledged write sequence.  Torn WAL
 tails are truncated, never fatal.  Replayed writes land in the shards'
-in-memory delta logs and fold into the snapshots through the ordinary
-incremental refresh at the next batch boundary.
+in-memory delta logs and fold into the shards' overlays through the
+ordinary refresh at the next batch boundary — no node tree is built.
 
 Crash-consistency argument (the "acknowledged => recovered" contract):
 
@@ -48,6 +48,7 @@ from ..core.ait import AIT
 from ..core.awit import AWIT
 from ..core.dataset import IntervalDataset
 from ..core.errors import SnapshotCorruptError
+from ..core.flat import FlatAIT
 from ..kernels import resolve_backend
 from .checksum import CHECKSUM_ALGORITHM
 from .snapshot import (
@@ -116,34 +117,30 @@ def _wal_files(directory) -> dict[int, dict[int, str]]:
 # ---------------------------------------------------------------------- #
 # save
 # ---------------------------------------------------------------------- #
-def _shard_pristine(tree) -> bool:
-    """True when a treeless rebuild of the saved columns reproduces the
-    saved snapshot bit-for-bit — the condition for the restored tree to
-    adopt the loaded snapshot for later *incremental* refreshes."""
-    return (
-        tree._build_backend == "columnar"
-        and tree._built_version == tree._structure_version
-        and not tree._pool
-    )
-
-
 def _save_shard(shard, path: str, weighted: bool, fsync: bool) -> dict:
     tree = shard.tree
-    arrays = flat_to_arrays(shard.snapshot, prefix="flat.")
+    snapshot = shard.snapshot
+    deleted = set(tree._deleted)
+    if shard.overlay is not None:
+        # Compaction folds every overlay into the base, except on a shard
+        # with no live interval left: its tombstones cover the whole base,
+        # so it saves as an all-deleted tree with an empty snapshot.
+        deleted.update(int(local) for local in shard.overlay.tombstones)
+        snapshot = FlatAIT.from_arrays(
+            np.empty(0), np.empty(0), kernel_backend=snapshot.kernels
+        )
+    arrays = flat_to_arrays(snapshot, prefix="flat.")
     arrays["col_lefts"] = tree._lefts
     arrays["col_rights"] = tree._rights
     if weighted:
         arrays["col_weights"] = tree._weights
-    arrays["deleted"] = np.fromiter(
-        sorted(tree._deleted), dtype=_ID, count=len(tree._deleted)
-    )
+    arrays["deleted"] = np.fromiter(sorted(deleted), dtype=_ID, count=len(deleted))
     arrays["free_slots"] = np.asarray(tree._free_slots, dtype=_ID)
-    arrays["global_ids"] = shard._global_ids[: shard._id_count]
+    arrays["global_ids"] = shard.global_map
     meta = {
         "kind": "shard",
         "shard_id": shard.shard_id,
         "weighted": weighted,
-        "pristine": _shard_pristine(tree),
         "version": shard.version,
     }
     save_arrays(path, arrays, meta=meta, fsync=fsync)
@@ -180,14 +177,11 @@ def save_engine_snapshot(engine, directory=None, fsync: bool = True,
     directory = os.fspath(directory)
     os.makedirs(directory, exist_ok=True)
 
-    # Every acknowledged write folds into the new snapshot files ...
+    # Every acknowledged write folds into the new snapshot files: each
+    # shard's overlay is compacted into its base, which is what gets saved.
     engine.refresh()
     for shard in engine._shards:
-        # ... including pooled-but-unflushed inserts (none in normal shard
-        # operation, but cheap to guarantee).
-        if shard.tree.pending_pool_size:
-            shard.tree.flush_pool()
-            shard.refresh()
+        shard.compact()
 
     known = set(snapshot_epochs(directory)) | set(_wal_files(directory))
     epoch = max(known, default=0) + 1
@@ -296,19 +290,14 @@ def _unlink_quiet(path: str) -> None:
 # ---------------------------------------------------------------------- #
 # open / recover
 # ---------------------------------------------------------------------- #
-def _restore_tree(arrays: dict, weighted: bool, batch_pool_size: Optional[int],
-                  kernel_backend=None):
-    """Rebuild a shard's local tree (columnar, node graph deferred) and, when
-    the saved state was pristine, adopt the loaded snapshot for incremental
-    refreshes."""
+def _restore_tree(arrays: dict, weighted: bool, kernel_backend=None):
+    """Rebuild a shard's local tree: its columns, node graph deferred."""
     weights = arrays.get("col_weights") if weighted else None
     dataset = IntervalDataset(arrays["col_lefts"], arrays["col_rights"], weights)
     if weighted:
-        tree = AWIT(dataset, batch_pool_size=batch_pool_size, build_backend="columnar",
-                    kernel_backend=kernel_backend)
+        tree = AWIT(dataset, build_backend="columnar", kernel_backend=kernel_backend)
     else:
-        tree = AIT(dataset, batch_pool_size=batch_pool_size, build_backend="columnar",
-                   kernel_backend=kernel_backend)
+        tree = AIT(dataset, build_backend="columnar", kernel_backend=kernel_backend)
     deleted = arrays["deleted"]
     tree._deleted = set(int(g) for g in deleted)
     tree._active_count = int(tree._col_len) - len(tree._deleted)
@@ -316,20 +305,11 @@ def _restore_tree(arrays: dict, weighted: bool, batch_pool_size: Optional[int],
     return tree
 
 
-def _restore_shard(shard_cls, arrays: dict, meta: dict,
-                   batch_pool_size: Optional[int], kernel_backend=None):
+def _restore_shard(shard_cls, arrays: dict, meta: dict, kernel_backend=None):
     weighted = bool(meta["weighted"])
-    tree = _restore_tree(arrays, weighted, batch_pool_size, kernel_backend=kernel_backend)
+    tree = _restore_tree(arrays, weighted, kernel_backend=kernel_backend)
     snapshot = flat_from_arrays(arrays, weighted, prefix="flat.",
                                 kernel_backend=kernel_backend)
-    if meta.get("pristine"):
-        # The snapshot equals a treeless rebuild of the restored columns
-        # bit-for-bit, so the tree can adopt it: the first write replay will
-        # attach the materialised node graph (AIT._ensure_tree) and later
-        # refreshes splice incrementally against the mmapped arrays.
-        tree._flat = snapshot
-        tree._flat_version = tree._structure_version
-        tree._journal_full = False
     return shard_cls.restore(
         shard_id=int(meta["shard_id"]),
         tree=tree,
@@ -357,8 +337,7 @@ def _read_manifest(directory: str, epoch: int) -> dict:
 
 
 def _load_epoch(engine_cls, directory: str, manifest: dict, mmap: bool, verify: bool,
-                executor, parallel_refresh: bool, batch_pool_size: Optional[int],
-                kernel_backend=None):
+                executor, parallel_refresh: bool, kernel_backend=None):
     from ..service.executor import resolve_executor
     from ..service.shard import Shard
 
@@ -373,8 +352,7 @@ def _load_epoch(engine_cls, directory: str, manifest: dict, mmap: bool, verify: 
         arrays, meta = load_arrays(os.path.join(directory, name), mmap=mmap, verify=verify)
         if meta.get("kind") != "shard":
             raise SnapshotCorruptError(f"{name}: not a shard snapshot file")
-        shards.append(_restore_shard(Shard, arrays, meta, batch_pool_size,
-                                     kernel_backend=kernels))
+        shards.append(_restore_shard(Shard, arrays, meta, kernel_backend=kernels))
     shards.sort(key=lambda shard: shard.shard_id)
 
     engine = engine_cls.__new__(engine_cls)
@@ -435,14 +413,14 @@ def _apply_wal_records(engine, shard_index: int, records: list) -> int:
 
 def open_engine(engine_cls, directory, mmap: bool = True, verify: bool = True,
                 fsync: str = "batch", executor=None, parallel_refresh: bool = False,
-                batch_pool_size: Optional[int] = None, kernel_backend=None):
+                kernel_backend=None):
     """Restore a :class:`ShardedEngine` from its newest valid epoch.
 
     Falls back epoch by epoch when validation fails (a half-written epoch
     whose manifest survived a crashed GC, a bit-flipped segment, ...), then
     replays every WAL at or after the chosen base epoch, oldest first.
     Replayed writes sit in the shards' delta logs and apply through the
-    normal incremental refresh on first use.
+    normal overlay refresh on first use.
     """
     directory = os.fspath(directory)
     # Resolve eagerly: a bad backend name must raise ValueError here, not be
@@ -460,7 +438,7 @@ def open_engine(engine_cls, directory, mmap: bool = True, verify: bool = True,
             manifest = _read_manifest(directory, epoch)
             engine = _load_epoch(
                 engine_cls, directory, manifest, mmap, verify, executor,
-                parallel_refresh, batch_pool_size, kernel_backend=kernel_backend,
+                parallel_refresh, kernel_backend=kernel_backend,
             )
             base_epoch = epoch
             break

@@ -157,6 +157,8 @@ class DeltaLog:
             # so one log never mixes record-checksum algorithms.
             self._checksum = _resolve_record_checksum(self._algorithm, self._path)
             self._file = opener(self._path, "ab")
+            # Bytes an earlier process wrote may still sit in the page cache.
+            self._dirty = True
         elif create:
             self._epoch = int(epoch)
             self._algorithm = CHECKSUM_ALGORITHM
@@ -166,6 +168,7 @@ class DeltaLog:
             self._file.flush()
             if fsync != "none":
                 os.fsync(self._file.fileno())
+            self._dirty = False
         else:
             raise FileNotFoundError(self._path)
 
@@ -208,6 +211,8 @@ class DeltaLog:
         self._file.flush()
         if self._fsync == "always":
             os.fsync(self._file.fileno())
+        else:
+            self._dirty = True
 
     def append_insert(self, global_ids, lefts, rights) -> None:
         """Journal one ``insert_many`` batch (before it is acknowledged)."""
@@ -232,11 +237,16 @@ class DeltaLog:
         self._append(body)
 
     def sync(self) -> None:
-        """Force everything appended so far to stable storage (fsync)."""
-        if self._closed or self._fsync == "none":
+        """Force everything appended so far to stable storage (fsync).
+
+        A log with no appends since its last sync is clean and costs no
+        fsync; under ``"always"`` every append already synced itself.
+        """
+        if self._closed or self._fsync == "none" or not self._dirty:
             return
         self._file.flush()
         os.fsync(self._file.fileno())
+        self._dirty = False
 
     def close(self, sync: bool = True) -> None:
         """Flush (and by default fsync) then close the log.  Idempotent."""

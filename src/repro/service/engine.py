@@ -23,10 +23,11 @@ the partial results:
   full derivation.
 
 Writes (:meth:`ShardedEngine.insert` / :meth:`ShardedEngine.delete`) are
-routed to the owning shard's buffered delta log and applied by a versioned
-snapshot refresh at the next batch boundary — a snapshot is rebuilt lazily,
-never mid-batch, so one scatter-gather round always observes one consistent
-version per shard.
+routed to the owning shard's buffered delta log and folded into the shard's
+small overlay — a delta index over its inserts plus tombstones for its
+deletes, layered over an immutable base snapshot — at the next batch
+boundary, never mid-batch, so one scatter-gather round always observes one
+consistent version per shard.  See :mod:`repro.service.shard`.
 
 The scatter-gather step executes through a pluggable executor
 (:mod:`repro.service.executor`): a serial loop by default, a thread pool
@@ -37,9 +38,9 @@ NumPy kernels to run in parallel, or long-lived worker processes
 off the owner's GIL.  Whatever the executor, every per-shard op runs the same
 module-level implementation over a :class:`~repro.service.shm.ShardView`
 (:meth:`ShardedEngine._scatter`), so results are bit-identical across
-execution tiers; writes and snapshot refreshes always stay on the owner
-process, and a shard's version bump triggers re-publication of its shared
-segment.
+execution tiers; writes, overlay rebuilds and compactions always stay on
+the owner process, and a shard's version bump triggers re-publication of its
+overlay segment (and of its base segment only after a compaction).
 """
 
 from __future__ import annotations
@@ -97,16 +98,12 @@ class ShardedEngine:
         the process default).  Only valid together with
         ``executor="process"``; pre-built executor objects configure scatter
         at construction instead.
-    batch_pool_size:
-        Forwarded to each shard's tree (capacity of the paper's pooled
-        insertion buffer).
     build_backend:
         Forwarded to every shard's tree.  ``"columnar"`` (default) builds
-        each shard's snapshot treelessly via
-        :meth:`~repro.core.flat.FlatAIT.from_arrays` — engine construction
-        and full snapshot rebuilds never allocate Python tree nodes; a
-        shard only materialises its node graph when a write batch is
-        replayed into it.  ``"tree"`` keeps the legacy eager node build.
+        each shard's base snapshot treelessly via
+        :meth:`~repro.core.flat.FlatAIT.from_arrays` — engine construction,
+        writes and compactions never allocate Python tree nodes.
+        ``"tree"`` keeps the legacy eager node build for base snapshots.
     kernel_backend:
         Forwarded to every shard's tree: which kernel implementation the
         shard snapshots run their hot loops on (``"numpy"`` default,
@@ -144,7 +141,6 @@ class ShardedEngine:
         policy: str = "round_robin",
         weighted: Optional[bool] = None,
         executor=None,
-        batch_pool_size: Optional[int] = None,
         build_backend: str = "columnar",
         parallel_refresh: bool = False,
         kernel_backend=None,
@@ -171,7 +167,6 @@ class ShardedEngine:
                 dataset,
                 ids,
                 self._weighted,
-                batch_pool_size,
                 build_backend,
                 kernel_backend=self._kernel_backend,
             )
@@ -316,7 +311,7 @@ class ShardedEngine:
         self._owner_count = need
 
     def nbytes(self) -> int:
-        """Approximate memory footprint across all shards (trees + snapshots)."""
+        """Approximate memory footprint across all shards (trees, snapshots, overlays)."""
         return sum(shard.nbytes() for shard in self._shards)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -432,7 +427,6 @@ class ShardedEngine:
         fsync: str = "batch",
         executor=None,
         parallel_refresh: bool = False,
-        batch_pool_size: Optional[int] = None,
         kernel_backend=None,
     ) -> "ShardedEngine":
         """Restore an engine from its newest valid snapshot epoch + WAL chain.
@@ -454,16 +448,17 @@ class ShardedEngine:
             fsync=fsync,
             executor=executor,
             parallel_refresh=parallel_refresh,
-            batch_pool_size=batch_pool_size,
             kernel_backend=kernel_backend,
         )
 
     def sync_wal(self) -> None:
-        """fsync every shard's write-ahead log (no-op without WALs).
+        """fsync every shard's write-ahead log that took appends since its last sync.
 
         Under the ``"batch"`` fsync policy this is the acknowledgement
         barrier: the gateway calls it once per micro-batch, after the write
-        dispatch and before completing the write futures.
+        dispatch and before completing the write futures.  Clean logs are
+        skipped (:meth:`repro.persist.DeltaLog.sync`), so a write to one
+        shard costs one fsync, not ``K``.
         """
         for shard in self._shards:
             if shard.wal is not None:
@@ -681,8 +676,10 @@ class ShardedEngine:
         Stage 1 allocates each query's draws over the shards with one
         batched multinomial over per-shard overlap counts (weights for
         weighted engines); stage 2 delegates to each shard's vectorised
-        ``sample_many`` and keeps the first ``allocated`` draws of every row
-        (rows are exchangeable, so a prefix is itself an i.i.d. sample);
+        ``sample_many`` (over base and overlay, see
+        :func:`repro.service.shm._draw_overlaid`) and keeps the first
+        ``allocated`` draws of every row (rows are exchangeable, so a prefix
+        is itself an i.i.d. sample);
         stage 3 merges and shuffles each query's row so the output carries no
         shard-grouping information.  The composite per-draw law is exactly
         ``1/|q ∩ X|`` (``w(x)/W`` when weighted) — see ``docs/ARCHITECTURE.md``.
@@ -724,7 +721,7 @@ class ShardedEngine:
         # each shard task builds its own generator from its seed, and plain
         # ints cross the process boundary for free.  The per-shard draw
         # itself lives in repro.service.shm._op_sample (power-of-two
-        # allocation bucketing, global-id mapping).
+        # allocation bucketing, base/overlay split, global-id mapping).
         seeds = spawn_seeds(rng, num_shards)
         per_shard = self._scatter(
             "sample",

@@ -44,7 +44,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Optional, TypeVar
 
 from ..core.errors import WorkerTimeoutError
-from .shm import SEED_BLOCK, merge_block_results, publish_shard, worker_main
+from .shm import SEED_BLOCK, merge_block_results, publish_overlay, publish_shard, worker_main
 
 __all__ = [
     "SerialExecutor",
@@ -140,9 +140,26 @@ class _Worker:
         self.process = process
         self.tasks = tasks
         self.results = results
-        #: key -> manifest of the *current* segment served by this worker;
-        #: replayed verbatim into a respawned worker after a crash.
-        self.manifests: dict[str, dict] = {}
+        #: key -> (base manifest, overlay manifest or None) *currently*
+        #: served by this worker; replayed verbatim into a respawned worker.
+        self.manifests: dict[str, tuple[dict, Optional[dict]]] = {}
+
+
+class _Published:
+    """Parent-held segments of one shard: its base and its current overlay."""
+
+    __slots__ = ("base_rebuilds", "version", "base", "overlay")
+
+    def __init__(self, base_rebuilds: int, version: int, base, overlay) -> None:
+        self.base_rebuilds = base_rebuilds
+        self.version = version
+        self.base = base
+        self.overlay = overlay
+
+    def unlink(self) -> None:
+        self.base.unlink()
+        if self.overlay is not None:
+            self.overlay.unlink()
 
 
 class ProcessExecutor:
@@ -177,8 +194,8 @@ class ProcessExecutor:
 
     For the engine's *structural* work — shard construction, delta-log
     refreshes — :meth:`map` degrades to a serial in-process loop on purpose:
-    writes mutate the owner's trees and must stay on the owner process (the
-    snapshot refresh then republishes, see :meth:`run_shard_op`).
+    writes mutate the owner's shards and must stay on the owner process (the
+    next scatter then republishes, see :meth:`run_shard_op`).
 
     A ``ProcessExecutor`` is engine-affine: share one instance across engines
     only sequentially, never concurrently.  Crashed workers are respawned
@@ -222,8 +239,8 @@ class ProcessExecutor:
         self._scatter = scatter
         self._block_size = None if block_size is None else int(block_size)
         self._workers: list[_Worker] = []
-        #: key -> (published shard version, parent-held ShardSegment).
-        self._published: dict[str, tuple[int, object]] = {}
+        #: key -> the shard's parent-held base and overlay segments.
+        self._published: dict[str, _Published] = {}
         self._closed = False
 
     # -- executor protocol ---------------------------------------------- #
@@ -255,8 +272,8 @@ class ProcessExecutor:
             worker.tasks.close()
             worker.results.close()
         self._workers.clear()
-        for _, segment in self._published.values():
-            segment.unlink()
+        for published in self._published.values():
+            published.unlink()
         self._published.clear()
 
     def __del__(self):  # pragma: no cover - gc-time best effort
@@ -298,13 +315,15 @@ class ProcessExecutor:
     def run_shard_op(self, shards, op: str, payload: dict) -> list:
         """Run one named per-shard op over every shard, in shard order.
 
-        Publishes (or republishes) to *every* worker any shard whose snapshot
-        version differs from the last published one — the refresh/publish
-        protocol: writes fold into snapshots on the owner process at batch
-        boundaries, and the version bump is what triggers re-exporting the
-        shared segment here.  Superseded segments are unlinked once their
-        replacements are attached.  The batch is then dispatched under the
-        configured ``scatter`` strategy (``auto`` resolves per batch).
+        Publishes to *every* worker any shard whose version differs from the
+        last published one.  A shard is published as two segments: its base
+        (:func:`~repro.service.shm.publish_shard`), re-exported only when a
+        compaction rebuilt it, and its small overlay
+        (:func:`~repro.service.shm.publish_overlay`), re-exported on every
+        version bump — so a write republishes the overlay, not the shard.
+        Superseded segments are unlinked once their replacements are
+        attached.  The batch is then dispatched under the configured
+        ``scatter`` strategy (``auto`` resolves per batch).
         """
         if self._closed:
             raise RuntimeError("ProcessExecutor is shut down")
@@ -315,15 +334,21 @@ class ProcessExecutor:
         keys = [f"shard-{id(shard):x}" for shard in shards]
         for shard, key in zip(shards, keys):
             entry = self._published.get(key)
-            if entry is not None and entry[0] == shard.version:
+            if entry is not None and entry.version == shard.version:
                 continue
-            segment = publish_shard(shard)
+            keep_base = entry is not None and entry.base_rebuilds == shard.base_rebuilds
+            base = entry.base if keep_base else publish_shard(shard)
+            overlay = publish_overlay(shard)
+            manifests = (base.manifest, overlay.manifest if overlay is not None else None)
             for worker in self._workers:
-                self._request(worker, ("publish", key, segment.manifest))
-                worker.manifests[key] = segment.manifest
+                self._request(worker, ("publish", key) + manifests)
+                worker.manifests[key] = manifests
             if entry is not None:
-                entry[1].unlink()
-            self._published[key] = (shard.version, segment)
+                if not keep_base:
+                    entry.base.unlink()
+                if entry.overlay is not None:
+                    entry.overlay.unlink()
+            self._published[key] = _Published(shard.base_rebuilds, shard.version, base, overlay)
 
         nq = len(payload["ql"])
         mode = self._scatter
@@ -427,8 +452,8 @@ class ProcessExecutor:
             fresh.tasks,
             fresh.results,
         )
-        for key, manifest in worker.manifests.items():
-            self._request(worker, ("publish", key, manifest))
+        for key, manifests in worker.manifests.items():
+            self._request(worker, ("publish", key) + manifests)
 
     def _send(self, worker: _Worker, message: tuple) -> None:
         if not worker.process.is_alive():

@@ -1,31 +1,34 @@
 """One shard of a :class:`~repro.service.engine.ShardedEngine`.
 
-A shard owns a disjoint subset of the engine's intervals.  Internally it
-keeps three layers of state:
+A shard owns a disjoint subset of the engine's intervals, kept as an
+immutable **base** plus a small per-version **overlay** — the
+static-to-dynamic split of Bentley & Saxe ("Decomposable searching problems
+I", J. Algorithms 1980), with deletions kept as a differential file
+(Severance & Lohman, "Differential files", TODS 1976):
 
-* a **local tree** — an :class:`~repro.core.ait.AIT` (or
-  :class:`~repro.core.awit.AWIT` for weighted engines) built over the shard's
-  intervals, addressed by *local* ids ``0..m-1`` (vacated local ids are
-  recycled by the tree's columnar storage, so the map is positional, not
-  append-only);
-* an **id map** between local and engine-global ids (``global_ids[local]``
-  and its inverse), so query results can be reported in the engine's id
-  space;
-* a **delta log** of buffered writes plus a **versioned snapshot** — the
-  :class:`~repro.core.flat.FlatAIT` the batch queries execute on.
+* the **base** — a local tree (:class:`~repro.core.ait.AIT`, or
+  :class:`~repro.core.awit.AWIT` for weighted engines) holding the shard's
+  intervals as of the last compaction in its columns, addressed by
+  *base-local* ids; the :class:`~repro.core.flat.FlatAIT` snapshot built
+  from it; and the local→global id map.  The base is built once — at
+  construction, restore or compaction — and writes never touch it; with the
+  default ``"columnar"`` backend its node graph is never materialised;
+* the **overlay** (:class:`~repro.service.shm.Overlay`) — a delta
+  :class:`FlatAIT` rebuilt with :meth:`FlatAIT.from_arrays` over the live
+  inserts since the last compaction, plus tombstones for deleted base ids;
+* a **delta log** of buffered writes.
 
-Writes never touch the snapshot directly: the engine appends them to the
-delta log (:meth:`Shard.buffer_insert` / :meth:`Shard.buffer_delete`, or the
-bulk :meth:`Shard.buffer_insert_many` / :meth:`Shard.buffer_delete_many`) and
-the log is replayed into the local tree by :meth:`Shard.refresh` — which the
-engine calls at *batch boundaries only*, so a snapshot is never replaced
-mid-batch.  Replay groups consecutive operations of the same kind and applies
-each run through the tree's vectorised ``insert_many`` / ``delete_many``
-bulk APIs, so a long delta log costs one deferred re-sort per touched list
-instead of one Python round-trip per op; the re-snapshot that follows is
-*incremental* whenever the tree's dirty-node journal allows it (see
-``AIT.flat``), and bumps :attr:`Shard.version` exactly when the visible
-state changed.
+Writes never touch the base or the overlay directly: the engine appends them
+to the delta log (:meth:`Shard.buffer_insert` / :meth:`Shard.buffer_delete`,
+or the bulk :meth:`Shard.buffer_insert_many` / :meth:`Shard.buffer_delete_many`)
+and :meth:`Shard.refresh` — which the engine calls at *batch boundaries
+only*, so a batch never sees a half-applied write — folds the log into a
+new overlay and bumps :attr:`Shard.version`.  A write therefore costs a
+rebuild of the small delta, not of the shard.  Once the overlay entries
+rebuilt since the last compaction, summed over refreshes, pass
+:data:`COMPACT_WORK` times the base size, :meth:`Shard.compact` folds the
+overlay into a new base and bumps :attr:`Shard.base_rebuilds`; only then
+does a process executor republish the base segment.
 """
 
 from __future__ import annotations
@@ -38,8 +41,12 @@ from ..core.ait import AIT
 from ..core.awit import AWIT
 from ..core.dataset import IntervalDataset
 from ..core.flat import FlatAIT
+from .shm import Overlay
 
-__all__ = ["Shard", "DeltaOp"]
+__all__ = ["Shard", "DeltaOp", "COMPACT_WORK"]
+
+_ID = np.int64
+_F8 = np.float64
 
 #: One buffered write batch: ``("insert_many", global_ids, lefts, rights)``
 #: or ``("delete_many", global_ids)`` carrying whole arrays (scalar writes
@@ -49,22 +56,39 @@ DeltaOp = Union[
     tuple[str, np.ndarray],
 ]
 
+#: A refresh compacts once the overlay work since the last compaction — the
+#: overlay entries (live inserts plus tombstones) each refresh rebuilt,
+#: summed — exceeds this multiple of the base's interval count.  A write
+#: rebuilds and republishes the whole overlay, at ~0.7-1.4 us per entry; a
+#: compaction rebuilds and republishes the base, at ~2.3-2.7 us per interval
+#: (``overlay`` rows of ``BENCH_updates.json``; the measured break-even is
+#: 1.9-3.3 over 20k-200k shards).  At the break-even the overlay rebuilds
+#: between two compactions cost about one compaction, and under one-interval
+#: writes the overlay peaks near ``sqrt(2 * COMPACT_WORK * n)`` entries — the
+#: Bentley-Saxe square-root split, and the peak that minimises the mean cost
+#: of a write.  Anywhere in the measured range this is within 1% of it.
+COMPACT_WORK = 2.5
+
 
 class Shard:
-    """A partition of the engine's dataset with its own tree, snapshot and delta log."""
+    """A partition of the engine's dataset: immutable base, overlay and delta log."""
 
     __slots__ = (
         "shard_id",
         "tree",
         "wal",
-        "_global_ids",
-        "_id_count",
-        "_local_of",
-        "_global_map",
-        "_pending",
         "_snapshot",
-        "_snapshot_tree_version",
+        "_global_map",
+        "_id_index",
+        "_delta_gids",
+        "_delta_lefts",
+        "_delta_rights",
+        "_tombstones",
+        "_overlay",
+        "_pending",
         "_version",
+        "_base_rebuilds",
+        "_overlay_work",
     )
 
     def __init__(
@@ -73,44 +97,20 @@ class Shard:
         dataset: IntervalDataset,
         global_ids: np.ndarray,
         weighted: bool,
-        batch_pool_size: Optional[int] = None,
         build_backend: str = "columnar",
         kernel_backend=None,
     ) -> None:
         self.shard_id = int(shard_id)
-        # Local->global id map as a bare int64 array with amortised growth;
-        # the inverse dict is only needed on deletes and is built lazily.
-        self._global_ids = np.asarray(global_ids, dtype=np.int64).copy()
-        self._id_count = int(self._global_ids.shape[0])
-        self._local_of: Optional[dict[int, int]] = None
-        local_dataset = dataset.subset(global_ids)
-        # With the default "columnar" backend the local tree defers its
-        # Python node graph entirely: the snapshot below is built treelessly
-        # by FlatAIT.from_arrays, and the nodes only materialise if a write
-        # batch ever needs to be replayed into this shard.
-        if weighted:
-            self.tree: AIT = AWIT(
-                local_dataset,
-                batch_pool_size=batch_pool_size,
-                build_backend=build_backend,
-                kernel_backend=kernel_backend,
-            )
-        else:
-            self.tree = AIT(
-                local_dataset,
-                batch_pool_size=batch_pool_size,
-                build_backend=build_backend,
-                kernel_backend=kernel_backend,
-            )
-        self._pending: list[DeltaOp] = []
-        #: Optional write-ahead log (:class:`repro.persist.DeltaLog`); when
-        #: set, every buffered batch is journaled durably *before* joining
-        #: the in-memory delta log.
-        self.wal = None
-        self._snapshot: Optional[FlatAIT] = None
-        self._snapshot_tree_version = -1
-        self._version = 0
-        self.refresh()
+        # With the default "columnar" backend the tree defers its Python node
+        # graph entirely: the snapshot is built treelessly by
+        # FlatAIT.from_arrays, and writes go to the overlay, never the tree.
+        tree_cls = AWIT if weighted else AIT
+        tree = tree_cls(
+            dataset.subset(global_ids),
+            build_backend=build_backend,
+            kernel_backend=kernel_backend,
+        )
+        self._start(tree, tree.flat(), global_ids, version=1)
 
     @classmethod
     def restore(
@@ -125,32 +125,52 @@ class Shard:
 
         Used by :func:`repro.persist.durable.open_engine`: ``tree`` is the
         restored local tree (node graph deferred), ``snapshot`` the loaded —
-        typically mmap-backed — :class:`FlatAIT` it serves queries from, and
+        typically mmap-backed — :class:`FlatAIT` that becomes the base, and
         ``global_ids`` the saved local->global id map.  The delta log starts
-        empty; recovered WAL records are re-buffered afterwards and fold in
-        through the normal :meth:`refresh`.
+        empty; recovered WAL records are re-buffered afterwards and fold into
+        the overlay through the normal :meth:`refresh`.
         """
         shard = cls.__new__(cls)
         shard.shard_id = int(shard_id)
-        shard.tree = tree
-        shard.wal = None
-        shard._global_ids = np.asarray(global_ids, dtype=np.int64).copy()
-        shard._id_count = int(shard._global_ids.shape[0])
-        shard._local_of = None
-        shard._pending = []
-        shard._snapshot = snapshot
-        shard._snapshot_tree_version = tree.structure_version
-        shard._global_map = shard._global_ids[: shard._id_count]
-        shard._version = int(version)
+        shard._start(tree, snapshot, global_ids, version)
         return shard
+
+    def _start(self, tree: AIT, snapshot: FlatAIT, global_ids, version: int) -> None:
+        #: Optional write-ahead log (:class:`repro.persist.DeltaLog`); when
+        #: set, every buffered batch is journaled durably *before* joining
+        #: the in-memory delta log.
+        self.wal = None
+        self._pending: list[DeltaOp] = []
+        self._version = int(version)
+        self._base_rebuilds = 0
+        self._set_base(tree, snapshot, np.asarray(global_ids, dtype=_ID).copy())
+
+    def _set_base(self, tree: AIT, snapshot: FlatAIT, global_map: np.ndarray) -> None:
+        """Install a new base and clear the overlay it absorbed."""
+        self.tree = tree
+        self._snapshot = snapshot
+        self._global_map = global_map
+        #: (sorted global ids, their base-local ids), built on the first delete.
+        self._id_index: Optional[tuple[np.ndarray, np.ndarray]] = None
+        self._delta_gids = np.empty(0, dtype=_ID)
+        self._delta_lefts = np.empty(0, dtype=_F8)
+        self._delta_rights = np.empty(0, dtype=_F8)
+        self._tombstones = np.empty(0, dtype=_ID)
+        self._overlay: Optional[Overlay] = None
+        #: Overlay entries rebuilt since this base was installed (see COMPACT_WORK).
+        self._overlay_work = 0
 
     # ------------------------------------------------------------------ #
     # accessors
     # ------------------------------------------------------------------ #
     @property
     def size(self) -> int:
-        """Number of intervals currently active in this shard (snapshot view)."""
-        return self.tree.size
+        """Intervals active in this shard as of the last :meth:`refresh`."""
+        return (
+            int(self.tree.size)
+            - int(self._tombstones.shape[0])
+            + int(self._delta_gids.shape[0])
+        )
 
     @property
     def version(self) -> int:
@@ -158,74 +178,56 @@ class Shard:
         return self._version
 
     @property
+    def base_rebuilds(self) -> int:
+        """How often a compaction rebuilt the base since construction or restore."""
+        return self._base_rebuilds
+
+    @property
     def pending_ops(self) -> int:
-        """Number of buffered writes not yet applied to the snapshot."""
+        """Number of buffered writes not yet applied to the overlay."""
         return sum(int(op[1].shape[0]) for op in self._pending)
 
     @property
     def snapshot(self) -> FlatAIT:
-        """The flat engine the current batch executes on (apply deltas via :meth:`refresh`)."""
-        assert self._snapshot is not None  # established by __init__
+        """The base :class:`FlatAIT` (the writes since it was built are in :attr:`overlay`)."""
         return self._snapshot
 
     @property
-    def global_map(self) -> np.ndarray:
-        """Local→global id map aligned with the current snapshot.
+    def overlay(self) -> Optional[Overlay]:
+        """Delta index + tombstones over the base, or ``None`` when there are none."""
+        return self._overlay
 
-        Frozen at the last :meth:`refresh` alongside the snapshot — buffered
-        writes do not move it — so it is safe to publish to executor workers
-        together with the snapshot arrays (:mod:`repro.service.shm`).
+    @property
+    def global_map(self) -> np.ndarray:
+        """Base-local→global id map, aligned with :attr:`snapshot`.
+
+        Fixed between compactions — buffered writes do not move it — so it
+        is safe to publish to executor workers together with the base
+        arrays (:mod:`repro.service.shm`).
         """
         return self._global_map
 
     def nbytes(self) -> int:
-        """Approximate memory footprint: tree structure plus flat snapshot.
+        """Approximate memory footprint: base tree columns, base snapshot, overlay.
 
         Measures what the shard currently holds — a treeless (columnar
-        backend) shard that never replayed a write reports only columns plus
-        snapshot, without forcing node materialisation.
+        backend) base reports only columns plus snapshot, without forcing
+        node materialisation.
         """
-        return int(self.tree.memory_bytes(materialise=False)) + int(self.snapshot.nbytes())
+        total = int(self.tree.memory_bytes(materialise=False)) + int(self._snapshot.nbytes())
+        return total + (self._overlay.nbytes() if self._overlay is not None else 0)
 
-    def to_global(self, local_ids: np.ndarray) -> np.ndarray:
-        """Map an array of shard-local interval ids to engine-global ids."""
-        if local_ids.shape[0] == 0:
-            return local_ids
-        return self._global_map[local_ids]
-
-    def _record_global_ids(self, global_ids: np.ndarray, local_ids: np.ndarray) -> None:
-        """Record freshly applied inserts in the id maps.
-
-        Local ids are *positions*, not an append-only sequence — the tree
-        recycles vacated slots — so each mapping lands at its local id,
-        overwriting whatever dead mapping held the slot before.
-        """
-        if local_ids.shape[0] == 0:
-            return
-        top = int(local_ids.max()) + 1
-        if top > self._global_ids.shape[0]:
-            grow = max(16, top - self._global_ids.shape[0], self._global_ids.shape[0] // 2)
-            self._global_ids = np.concatenate(
-                (self._global_ids, np.empty(grow, dtype=np.int64))
-            )
-        if self._local_of is not None:
-            recycled = local_ids[local_ids < self._id_count]
-            for local in recycled.tolist():
-                self._local_of.pop(int(self._global_ids[local]), None)
-        self._global_ids[local_ids] = global_ids
-        self._id_count = max(self._id_count, top)
-        if self._local_of is not None:
-            for global_id, local in zip(global_ids.tolist(), local_ids.tolist()):
-                self._local_of[int(global_id)] = int(local)
-
-    def _local_ids_of(self, global_ids: np.ndarray) -> np.ndarray:
-        """Shard-local ids owning ``global_ids`` (builds the inverse map on demand)."""
-        if self._local_of is None:
-            self._local_of = {
-                int(g): i for i, g in enumerate(self._global_ids[: self._id_count])
-            }
-        lookup = self._local_of
-        return np.asarray([lookup[int(g)] for g in global_ids], dtype=np.int64)
+    def _base_locals(self, global_ids: np.ndarray) -> np.ndarray:
+        """Base-local id of each global id, -1 where the base does not hold it."""
+        if self._id_index is None:
+            order = np.argsort(self._global_map, kind="stable").astype(_ID, copy=False)
+            self._id_index = (self._global_map[order], order)
+        keys, order = self._id_index
+        if keys.shape[0] == 0:
+            return np.full(global_ids.shape[0], -1, dtype=_ID)
+        pos = np.searchsorted(keys, global_ids)
+        np.minimum(pos, keys.shape[0] - 1, out=pos)
+        return np.where(keys[pos] == global_ids, order[pos], -1)
 
     # ------------------------------------------------------------------ #
     # delta log
@@ -267,74 +269,140 @@ class Shard:
                 self.wal.append_delete(gids)
             self._pending.append(("delete_many", gids))
 
-    def _replay_insert_run(
-        self, global_ids: list[np.ndarray], lefts: list[np.ndarray], rights: list[np.ndarray]
-    ) -> None:
-        gids = np.concatenate(global_ids)
-        local_ids = self.tree.insert_many(np.concatenate(lefts), np.concatenate(rights))
-        self._record_global_ids(gids, local_ids)
-
-    def _replay_delete_run(self, global_ids: list[np.ndarray]) -> None:
-        self.tree.delete_many(self._local_ids_of(np.concatenate(global_ids)))
-
     def refresh(self) -> bool:
-        """Replay the delta log into the tree and re-snapshot if anything changed.
+        """Fold the delta log into a new overlay; return True when state changed.
 
-        Returns True when a new snapshot version was produced.  The engine
-        calls this at the start of every batch — never while a batch is
-        executing — so within one scatter-gather round every shard serves one
-        consistent snapshot.  Consecutive operations of the same kind are
-        replayed through the tree's bulk ``insert_many`` / ``delete_many``
-        APIs (one deferred re-sort per touched list per run), and the
-        re-snapshot uses the incremental dirty-node refresh path whenever
-        the tree's journal allows it.
+        The engine calls this at the start of every batch — never while a
+        batch is executing — so within one scatter-gather round every shard
+        serves one consistent version.  Global ids are never reused and a
+        delete always follows its insert, so the log folds as one
+        concatenation of its inserts followed by one pass over its deletes:
+        a deleted insert leaves the delta, a deleted base interval becomes a
+        tombstone, an id the shard does not hold is ignored.  The overlay's
+        delta is then rebuilt treelessly — or, once the overlay work since
+        the last compaction passes :data:`COMPACT_WORK` times the base size,
+        the whole overlay is folded into a new base instead.  The new
+        overlay or base is built before any shard state changes, so an error
+        while building leaves the shard and its delta log as they were, and
+        the next refresh retries.
         """
-        run_kind: Optional[str] = None
-        run_gids: list[np.ndarray] = []
-        run_lefts: list[np.ndarray] = []
-        run_rights: list[np.ndarray] = []
-
-        def flush_run() -> None:
-            nonlocal run_kind
-            if run_kind == "insert":
-                self._replay_insert_run(run_gids, run_lefts, run_rights)
-            elif run_kind == "delete":
-                self._replay_delete_run(run_gids)
-            run_kind = None
-            run_gids.clear()
-            run_lefts.clear()
-            run_rights.clear()
-
-        for op in self._pending:
-            kind = "insert" if op[0] == "insert_many" else "delete"
-            if kind != run_kind:
-                flush_run()
-                run_kind = kind
-            if kind == "insert":
-                _, gids, lefts, rights = op
-                run_gids.append(gids)
-                run_lefts.append(lefts)
-                run_rights.append(rights)
-            else:
-                run_gids.append(op[1])
-        flush_run()
-
-        applied = bool(self._pending)
+        if not self._pending:
+            return False
+        gids, lefts, rights, tombstones, changed = self._fold(self._pending)
+        if not changed:
+            self._pending = []
+            return False
+        work = self._overlay_work + gids.shape[0] + tombstones.shape[0]
+        if work > COMPACT_WORK * self.tree.size:
+            base = self._build_base(gids, lefts, rights, tombstones)
+            if base is not None:
+                self._pending = []
+                self._install_base(*base)
+                return True
+        overlay = self._build_overlay(gids, lefts, rights, tombstones)
         self._pending = []
-        if applied:
-            # Fold any pooled-but-unflushed inserts into the tree so the flat
-            # snapshot is self-contained (no pool scan on the batch path).
-            self.tree.flush_pool()
-        if self._snapshot is None or self.tree.structure_version != self._snapshot_tree_version:
-            self._snapshot = self.tree.flat()
-            self._snapshot_tree_version = self.tree.structure_version
-            self._global_map = self._global_ids[: self._id_count]
-            self._version += 1
-            return True
-        return False
+        self._delta_gids, self._delta_lefts, self._delta_rights = gids, lefts, rights
+        self._tombstones = tombstones
+        self._overlay = overlay
+        self._overlay_work = work
+        self._version += 1
+        return True
+
+    def _fold(self, pending: list[DeltaOp]):
+        """The delta arrays and tombstones after applying ``pending``, plus
+        whether anything visible changed; shard state is left untouched."""
+        gids, lefts, rights = self._delta_gids, self._delta_lefts, self._delta_rights
+        inserts = [op for op in pending if op[0] == "insert_many"]
+        if inserts:
+            gids = np.concatenate([gids] + [op[1] for op in inserts])
+            lefts = np.concatenate([lefts] + [op[2] for op in inserts])
+            rights = np.concatenate([rights] + [op[3] for op in inserts])
+        tombstones = self._tombstones
+        deletes = [op[1] for op in pending if op[0] == "delete_many"]
+        changed = bool(inserts)
+        if deletes:
+            doomed = np.concatenate(deletes)
+            keep = ~np.isin(gids, doomed)
+            if not keep.all():
+                gids, lefts, rights = gids[keep], lefts[keep], rights[keep]
+                changed = True
+            local = self._base_locals(doomed)
+            local = local[local >= 0]
+            if self.tree._deleted and local.shape[0]:
+                # Slots already dead in a restored base are not in its snapshot.
+                dead = np.fromiter(self.tree._deleted, dtype=_ID, count=len(self.tree._deleted))
+                local = local[~np.isin(local, dead)]
+            if local.shape[0]:
+                tombstones = np.union1d(tombstones, local)
+                changed = True
+        return gids, lefts, rights, tombstones, changed
+
+    def _build_overlay(self, gids, lefts, rights, tombstones) -> Optional[Overlay]:
+        if gids.shape[0] == 0 and tombstones.shape[0] == 0:
+            return None
+        delta = None
+        if gids.shape[0]:
+            delta = FlatAIT.from_arrays(lefts, rights, kernel_backend=self._snapshot.kernels)
+        return Overlay(
+            delta,
+            gids,
+            tombstones,
+            np.sort(self.tree._lefts[tombstones]),
+            np.sort(self.tree._rights[tombstones]),
+        )
+
+    def _build_base(self, gids, lefts, rights, tombstones):
+        """A new base folding the given overlay in, as ``(tree, snapshot,
+        global_map)``, or None when no live interval is left to build from.
+
+        The new base indexes the live base intervals plus the live inserts,
+        ordered by global id, and is built by the same tree backend as the
+        old one.  Only unweighted shards take writes, so the tree is an
+        :class:`AIT`.
+        """
+        live = self.tree._indexed_ids()
+        if tombstones.shape[0]:
+            live = live[~np.isin(live, tombstones, assume_unique=True)]
+        all_gids = np.concatenate((self._global_map[live], gids))
+        if all_gids.shape[0] == 0:
+            return None
+        order = np.argsort(all_gids, kind="stable")
+        tree = AIT(
+            IntervalDataset(
+                np.concatenate((self.tree._lefts[live], lefts))[order],
+                np.concatenate((self.tree._rights[live], rights))[order],
+            ),
+            build_backend=self.tree.build_backend,
+            kernel_backend=self._snapshot.kernels,
+        )
+        return tree, tree.flat(), all_gids[order]
+
+    def _install_base(self, tree: AIT, snapshot: FlatAIT, global_map: np.ndarray) -> None:
+        self._set_base(tree, snapshot, global_map)
+        self._base_rebuilds += 1
+        self._version += 1
+
+    def compact(self) -> bool:
+        """Fold the overlay into a new base; return True when the base was rebuilt.
+
+        Applies the delta log first.  A shard without an overlay, or with no
+        live interval left, keeps what it has — there is nothing to fold or
+        nothing to build a base from.
+        """
+        self.refresh()
+        if self._overlay is None:
+            return False
+        base = self._build_base(
+            self._delta_gids, self._delta_lefts, self._delta_rights, self._tombstones
+        )
+        if base is None:
+            return False
+        self._install_base(*base)
+        return True
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"Shard(id={self.shard_id}, size={self.size}, version={self._version}, "
+            f"inserts={self._delta_gids.shape[0]}, tombstones={self._tombstones.shape[0]}, "
             f"pending={len(self._pending)})"
         )

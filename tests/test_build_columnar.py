@@ -320,15 +320,20 @@ class TestServiceBackend:
             for mine, theirs in zip(mine_rows, their_rows):
                 assert mine.tolist() == theirs.tolist()
 
-    def test_columnar_shards_defer_trees_until_writes(self, make_random_dataset):
+    def test_columnar_shards_defer_trees_until_writes(self, make_random_dataset, tmp_path):
         dataset = make_random_dataset(n=600, seed=51)
         with ShardedEngine(dataset, num_shards=2) as engine:
             engine.count((0.0, 100.0))
             assert all(not shard.tree.tree_materialised for shard in engine.shards)
             engine.insert((1.0, 2.0))
-            engine.refresh()  # write replay materialises the owning shard
-            assert any(shard.tree.tree_materialised for shard in engine.shards)
+            engine.delete(1)  # round robin: the insert went to shard 0, id 1 is shard 1's
+            engine.refresh()  # writes land in the overlay; trees stay deferred
+            assert all(not shard.tree.tree_materialised for shard in engine.shards)
+            assert [shard.base_rebuilds for shard in engine.shards] == [0, 0]
             assert engine.count((1.0, 1.5)) >= 1
+            engine.save_snapshot(tmp_path)  # compaction rebuilds bases treelessly
+            assert [shard.base_rebuilds for shard in engine.shards] == [1, 1]
+            assert all(not shard.tree.tree_materialised for shard in engine.shards)
 
     def test_write_then_read_consistency_across_backends(
         self, make_random_dataset, make_queries

@@ -84,6 +84,72 @@ class TestRecordRoundTrip:
         log.close()
 
 
+class TestCleanLogSync:
+    """``sync`` fsyncs only logs that took appends since their last sync."""
+
+    @pytest.fixture
+    def fsyncs(self, monkeypatch):
+        calls = []
+        real = os.fsync
+
+        def counting(fd):
+            calls.append(fd)
+            real(fd)
+
+        monkeypatch.setattr(os, "fsync", counting)
+        return calls
+
+    def test_clean_log_skips_fsync(self, tmp_path, fsyncs):
+        log = DeltaLog(str(tmp_path / "w.log"), fsync="batch")
+        created = len(fsyncs)  # the header is synced at creation
+        log.sync()
+        assert len(fsyncs) == created
+        log.append_delete([1])
+        log.sync()
+        log.sync()
+        assert len(fsyncs) == created + 1
+        log.close()
+        assert len(fsyncs) == created + 1
+
+    def test_always_policy_syncs_once_per_append(self, tmp_path, fsyncs):
+        log = DeltaLog(str(tmp_path / "w.log"), fsync="always")
+        created = len(fsyncs)
+        log.append_delete([1])
+        log.sync()
+        log.close()
+        assert len(fsyncs) == created + 1
+
+    def test_reopened_log_syncs_once(self, tmp_path, fsyncs):
+        path = str(tmp_path / "w.log")
+        DeltaLog(path, fsync="none").append_delete([1])
+        log = DeltaLog(path, fsync="batch", create=False)
+        log.sync()
+        log.sync()
+        assert len(fsyncs) == 1
+        log.close()
+
+    def test_one_gateway_write_on_four_shards_costs_one_fsync(self, tmp_path, monkeypatch):
+        from repro import IntervalDataset, ShardedEngine
+        from repro.service import RequestGateway
+
+        lefts = np.arange(40, dtype=np.float64)
+        engine = ShardedEngine(IntervalDataset(lefts, lefts + 2.0), num_shards=4)
+        engine.save_snapshot(tmp_path)
+        gateway = RequestGateway(engine)
+        try:
+            calls = []
+            real = os.fsync
+            monkeypatch.setattr(os, "fsync", lambda fd: (calls.append(fd), real(fd)))
+            assert gateway.submit("insert", (3.0, 4.0)).result(timeout=30) == 40
+            assert len(calls) == 1
+            calls.clear()
+            assert gateway.submit("count", (3.0, 4.0)).result(timeout=30) == 5
+            assert calls == []
+        finally:
+            gateway.close()
+            engine.close()
+
+
 class TestTornTails:
     def test_truncated_record_is_dropped_not_fatal(self, tmp_path):
         path = str(tmp_path / "torn.log")

@@ -414,11 +414,11 @@ class TestBulkWrites:
     def test_refresh_replays_delta_log_without_full_snapshot_rebuild(
         self, make_random_dataset
     ):
-        """A bounded delta log patches shard snapshots incrementally."""
+        """A bounded delta log lands in the overlay; the base is not rebuilt."""
         dataset = make_random_dataset(n=4000, seed=52)
         engine = ShardedEngine(dataset, num_shards=2)
         engine.refresh()
-        full_builds_before = [s.tree.snapshot_full_builds for s in engine.shards]
+        bases_before = [s.snapshot for s in engine.shards]
         rng = np.random.default_rng(53)
         lefts = rng.uniform(0.0, 1000.0, 40)
         rights = lefts + rng.exponential(20.0, 40)
@@ -427,11 +427,10 @@ class TestBulkWrites:
         assert engine.pending_ops() > 0
         engine.refresh()
         assert engine.pending_ops() == 0
-        full_builds_after = [s.tree.snapshot_full_builds for s in engine.shards]
-        assert full_builds_after == full_builds_before  # no full re-flatten
-        assert all(
-            s.tree.snapshot_incremental_refreshes >= 1 for s in engine.shards
-        )
+        assert [s.base_rebuilds for s in engine.shards] == [0, 0]  # no base rebuild
+        assert all(s.snapshot is base for s, base in zip(engine.shards, bases_before))
+        assert all(s.overlay is not None for s in engine.shards)
+        assert not any(s.tree.tree_materialised for s in engine.shards)
 
     def test_mixed_bulk_and_scalar_log_replay(self, make_random_dataset, make_queries):
         """Interleaved scalar and bulk ops replay in log order at refresh."""
