@@ -9,8 +9,9 @@ closes the gap between that open-loop traffic and the engine's batch API:
 
 * every caller submits one request and gets a future (or uses the blocking
   wrappers below);
-* the gateway coalesces whatever arrives inside its wait window into one
-  micro-batch and dispatches it grouped by operation through
+* the gateway turns whatever is queued when its dispatcher becomes free
+  (up to ``max_batch_size`` requests) into one micro-batch and dispatches
+  it grouped by operation through
   ``ShardedEngine.count_many`` / ``sample_many`` — one vectorised traversal
   for a whole burst of independent callers;
 * writes (new logins / logouts) buffer and apply at batch boundaries, so
@@ -48,7 +49,7 @@ def main() -> None:
 
     with ShardedEngine(sessions, num_shards=4) as engine:
         engine.refresh()
-        with RequestGateway(engine, max_batch_size=64, max_wait_ms=2.0) as gateway:
+        with RequestGateway(engine, max_batch_size=64) as gateway:
             # --- many independent dashboard threads, single queries each ---
             peaks: dict[int, int] = {}
 

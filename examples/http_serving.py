@@ -55,7 +55,7 @@ def main() -> None:
 
     engine = ShardedEngine(sessions, num_shards=2)
     engine.refresh()
-    gateway = RequestGateway(engine, max_wait_ms=2.0)
+    gateway = RequestGateway(engine)
     frontend = HttpFrontend(
         gateway,
         admission=AdmissionController(max_pending=64, retry_after_s=0.25),

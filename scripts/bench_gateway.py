@@ -13,15 +13,16 @@ in two dispatch modes:
 * **scalar** — the naive one-query-per-call baseline, lock-serialised (the
   engine's write path makes unsynchronised sharing unsafe);
 * **gateway** — a :class:`~repro.service.RequestGateway` coalescing the
-  concurrent requests into micro-batches, swept over the wait window.
+  concurrent requests into micro-batches: a batch is whatever is queued
+  when the dispatcher becomes free, up to ``--batch`` requests.
 
 Every request's end-to-end latency is recorded client-side; the JSON output
-carries p50/p95/p99 per (n, operation, mode, clients, window) plus a
-``summary`` section with the headline number — the p95 ratio of scalar over
-the best gateway window at the highest client count.  The expected shape:
-scalar p95 grows ~linearly with C (per-call fixed cost serialises), gateway
-p95 flattens (one micro-batch pays the fixed cost once for the whole
-window's worth of callers), so the ratio rises with offered load.
+carries p50/p95/p99 per (n, operation, mode, clients) plus a ``summary``
+section with the headline number — the p95 ratio of scalar over gateway at
+the highest client count.  The expected shape: scalar p95 grows ~linearly
+with C (per-call fixed cost serialises), gateway p95 flattens (one
+micro-batch pays the fixed cost once for every caller queued behind the
+previous one), so the ratio rises with offered load.
 
 The payload is shape-validated before it is written, so a CI smoke
 invocation at tiny sizes doubles as a schema regression test.
@@ -52,7 +53,6 @@ def bench_one(
     requests: int,
     sample_size: int,
     client_counts: list[int],
-    windows_ms: list[float],
     max_batch_size: int,
 ) -> list[dict]:
     dataset = generate_paper_dataset("btc", n=n, random_state=1)
@@ -65,20 +65,19 @@ def bench_one(
         for clients in client_counts:
             # The drive loop is shared with the registered gateway_latency
             # experiment, so the committed baseline measures the same thing.
-            for operation, mode, window_ms, profile in measure_modes(
-                engine, queries, clients, sample_size, windows_ms, max_batch_size
+            for operation, mode, profile in measure_modes(
+                engine, queries, clients, sample_size, max_batch_size
             ):
-                rows.append(_row(n, operation, mode, clients, window_ms, profile))
+                rows.append(_row(n, operation, mode, clients, profile))
     return rows
 
 
-def _row(n: int, operation: str, mode: str, clients: int, window_ms: float, profile: dict) -> dict:
+def _row(n: int, operation: str, mode: str, clients: int, profile: dict) -> dict:
     row = {
         "n": n,
         "operation": operation,
         "mode": mode,
         "clients": clients,
-        "window_ms": window_ms,
         "requests": profile["requests"],
         "rps": round(profile["rps"], 1),
         "p50_ms": round(profile["p50_ms"], 3),
@@ -86,7 +85,7 @@ def _row(n: int, operation: str, mode: str, clients: int, window_ms: float, prof
         "p99_ms": round(profile["p99_ms"], 3),
     }
     print(
-        f"n={n:>7} {operation:<7} {mode:<8} C={clients:<3} w={window_ms:<4}"
+        f"n={n:>7} {operation:<7} {mode:<8} C={clients:<3}"
         f"  p50={row['p50_ms']:>8.3f}ms  p95={row['p95_ms']:>8.3f}ms  "
         f"rps={row['rps']:>10.0f}"
     )
@@ -94,7 +93,7 @@ def _row(n: int, operation: str, mode: str, clients: int, window_ms: float, prof
 
 
 def summarise(rows: list[dict]) -> list[dict]:
-    """Per (n, operation): scalar p95 over best-gateway p95 at the peak client count."""
+    """Per (n, operation): scalar p95 over gateway p95 at the peak client count."""
     summary: list[dict] = []
     for n in sorted({row["n"] for row in rows}):
         peak = max(row["clients"] for row in rows if row["n"] == n)
@@ -136,7 +135,6 @@ def validate_payload(payload: dict) -> None:
             "operation",
             "mode",
             "clients",
-            "window_ms",
             "requests",
             "rps",
             "p50_ms",
@@ -167,18 +165,11 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--sizes", type=int, nargs="+", default=[100_000], help="dataset sizes")
     parser.add_argument(
-        "--requests", type=int, default=512, help="requests per measurement point"
+        "--requests", type=int, default=1024, help="requests per measurement point"
     )
     parser.add_argument("--samples", type=int, default=100, help="samples per sample request")
     parser.add_argument(
         "--clients", type=int, nargs="+", default=[1, 4, 16, 64], help="client counts to sweep"
-    )
-    parser.add_argument(
-        "--windows-ms",
-        type=float,
-        nargs="+",
-        default=[1.0, 2.0, 8.0],
-        help="gateway wait windows (milliseconds) to sweep",
     )
     parser.add_argument(
         "--batch", type=int, default=128, help="gateway max_batch_size"
@@ -188,7 +179,7 @@ def main(argv: list[str] | None = None) -> int:
     results: list[dict] = []
     for n in args.sizes:
         results.extend(
-            bench_one(n, args.requests, args.samples, args.clients, args.windows_ms, args.batch)
+            bench_one(n, args.requests, args.samples, args.clients, args.batch)
         )
     print()
     summary = summarise(results)
@@ -201,7 +192,6 @@ def main(argv: list[str] | None = None) -> int:
             "extent_fraction": 0.08,
             "sample_size": args.samples,
             "client_counts": args.clients,
-            "windows_ms": args.windows_ms,
             "max_batch_size": args.batch,
             "engine_shards": ENGINE_SHARDS,
             "repro_version": __version__,

@@ -26,8 +26,8 @@ measure a *design property* rather than the hardware:
 * ``BENCH_gateway.json``    — the gateway's p95 latency advantage over scalar
   dispatch for ``sample`` traffic at the peak client count (the ``count``
   indicator is reported but not gated: at smoke scale a count call is so
-  cheap that the coalescing window dominates, which is expected, not a
-  regression);
+  cheap that the dispatcher thread hand-off dominates, which is expected,
+  not a regression);
 * ``BENCH_build.json``      — the treeless columnar builder's speedup over the
   tree-walk full build, and the hard invariant that both builders emit
   bit-identical snapshot arrays;
@@ -127,7 +127,6 @@ SCHEMAS: dict[str, dict] = {
                 "operation",
                 "mode",
                 "clients",
-                "window_ms",
                 "requests",
                 "rps",
                 "p50_ms",

@@ -11,16 +11,16 @@ end-to-end latency, comparing two dispatch modes:
   unsafe, so calls are serialised with a lock — exactly what a careful
   caller would do without a gateway;
 * **gateway** — clients submit through a :class:`RequestGateway`, which
-  coalesces concurrent requests into micro-batches (swept over the wait
-  window ``max_wait_ms``) and dispatches them through the engine's
+  coalesces concurrent requests into micro-batches (whatever is queued when
+  its dispatcher becomes free) and dispatches them through the engine's
   vectorised ``*_many`` APIs.
 
-At ``C = 1`` the gateway can only add its window to each request's latency —
-that is the price of coalescing under light traffic.  As ``C`` grows the
-scalar mode's per-call fixed cost serialises (p95 grows roughly linearly
-with ``C``) while the gateway amortises it across the whole micro-batch, so
-its p95 flattens.  ``scripts/bench_gateway.py`` runs the same measurement
-standalone and emits ``BENCH_gateway.json``.
+At ``C = 1`` the gateway can only add its thread hand-off to each request's
+latency.  As ``C`` grows the scalar mode's per-call fixed cost serialises
+(p95 grows roughly linearly with ``C``) while the gateway amortises it
+across the whole micro-batch, so its p95 flattens.
+``scripts/bench_gateway.py`` runs the same measurement standalone and emits
+``BENCH_gateway.json``.
 """
 
 from __future__ import annotations
@@ -41,15 +41,11 @@ __all__ = [
     "measure_latency_profile",
     "measure_modes",
     "CLIENT_SWEEP",
-    "WINDOW_SWEEP_MS",
     "ENGINE_SHARDS",
 ]
 
 #: Concurrent closed-loop client counts measured by default.
 CLIENT_SWEEP: tuple[int, ...] = (1, 8, 32)
-
-#: Gateway coalescing windows (milliseconds) measured by default.
-WINDOW_SWEEP_MS: tuple[float, ...] = (2.0,)
 
 #: Shards behind the engine (kept fixed; shard scaling is service_throughput's job).
 ENGINE_SHARDS = 2
@@ -107,15 +103,13 @@ def measure_modes(
     queries: np.ndarray,
     clients: int,
     sample_size: int,
-    windows_ms,
     max_batch_size: int = 128,
-) -> list[tuple[str, str, float, dict]]:
+) -> list[tuple[str, str, dict]]:
     """Profile both dispatch modes at one client count; the shared drive loop.
 
-    Returns ``(operation, mode, window_ms, profile)`` tuples — the scalar
-    baseline (lock-serialised one-query-per-call, ``window_ms = 0``) for
-    each of ``count`` / ``sample``, then a gateway measurement per wait
-    window in ``windows_ms``.  Used by :func:`run` and by
+    Returns ``(operation, mode, profile)`` tuples — the scalar baseline
+    (lock-serialised one-query-per-call) for each of ``count`` / ``sample``,
+    then the gateway measurement of each.  Used by :func:`run` and by
     ``scripts/bench_gateway.py`` so the committed ``BENCH_gateway.json``
     measures exactly what the registered experiment measures.
     """
@@ -129,34 +123,21 @@ def measure_modes(
         with lock:
             return engine.sample_many([query], sample_size, random_state=0)
 
-    rows: list[tuple[str, str, float, dict]] = []
+    rows: list[tuple[str, str, dict]] = []
     for operation, issue in (("count", scalar_count), ("sample", scalar_sample)):
-        rows.append(
-            (operation, "scalar", 0.0, measure_latency_profile(issue, queries, clients))
-        )
-    for window_ms in windows_ms:
-        with RequestGateway(
-            engine, max_batch_size=max_batch_size, max_wait_ms=window_ms
-        ) as gateway:
+        rows.append((operation, "scalar", measure_latency_profile(issue, queries, clients)))
+    with RequestGateway(engine, max_batch_size=max_batch_size) as gateway:
 
-            def gateway_count(query):
-                return gateway.count(query)
+        def gateway_count(query):
+            return gateway.count(query)
 
-            def gateway_sample(query):
-                return gateway.sample(query, sample_size)
+        def gateway_sample(query):
+            return gateway.sample(query, sample_size)
 
-            for operation, issue in (
-                ("count", gateway_count),
-                ("sample", gateway_sample),
-            ):
-                rows.append(
-                    (
-                        operation,
-                        "gateway",
-                        float(window_ms),
-                        measure_latency_profile(issue, queries, clients),
-                    )
-                )
+        for operation, issue in (("count", gateway_count), ("sample", gateway_sample)):
+            rows.append(
+                (operation, "gateway", measure_latency_profile(issue, queries, clients))
+            )
     return rows
 
 
@@ -177,7 +158,6 @@ def run(config: ExperimentConfig) -> ExperimentResult:
             "operation",
             "mode",
             "clients",
-            "window_ms",
             "requests",
             "rps",
             "p50_ms",
@@ -187,9 +167,9 @@ def run(config: ExperimentConfig) -> ExperimentResult:
         notes=(
             "C closed-loop client threads issue single queries against one "
             f"ShardedEngine (K={ENGINE_SHARDS}).  scalar = lock-serialised "
-            "one-query-per-call; gateway = RequestGateway micro-batching at "
-            "the given wait window.  Latency is end-to-end per request, "
-            "including queueing."
+            "one-query-per-call; gateway = RequestGateway micro-batching "
+            "(a batch is whatever is queued when the dispatcher is free).  "
+            "Latency is end-to-end per request, including queueing."
         ),
     )
     sample_size = min(config.sample_size, 100)
@@ -202,15 +182,14 @@ def run(config: ExperimentConfig) -> ExperimentResult:
         with ShardedEngine(dataset, num_shards=ENGINE_SHARDS) as engine:
             engine.refresh()
             for clients in CLIENT_SWEEP:
-                for operation, mode, window_ms, profile in measure_modes(
-                    engine, queries, clients, sample_size, WINDOW_SWEEP_MS
+                for operation, mode, profile in measure_modes(
+                    engine, queries, clients, sample_size
                 ):
                     result.add_row(
                         dataset=dataset_name,
                         operation=operation,
                         mode=mode,
                         clients=clients,
-                        window_ms=window_ms,
                         **profile,
                     )
     return result

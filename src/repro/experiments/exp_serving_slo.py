@@ -250,7 +250,7 @@ def measure_drain(
 
     executor = ProcessExecutor(max_workers=2)
     engine = ShardedEngine.open(directory, executor=executor)
-    gateway = RequestGateway(engine, max_wait_ms=1.0)
+    gateway = RequestGateway(engine)
     frontend = HttpFrontend(gateway, max_deadline_ms=deadline_ms)
     frontend.start_in_thread()
     host, port = frontend.address
@@ -351,7 +351,7 @@ def serve_frontend(engine, max_pending: int, deadline_ms: float) -> HttpFrontend
     Shared with ``scripts/bench_serving.py`` so the committed baseline
     serves through exactly the stack the registered experiment measures.
     """
-    gateway = RequestGateway(engine, max_wait_ms=1.0)
+    gateway = RequestGateway(engine)
     frontend = HttpFrontend(
         gateway,
         admission=AdmissionController(max_pending=max_pending, retry_after_s=0.1),

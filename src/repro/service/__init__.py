@@ -7,7 +7,7 @@ batches by scatter-gather with exact (counting/reporting) or
 distribution-identical (sampling) semantics, and absorbs writes through
 per-shard delta logs with versioned snapshot refresh; a
 :class:`RequestGateway` that transparently coalesces concurrent single-query
-traffic into the engine's batch API under a tunable micro-batching window;
+traffic into micro-batches for the engine's batch API;
 and :class:`GatewayMetrics` telemetry (counters, batch-size histogram,
 latency percentiles).  On top of the gateway sits the wire tier: an
 :class:`HttpFrontend` (:mod:`repro.service.server`) serving JSON-over-HTTP

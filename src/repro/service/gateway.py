@@ -11,9 +11,10 @@ whom can assemble a batch on their own.  The gateway closes that gap:
   ``checkpoint`` snapshots) from any thread and get a
   :class:`concurrent.futures.Future` back;
 * a single dispatcher thread coalesces queued requests into **micro-batches**
-  under a tunable window — a batch closes when it holds ``max_batch_size``
-  requests or the oldest request has waited ``max_wait_ms`` milliseconds,
-  whichever comes first;
+  without a timer: a batch is whatever is queued when the dispatcher becomes
+  free, up to ``max_batch_size`` requests.  A lone request is dispatched at
+  once; under load, requests that arrive while one batch runs form the next
+  (the "natural batching" of group commit);
 * each micro-batch is dispatched **grouped by operation** through the
   engine's vectorised ``*_many`` APIs, so a burst of 64 concurrent ``count``
   calls costs one level-synchronous traversal instead of 64.
@@ -109,10 +110,6 @@ class RequestGateway:
     max_batch_size:
         Maximum requests per micro-batch.  ``1`` degenerates to scalar
         dispatch (useful as an experimental baseline).
-    max_wait_ms:
-        Maximum time the *oldest* request in a forming batch waits for
-        batch-mates, i.e. the latency the gateway may add when traffic is
-        light.  ``0`` dispatches whatever is queued without waiting.
     max_queue_depth:
         Bounded-intake cap: when the dispatch queue already holds this many
         requests, :meth:`submit` sheds the newcomer with
@@ -137,7 +134,7 @@ class RequestGateway:
     >>> from repro.service import ShardedEngine, RequestGateway
     >>> data = IntervalDataset.from_pairs([(0, 10), (5, 15), (20, 30), (25, 40)])
     >>> with ShardedEngine(data, num_shards=2) as engine:
-    ...     with RequestGateway(engine, max_wait_ms=1.0) as gateway:
+    ...     with RequestGateway(engine) as gateway:
     ...         future = gateway.submit("count", (4, 12))
     ...         future.result()
     ...         gateway.count((18, 26))        # blocking convenience wrapper
@@ -154,7 +151,6 @@ class RequestGateway:
         self,
         engine,
         max_batch_size: int = 64,
-        max_wait_ms: float = 2.0,
         max_queue_depth: Optional[int] = 8192,
         random_state: RandomState = 0,
         metrics: Optional[GatewayMetrics] = None,
@@ -162,13 +158,10 @@ class RequestGateway:
     ) -> None:
         if max_batch_size < 1:
             raise ValueError(f"max_batch_size must be >= 1, got {max_batch_size}")
-        if max_wait_ms < 0:
-            raise ValueError(f"max_wait_ms must be >= 0, got {max_wait_ms}")
         if max_queue_depth is not None and max_queue_depth < 1:
             raise ValueError(f"max_queue_depth must be >= 1 or None, got {max_queue_depth}")
         self._engine = engine
         self._max_batch_size = int(max_batch_size)
-        self._max_wait = float(max_wait_ms) / 1e3
         self._max_queue_depth = None if max_queue_depth is None else int(max_queue_depth)
         self._rng = resolve_rng(random_state)
         self._metrics = metrics if metrics is not None else GatewayMetrics()
@@ -189,11 +182,6 @@ class RequestGateway:
     def max_batch_size(self) -> int:
         """Maximum number of requests coalesced into one micro-batch."""
         return self._max_batch_size
-
-    @property
-    def max_wait_ms(self) -> float:
-        """Maximum milliseconds the oldest queued request waits for batch-mates."""
-        return self._max_wait * 1e3
 
     @property
     def max_queue_depth(self) -> Optional[int]:
@@ -489,22 +477,13 @@ class RequestGateway:
         self._drain_all()
 
     def _fill_batch(self, first: _Request) -> list[_Request]:
-        """Grow a micro-batch from ``first`` until full or the window expires."""
+        """Grow a micro-batch from ``first`` with whatever is already queued."""
         batch = [first]
-        deadline = first.enqueued_at + self._max_wait
         while len(batch) < self._max_batch_size:
-            # Backlogged requests join without waiting ...
             try:
                 item = self._queue.get_nowait()
             except queue_module.Empty:
-                # ... then the window keeps the batch open for late arrivals.
-                remaining = deadline - time.perf_counter()
-                if remaining <= 0:
-                    break
-                try:
-                    item = self._queue.get(timeout=remaining)
-                except queue_module.Empty:
-                    break
+                break
             if item is _STOP:
                 # Preserve shutdown: re-enqueue so the outer loop sees it
                 # right after this batch completes.
@@ -530,9 +509,9 @@ class RequestGateway:
         """Synchronously form and execute micro-batches from the current queue.
 
         Only meaningful on a paused gateway (``start=False``): batches are
-        formed deterministically in arrival order, honouring
-        ``max_batch_size`` but not the wait window (there is no dispatcher
-        to race against).  Returns the number of requests processed.
+        formed deterministically in arrival order, ``max_batch_size``
+        requests at a time (there is no dispatcher to race against).
+        Returns the number of requests processed.
         """
         if self._dispatcher is not None:
             raise RuntimeError(

@@ -12,9 +12,9 @@ into, all safe to share between the submitting threads and the dispatcher:
   Algorithm R with a deterministic seed, so two identical runs report
   identical telemetry);
 * :class:`BatchSizeHistogram` — power-of-two buckets over dispatched
-  micro-batch sizes.  The shape tells you whether the coalescing window is
-  doing anything: a load-saturated gateway fills the top bucket, an idle
-  one sits at size 1;
+  micro-batch sizes.  The shape tells you how much the backlog coalesces:
+  a load-saturated gateway fills the top bucket, a lightly loaded one sits
+  at size 1;
 * :class:`GatewayMetrics` — the aggregate the gateway owns: per-operation
   request/completion/error counters, the batch histogram, and one latency
   reservoir per operation, snapshotted by :meth:`GatewayMetrics.snapshot`

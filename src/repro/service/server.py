@@ -42,7 +42,9 @@ keep flowing and double as recovery probes.
 **Graceful shutdown.** ``stop()`` / ``close()`` refuse new connections,
 drain in-flight requests, then close the gateway — which flushes its
 queue and fsyncs the engine's write-ahead log.  Every write acked with
-200 before the drain is durable.
+200 before the drain is durable.  A request counts as in flight from its
+request line, so one still being read when the drain starts is answered
+(503), never dropped with an empty reply.
 
 Examples
 --------
@@ -51,7 +53,7 @@ Examples
 >>> from repro.service.server import http_request
 >>> data = IntervalDataset.from_pairs([(0, 10), (5, 15), (20, 30), (25, 40)])
 >>> engine = ShardedEngine(data, num_shards=2)
->>> gateway = RequestGateway(engine, max_wait_ms=0.5)
+>>> gateway = RequestGateway(engine)
 >>> with HttpFrontend(gateway) as frontend:
 ...     host, port = frontend.address
 ...     status, _, body = http_request(host, port, "POST", "/count", {"query": [4, 12]})
@@ -335,6 +337,7 @@ class HttpFrontend:
             counters = dict(self._counters)
         return {
             "state": self.state,
+            "inflight": self._inflight,
             "frontend": counters,
             "admission": self._admission.stats(),
             "breaker": self._breaker.stats(),
@@ -354,14 +357,26 @@ class HttpFrontend:
         self._writers.add(writer)
         try:
             while True:
+                line = await reader.readline()
+                if not line:
+                    break
+                # In flight from the request line on, not from admission: a
+                # drain that starts while the headers or body are still
+                # arriving waits for this request and answers it (with 503)
+                # instead of closing the connection under it.
+                self._inflight += 1
+                self._idle.clear()
                 try:
-                    request = await self._read_request(reader)
-                except _BadRequest as exc:
-                    await self._respond(writer, 400, {"error": str(exc)}, close=True)
-                    break
-                if request is None:
-                    break
-                keep_alive = await self._handle_request(request, writer)
+                    try:
+                        request = await self._read_request(line, reader)
+                    except _BadRequest as exc:
+                        await self._respond(writer, 400, {"error": str(exc)}, close=True)
+                        break
+                    keep_alive = await self._handle_request(request, writer)
+                finally:
+                    self._inflight -= 1
+                    if self._inflight == 0:
+                        self._idle.set()
                 if not keep_alive:
                     break
         except (ConnectionError, asyncio.IncompleteReadError):
@@ -374,10 +389,8 @@ class HttpFrontend:
             except (ConnectionError, OSError):
                 pass
 
-    async def _read_request(self, reader: asyncio.StreamReader) -> Optional[dict]:
-        line = await reader.readline()
-        if not line:
-            return None
+    async def _read_request(self, line: bytes, reader: asyncio.StreamReader) -> dict:
+        """Parse the rest of a request whose request ``line`` has been read."""
         try:
             method, target, _version = line.decode("latin-1").split()
         except ValueError:
@@ -491,15 +504,9 @@ class HttpFrontend:
                 close=close,
             )
             return not close
-        self._inflight += 1
-        if self._idle is not None:
-            self._idle.clear()
         try:
             status, payload, retry_after = await self._execute_op(op, request)
         finally:
-            self._inflight -= 1
-            if self._inflight == 0 and self._idle is not None:
-                self._idle.set()
             self._admission.release()
         await self._respond(writer, status, payload, retry_after_s=retry_after, close=close)
         return not close
@@ -630,6 +637,8 @@ def _encode_request(method: str, path: str, body: Optional[dict]) -> bytes:
 
 
 def _decode_response(raw: bytes) -> tuple[int, dict, dict]:
+    if not raw:
+        raise ConnectionError("server closed the connection without a response")
     head, _, body = raw.partition(b"\r\n\r\n")
     lines = head.decode("latin-1").split("\r\n")
     status = int(lines[0].split()[1])

@@ -233,14 +233,14 @@ class TestServiceStateErrors:
 
     def test_gateway_submit_after_close(self):
         with ShardedEngine(_dataset(), num_shards=2) as engine:
-            gateway = RequestGateway(engine, max_wait_ms=1.0)
+            gateway = RequestGateway(engine)
             gateway.close()
             with pytest.raises(GatewayClosedError, match=r"gateway is closed"):
                 gateway.submit("count", (0.0, 5.0))
 
     def test_gateway_malformed_query(self):
         with ShardedEngine(_dataset(), num_shards=2) as engine:
-            with RequestGateway(engine, max_wait_ms=1.0) as gateway:
+            with RequestGateway(engine) as gateway:
                 with pytest.raises(InvalidQueryError, match=r"Interval or a \(left, right\) pair"):
                     gateway.submit("count", object())
 

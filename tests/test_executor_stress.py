@@ -76,7 +76,7 @@ class TestConcurrentGateway:
         acked_ids: list[list[int]] = [[] for _ in range(self.N_WRITERS)]
         seen_counts: list[list[int]] = [[] for _ in range(self.N_READERS)]
         try:
-            with RequestGateway(engine, max_wait_ms=1.0) as gateway:
+            with RequestGateway(engine) as gateway:
 
                 def writer(slot: int):
                     rng = np.random.default_rng(1000 + slot)
@@ -119,7 +119,7 @@ class TestConcurrentGateway:
         kept: list[int] = []
         lock = threading.Lock()
         try:
-            with RequestGateway(engine, max_wait_ms=1.0) as gateway:
+            with RequestGateway(engine) as gateway:
 
                 def churner(slot: int):
                     rng = np.random.default_rng(2000 + slot)
@@ -170,7 +170,7 @@ class TestQueryScatterGateway:
         kept: list[int] = []
         lock = threading.Lock()
         try:
-            with RequestGateway(engine, max_wait_ms=1.0) as gateway:
+            with RequestGateway(engine) as gateway:
 
                 def churner(slot: int):
                     rng = np.random.default_rng(3000 + slot)
@@ -223,7 +223,7 @@ class TestCheckpointKillRecover:
         engine = ShardedEngine.open(directory, executor=executor)
         acked: list[int] = []
         try:
-            with RequestGateway(engine, max_wait_ms=1.0) as gateway:
+            with RequestGateway(engine) as gateway:
                 for interval in batch_a:
                     acked.append(gateway.insert(interval, timeout=60))
                 count_after_a = gateway.count(DOMAIN, timeout=60)
@@ -274,7 +274,7 @@ class TestDrainUnderFire:
 
         executor = ProcessExecutor(max_workers=2)
         engine = ShardedEngine.open(directory, executor=executor)
-        gateway = RequestGateway(engine, max_wait_ms=1.0)
+        gateway = RequestGateway(engine)
         acked: list[list[int]] = [[] for _ in range(self.N_WRITERS)]
         closed_observed: list[str] = []
         lock = threading.Lock()

@@ -88,10 +88,10 @@ class TestRegistry:
         # Percentiles must be ordered within every row (p50 <= p95 <= p99).
         for row in result.rows:
             assert row["p50_ms"] <= row["p95_ms"] <= row["p99_ms"]
-        # Gateway rows carry the window they were measured at; scalar rows 0.
-        assert all(
-            row["window_ms"] > 0 for row in result.rows if row["mode"] == "gateway"
-        )
+        # One gateway row per (operation, clients): there is no window axis.
+        gateway_rows = [row for row in result.rows if row["mode"] == "gateway"]
+        assert len(gateway_rows) == len({(r["operation"], r["clients"]) for r in gateway_rows})
+        assert all("window_ms" not in row for row in result.rows)
 
     def test_build_throughput_experiment_runs_end_to_end(self):
         result = run_experiment("build_throughput", TINY)

@@ -10,18 +10,21 @@ The micro-batching contract under test:
 * shutdown flushes pending futures instead of dropping them.
 
 Deterministic batching tests use a *paused* gateway (``start=False`` +
-``process_pending``) so batch formation does not race the dispatcher;
+``process_pending``) or a running gateway over an engine gated on a
+``threading.Event``, so batch formation does not race the dispatcher;
 concurrency tests use a running gateway with many client threads.
 """
 
 from __future__ import annotations
 
 import threading
+import time
 
 import numpy as np
 import pytest
 
 from repro import AIT, IntervalDataset
+from repro.baselines import ExhaustiveScan
 from repro.core.errors import (
     EmptyResultError,
     GatewayClosedError,
@@ -54,9 +57,43 @@ def oracle(dataset) -> AIT:
 QUERIES = [(q * 37.0 % 950.0, q * 37.0 % 950.0 + 40.0) for q in range(25)]
 
 
+class _GatedEngine:
+    """Delegate to ``inner``; block ``method`` until ``release`` is set.
+
+    ``entered`` is set once the dispatcher is inside the gated call, so a
+    test knows the first batch is running and later submits must queue.
+    """
+
+    def __init__(self, inner, method: str):
+        self._inner = inner
+        self._method = method
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def __getattr__(self, name):
+        attr = getattr(self._inner, name)
+        if name != self._method:
+            return attr
+
+        def gated(*args, **kwargs):
+            self.entered.set()
+            assert self.release.wait(30), "gate never released"
+            return attr(*args, **kwargs)
+
+        return gated
+
+
+def _wait_closed(gateway: RequestGateway) -> None:
+    """Spin until ``close()`` (on another thread) has enqueued its stop."""
+    deadline = time.monotonic() + 10.0
+    while gateway.is_running:
+        assert time.monotonic() < deadline, "gateway.close() did not start"
+        time.sleep(0.005)
+
+
 class TestCorrectness:
     def test_results_match_direct_engine_calls(self, engine, oracle):
-        with RequestGateway(engine, max_batch_size=8, max_wait_ms=1.0) as gateway:
+        with RequestGateway(engine, max_batch_size=8) as gateway:
             for query in QUERIES:
                 assert gateway.count(query, timeout=10) == oracle.count(query)
             got = gateway.report(QUERIES[0], timeout=10)
@@ -68,7 +105,7 @@ class TestCorrectness:
     def test_sample_draws_come_from_result_set(self, engine, oracle):
         query = QUERIES[3]
         member_ids = set(oracle.report(query).tolist())
-        with RequestGateway(engine, max_wait_ms=1.0) as gateway:
+        with RequestGateway(engine) as gateway:
             row = gateway.sample(query, 64, timeout=10)
         assert len(row) == 64
         assert set(row.tolist()) <= member_ids
@@ -76,7 +113,7 @@ class TestCorrectness:
     def test_concurrent_clients_get_correct_answers(self, engine, oracle):
         expected = {query: oracle.count(query) for query in QUERIES}
         results: dict[int, list[int]] = {}
-        with RequestGateway(engine, max_batch_size=16, max_wait_ms=2.0) as gateway:
+        with RequestGateway(engine, max_batch_size=16) as gateway:
 
             def client(worker: int) -> None:
                 results[worker] = [gateway.count(query, timeout=30) for query in QUERIES]
@@ -88,13 +125,14 @@ class TestCorrectness:
                 thread.join()
             stats = gateway.stats()
         assert all(values == [expected[q] for q in QUERIES] for values in results.values())
-        # 8 clients x 25 queries should actually coalesce under a 2ms window.
+        # 8 clients x 25 queries coalesce: requests that arrive while one
+        # batch runs form the next.
         assert stats["batches"]["dispatched"] < 8 * len(QUERIES)
         assert stats["requests"]["count"] == 8 * len(QUERIES)
 
     def test_writes_become_visible_to_later_reads(self, engine, oracle):
         probe = (200.0, 210.0)
-        with RequestGateway(engine, max_wait_ms=1.0) as gateway:
+        with RequestGateway(engine) as gateway:
             before = gateway.count(probe, timeout=10)
             assert before == oracle.count(probe)
             new_id = gateway.insert((0.0, 999.0), timeout=10)
@@ -105,16 +143,33 @@ class TestCorrectness:
 
 
 class TestBatchingSemantics:
-    def test_zero_in_flight_requests_at_window_expiry(self, engine):
-        """An idle gateway dispatches nothing and stays healthy past its window."""
-        with RequestGateway(engine, max_wait_ms=1.0) as gateway:
+    def test_idle_gateway_dispatches_nothing(self, engine):
+        """An idle gateway dispatches nothing and stays healthy."""
+        with RequestGateway(engine) as gateway:
             deadline = threading.Event()
-            deadline.wait(0.05)  # dozens of expired windows with nothing queued
+            deadline.wait(0.05)  # the dispatcher blocks on an empty queue
             assert gateway.is_running
             assert gateway.stats()["batches"]["dispatched"] == 0
             # ... and it still serves normally afterwards.
             assert gateway.count((0.0, 1000.0), timeout=10) > 0
             assert gateway.stats()["batches"]["dispatched"] == 1
+
+    def test_requests_queued_behind_a_running_batch_form_the_next(self, dataset, engine):
+        """Natural batching: no timer, the backlog at dispatch time is the batch."""
+        gated = _GatedEngine(engine, "count_many")
+        scan = ExhaustiveScan(dataset)
+        with RequestGateway(gated, max_batch_size=64) as gateway:
+            first = gateway.submit("count", QUERIES[0])
+            assert gated.entered.wait(30)  # batch one is inside the engine
+            queued = [gateway.submit("count", query) for query in QUERIES[1:11]]
+            assert gateway.queue_depth == 10
+            gated.release.set()
+            answers = [future.result(timeout=30) for future in [first, *queued]]
+            batches = gateway.stats()["batches"]
+        assert answers == [scan.count(query) for query in QUERIES[:11]]
+        # one singleton batch, then one batch holding all ten queued requests
+        assert batches["dispatched"] == 2
+        assert batches["size_histogram"] == {"1": 1, "9-16": 1}
 
     def test_max_batch_size_one_degenerates_to_scalar_dispatch(self, engine, oracle):
         gateway = RequestGateway(engine, max_batch_size=1, start=False)
@@ -167,9 +222,20 @@ class TestBatchingSemantics:
 
     def test_clean_shutdown_completes_pending_futures(self, engine, oracle):
         expected = oracle.count(QUERIES[0])
-        with RequestGateway(engine, max_batch_size=4, max_wait_ms=50.0) as gateway:
-            futures = [gateway.submit("count", QUERIES[0]) for _ in range(50)]
-        # close() (via __exit__) must flush, not cancel: every future done.
+        gated = _GatedEngine(engine, "count_many")
+        gateway = RequestGateway(gated, max_batch_size=4)
+        futures = [gateway.submit("count", QUERIES[0])]
+        assert gated.entered.wait(30)
+        # 49 more queue up behind the blocked batch; close() lands after them
+        futures += [gateway.submit("count", QUERIES[0]) for _ in range(49)]
+        closer = threading.Thread(target=gateway.close)
+        closer.start()
+        _wait_closed(gateway)
+        assert not any(future.done() for future in futures)
+        gated.release.set()
+        closer.join(30)
+        # close() must flush, not cancel: every future done.
+        assert not closer.is_alive()
         assert all(future.done() for future in futures)
         assert [future.result(0) for future in futures] == [expected] * 50
         with pytest.raises(RuntimeError):
@@ -188,7 +254,7 @@ class TestBatchingSemantics:
 
 class TestValidationAndLifecycle:
     def test_malformed_requests_fail_at_submit_time(self, engine):
-        with RequestGateway(engine, max_wait_ms=1.0) as gateway:
+        with RequestGateway(engine) as gateway:
             with pytest.raises((InvalidQueryError, InvalidIntervalError)):
                 gateway.submit("count", (10.0, 2.0))  # left > right
             with pytest.raises((InvalidQueryError, InvalidIntervalError)):
@@ -205,28 +271,26 @@ class TestValidationAndLifecycle:
     def test_constructor_validation(self, engine):
         with pytest.raises(ValueError):
             RequestGateway(engine, max_batch_size=0)
-        with pytest.raises(ValueError):
-            RequestGateway(engine, max_wait_ms=-1.0)
 
     def test_process_pending_requires_paused_gateway(self, engine):
-        with RequestGateway(engine, max_wait_ms=1.0) as gateway:
+        with RequestGateway(engine) as gateway:
             with pytest.raises(RuntimeError):
                 gateway.process_pending()
 
     def test_close_is_idempotent(self, engine):
-        gateway = RequestGateway(engine, max_wait_ms=1.0)
+        gateway = RequestGateway(engine)
         gateway.close()
         gateway.close()
         assert not gateway.is_running
 
     def test_external_metrics_object_is_used(self, engine):
         metrics = GatewayMetrics()
-        with RequestGateway(engine, max_wait_ms=1.0, metrics=metrics) as gateway:
+        with RequestGateway(engine, metrics=metrics) as gateway:
             gateway.count((0.0, 1000.0), timeout=10)
         assert metrics.snapshot()["requests"] == {"count": 1}
 
     def test_stats_shape(self, engine):
-        with RequestGateway(engine, max_wait_ms=1.0) as gateway:
+        with RequestGateway(engine) as gateway:
             gateway.count((0.0, 500.0), timeout=10)
             gateway.sample((0.0, 500.0), 4, timeout=10)
             stats = gateway.stats()
@@ -256,7 +320,7 @@ class TestCloseDurability:
     """Lifecycle contract added with the durability layer (v1.4)."""
 
     def test_submit_after_close_raises_gateway_closed(self, engine):
-        gateway = RequestGateway(engine, max_wait_ms=1.0)
+        gateway = RequestGateway(engine)
         gateway.close()
         with pytest.raises(GatewayClosedError, match=r"gateway is closed"):
             gateway.submit("count", (0.0, 10.0))
@@ -265,7 +329,7 @@ class TestCloseDurability:
             gateway.count((0.0, 10.0), timeout=1)
 
     def test_close_during_concurrent_submits_never_drops_futures(self, engine):
-        gateway = RequestGateway(engine, max_wait_ms=1.0)
+        gateway = RequestGateway(engine)
         futures, rejected = [], []
 
         def client(base):
@@ -292,12 +356,21 @@ class TestCloseDurability:
         engine = ShardedEngine(dataset, num_shards=2)
         engine.refresh()
         engine.save_snapshot(directory)
-        # long max_wait: requests queue up and are drained by close() itself
-        gateway = RequestGateway(engine, max_batch_size=4, max_wait_ms=200.0)
-        futures = [
-            gateway.submit("insert", (float(i), float(i) + 1.0)) for i in range(24)
+        # the first insert blocks inside the engine, the rest queue behind
+        # it, and close() itself drains them
+        gated = _GatedEngine(engine, "insert_many")
+        gateway = RequestGateway(gated, max_batch_size=4)
+        futures = [gateway.submit("insert", (0.0, 1.0))]
+        assert gated.entered.wait(30)
+        futures += [
+            gateway.submit("insert", (float(i), float(i) + 1.0)) for i in range(1, 24)
         ]
-        gateway.close()
+        closer = threading.Thread(target=gateway.close)
+        closer.start()
+        _wait_closed(gateway)
+        gated.release.set()
+        closer.join(30)
+        assert not closer.is_alive()
         ids = [f.result(timeout=0) for f in futures]
         assert len(set(ids)) == 24
         engine.close()
@@ -320,7 +393,7 @@ class TestCheckpoint:
     def test_checkpoint_round_trips_through_reopen(self, dataset, tmp_path):
         directory = str(tmp_path / "ckpt")
         with ShardedEngine(dataset, num_shards=2) as engine:
-            with RequestGateway(engine, max_wait_ms=1.0) as gateway:
+            with RequestGateway(engine) as gateway:
                 before = gateway.insert((1.0, 2.0), timeout=10)
                 epoch = gateway.checkpoint(directory, timeout=30)
                 assert epoch == 1
@@ -337,7 +410,7 @@ class TestCheckpoint:
         acknowledged: list[int] = []
         lock = threading.Lock()
         with ShardedEngine(dataset, num_shards=2) as engine:
-            with RequestGateway(engine, max_batch_size=8, max_wait_ms=0.5) as gateway:
+            with RequestGateway(engine, max_batch_size=8) as gateway:
 
                 def writer(base: float) -> None:
                     for i in range(30):
@@ -369,7 +442,7 @@ class TestCheckpoint:
     def test_checkpoint_error_lands_on_its_future_only(self, engine):
         # engine not attached to a directory and none given -> ValueError,
         # delivered on the checkpoint future; batch-mates are unaffected
-        with RequestGateway(engine, max_wait_ms=1.0) as gateway:
+        with RequestGateway(engine) as gateway:
             bad = gateway.submit("checkpoint")
             good = gateway.submit("count", (0.0, 10.0))
             with pytest.raises(ValueError, match=r"not attached"):
@@ -428,7 +501,7 @@ class TestTimeoutSemantics:
     """The v1.8 wrapper-timeout contract: cancel what has not started."""
 
     def test_wrapper_timeout_cancels_unstarted_request(self, engine):
-        gateway = RequestGateway(engine, max_wait_ms=1.0, start=False)
+        gateway = RequestGateway(engine, start=False)
         with pytest.raises(TimeoutError, match=r"cancelled before dispatch"):
             gateway.count((0.0, 10.0), timeout=0.05)
         stats = gateway.stats()
@@ -440,7 +513,7 @@ class TestTimeoutSemantics:
 
     def test_timed_out_write_does_not_apply_invisibly(self, engine):
         before = engine.size
-        gateway = RequestGateway(engine, max_wait_ms=1.0, start=False)
+        gateway = RequestGateway(engine, start=False)
         with pytest.raises(TimeoutError, match=r"cancelled before dispatch"):
             gateway.insert((500.0, 510.0), timeout=0.05)
         gateway.process_pending()
@@ -460,7 +533,7 @@ class TestTimeoutSemantics:
             def count_many(self, queries):
                 raise WorkerTimeoutError("shard worker (pid 7) did not reply within 5s")
 
-        with RequestGateway(_TimeoutingEngine(engine), max_wait_ms=1.0) as gateway:
+        with RequestGateway(_TimeoutingEngine(engine)) as gateway:
             # the request's own timeout-class error must surface, not be
             # rewritten into a wrapper wait-timeout
             with pytest.raises(WorkerTimeoutError, match=r"did not reply within"):

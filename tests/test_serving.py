@@ -19,6 +19,7 @@ engine seam:
 
 from __future__ import annotations
 
+import socket
 import threading
 import time
 
@@ -37,6 +38,7 @@ from repro.service import (
     http_request,
     is_worker_failure,
 )
+from repro.service.server import _decode_response
 
 DOMAIN = (-1.0, 2000.0)
 
@@ -179,6 +181,35 @@ class TestCircuitBreaker:
             CircuitBreaker(cooldown_s=0.0)
 
 
+def _post_head(path: str, length: int) -> bytes:
+    return (
+        f"POST {path} HTTP/1.1\r\nHost: repro\r\n"
+        f"Content-Length: {length}\r\nConnection: close\r\n\r\n"
+    ).encode()
+
+
+def _post_raw(address, path: str, text: str, timeout: float = 30.0):
+    """POST a hand-written JSON body (one ``json.dumps`` cannot produce)."""
+    payload = text.encode()
+    with socket.create_connection(address, timeout=timeout) as sock:
+        sock.sendall(_post_head(path, len(payload)) + payload)
+        return _decode_response(_read_to_eof(sock))
+
+
+def _read_to_eof(sock: socket.socket) -> bytes:
+    chunks = []
+    while chunk := sock.recv(65536):
+        chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def _wait_for(predicate, timeout: float = 10.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition not reached in time"
+        time.sleep(0.005)
+
+
 # --------------------------------------------------------------------------- #
 # failure-injecting engine proxies
 # --------------------------------------------------------------------------- #
@@ -225,7 +256,7 @@ class TestHttpEndpoints:
     @pytest.fixture
     def served(self):
         engine = ShardedEngine(_dataset(), num_shards=2)
-        gateway = RequestGateway(engine, max_wait_ms=0.5)
+        gateway = RequestGateway(engine)
         frontend = HttpFrontend(gateway)
         frontend.start_in_thread()
         yield frontend
@@ -309,12 +340,28 @@ class TestHttpEndpoints:
         status, _, body = self._post(served, "/count", {"query": list(DOMAIN)})
         assert status == 200
 
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity", "1e400"])
+    @pytest.mark.parametrize(
+        "path, template",
+        [
+            ("/count", '{"query": [%s, 5.0]}'),
+            ("/sample", '{"query": [0.0, %s], "sample_size": 3}'),
+            ("/insert", '{"interval": [%s, 5.0]}'),
+        ],
+    )
+    def test_non_finite_endpoints_are_a_typed_400(self, served, path, template, bad):
+        # Python's json module reads NaN/Infinity and overflows 1e400 to inf,
+        # so the check that rejects them is the query/interval validation.
+        status, _, body = _post_raw(served.address, path, template % bad)
+        assert status == 400
+        assert "finite" in body["error"]
+
 
 class TestDeadlines:
     def test_deadline_miss_cancels_and_returns_504(self):
         engine = ShardedEngine(_dataset(), num_shards=2)
         gated = _GatedEngine(engine)
-        gateway = RequestGateway(gated, max_wait_ms=0.5)
+        gateway = RequestGateway(gated)
         frontend = HttpFrontend(gateway)
         host, port = frontend.start_in_thread()
         try:
@@ -345,7 +392,7 @@ class TestLoadShedding:
     def test_saturation_sheds_429_with_retry_after(self):
         engine = ShardedEngine(_dataset(), num_shards=2)
         gated = _GatedEngine(engine)
-        gateway = RequestGateway(gated, max_wait_ms=0.5)
+        gateway = RequestGateway(gated)
         frontend = HttpFrontend(
             gateway,
             admission=AdmissionController(max_pending=2, high_water=2, low_water=1,
@@ -396,7 +443,7 @@ class TestCircuitBreakerChaos:
     def test_breaker_trips_to_read_only_and_recovers(self):
         engine = ShardedEngine(_dataset(), num_shards=2)
         flaky = _FlakyEngine(engine)
-        gateway = RequestGateway(flaky, max_wait_ms=0.5)
+        gateway = RequestGateway(flaky)
         frontend = HttpFrontend(
             gateway,
             retry=RetryPolicy(max_attempts=2, base_backoff_s=0.001, jitter=0.0),
@@ -452,7 +499,7 @@ class TestGracefulDrain:
 
     def test_drain_refuses_new_work_and_loses_no_acked_write(self):
         engine = ShardedEngine(_dataset(), num_shards=2)
-        gateway = RequestGateway(engine, max_wait_ms=0.5)
+        gateway = RequestGateway(engine)
         frontend = HttpFrontend(gateway)
         host, port = frontend.start_in_thread()
         acked: list[list[int]] = [[] for _ in range(self.N_WRITERS)]
@@ -512,10 +559,45 @@ class TestGracefulDrain:
 
     def test_close_is_idempotent(self):
         engine = ShardedEngine(_dataset(), num_shards=2)
-        gateway = RequestGateway(engine, max_wait_ms=0.5)
+        gateway = RequestGateway(engine)
         frontend = HttpFrontend(gateway)
         frontend.start_in_thread()
         frontend.close()
         frontend.close()
         assert frontend.state == "closed"
         engine.close()
+
+    def test_request_mid_read_when_drain_starts_gets_a_complete_reply(self):
+        engine = ShardedEngine(_dataset(), num_shards=2)
+        frontend = HttpFrontend(RequestGateway(engine))
+        host, port = frontend.start_in_thread()
+        payload = b'{"query": [0.0, 100.0]}'
+        closer = threading.Thread(target=frontend.close)
+        try:
+            with socket.create_connection((host, port), timeout=30) as sock:
+                # headers now, the body only once the drain is running
+                sock.sendall(_post_head("/count", len(payload)))
+                _wait_for(lambda: frontend.stats()["inflight"] == 1)
+                closer.start()
+                _wait_for(lambda: frontend.state != "ready")
+                # the drain waits for the half-read request instead of
+                # closing the connection under it
+                time.sleep(0.05)
+                assert closer.is_alive() and frontend.state == "draining"
+                sock.sendall(payload)
+                raw = _read_to_eof(sock)
+            assert raw, "drain closed the connection without a reply"
+            status, headers, body = _decode_response(raw)
+            assert status == 503 and body == {"error": "draining"}
+            closer.join(timeout=30)
+            assert not closer.is_alive() and frontend.state == "closed"
+            with pytest.raises((ConnectionError, OSError)):
+                http_request(host, port, "GET", "/healthz", timeout=2)
+        finally:
+            if closer.is_alive():
+                closer.join(timeout=30)
+            engine.close()
+
+    def test_client_raises_connection_error_on_an_empty_reply(self):
+        with pytest.raises(ConnectionError, match="without a response"):
+            _decode_response(b"")
