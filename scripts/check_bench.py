@@ -42,11 +42,7 @@ measure a *design property* rather than the hardware:
   response (never a hang or a reset) and that a graceful drain under fire —
   concurrent writers plus a SIGKILLed shard worker — loses no acknowledged
   write and refuses post-close traffic, plus the advisory shed rate past
-  saturation;
-* ``BENCH_kernels.json``    — the hard invariant that every kernel backend's
-  answers are bit-identical to the numpy reference backend's, plus advisory
-  per-backend throughput ratios (JIT speedup is a property of the runner —
-  ``config.numba_available`` records whether numba was importable at all).
+  saturation.
 
 A candidate fails only when an indicator falls below ``baseline /
 tolerance`` (default tolerance 10x — generous by design; the gate exists to
@@ -155,20 +151,6 @@ SCHEMAS: dict[str, dict] = {
                 "qps",
                 "vs_serial_k1",
                 "results_identical",
-            },
-        },
-    },
-    "BENCH_kernels.json": {
-        "top": {"config", "results"},
-        "rows": {
-            None: {
-                "n",
-                "operation",
-                "backend",
-                "qps",
-                "vs_numpy",
-                "counts_bit_identical",
-                "samples_bit_identical",
             },
         },
     },
@@ -393,33 +375,8 @@ def _parallel_indicators(payload: dict) -> dict[str, float]:
     return out
 
 
-def _kernels_indicators(payload: dict) -> dict[str, float]:
-    out = {
-        # Hard invariant rather than a ratio: every backend row must answer
-        # bit-identically to the numpy reference backend.  1.0 or bust.
-        "kernels_bit_identical": 1.0
-        if all(
-            bool(row["counts_bit_identical"]) and bool(row["samples_bit_identical"])
-            for row in payload["results"]
-        )
-        else 0.0,
-    }
-    # Advisory speedup indicators (wide-tolerance compare): best relative
-    # throughput per (backend, operation).  A compiled backend should sit
-    # well above the python loop mirror, but raw JIT speedup is a property
-    # of the runner (config.numba_available / config.cpu_count), so these
-    # gate only against order-of-magnitude collapses.
-    for row in payload["results"]:
-        if row["backend"] == "numpy":
-            continue
-        key = f"kernel_vs_numpy[{row['backend']}:{row['operation']}]"
-        out[key] = max(out.get(key, 0.0), float(row["vs_numpy"]))
-    return out
-
-
 INDICATORS = {
     "BENCH_throughput.json": _throughput_indicators,
-    "BENCH_kernels.json": _kernels_indicators,
     "BENCH_parallel.json": _parallel_indicators,
     "BENCH_service.json": _service_indicators,
     "BENCH_updates.json": _updates_indicators,

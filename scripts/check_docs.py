@@ -24,7 +24,7 @@ Five checks keep the documentation subsystem from rotting:
 * **knobs** — every knob named in a ``docs/TUNING.md`` table row (the
   backticked token leading the row) must resolve against the live code: a
   keyword parameter of the public constructors/entry points, or a registered
-  value name (executor / scatter / kernel-backend / fsync registries).  A
+  value name (executor / scatter / fsync registries).  A
   renamed or removed knob fails here instead of leaving the tuning guide
   describing settings that no longer exist;
 * **experiments** — the experiments index block in ``docs/REPRODUCING.md``
@@ -61,7 +61,6 @@ DOCTEST_MODULES: tuple[str, ...] = (
     "repro.core.dataset",
     "repro.core.flat",
     "repro.core.interval",
-    "repro.kernels",
     "repro.service.engine",
     "repro.service.shard",
     "repro.service.executor",
@@ -153,12 +152,11 @@ def _resolvable_knobs() -> set[str]:
 
     Keyword parameters of the public constructors / entry points that carry
     tuning knobs, plus every registered value name (executor kinds, scatter
-    modes, kernel backends, fsync policies) so rows may also be keyed by a
+    modes, fsync policies) so rows may also be keyed by a
     concrete setting.
     """
     import inspect
 
-    from repro.kernels import KERNEL_BACKEND_NAMES
     from repro.persist import FSYNC_POLICIES
     from repro.service import (
         EXECUTOR_NAMES,
@@ -190,7 +188,6 @@ def _resolvable_knobs() -> set[str]:
     names.discard("self")
     names.update(EXECUTOR_NAMES)
     names.update(SCATTER_NAMES)
-    names.update(KERNEL_BACKEND_NAMES)
     names.update(FSYNC_POLICIES)
     return names
 

@@ -25,7 +25,6 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from ..kernels import resolve_backend
 from ..sampling.alias import AliasTable
 from ..sampling.cumulative import range_weight
 from ..sampling.rng import RandomState, resolve_rng
@@ -69,13 +68,6 @@ class AIT(SamplingIndex):
         always serialise them via :meth:`FlatAIT.from_tree` (the equivalence
         oracle for the columnar path).  Either way, incremental snapshot
         refreshes after updates run through the dirty-node journal.
-    kernel_backend:
-        Which kernel implementation the flat snapshots run their hot loops
-        on — a name from :data:`repro.kernels.KERNEL_BACKEND_NAMES`
-        (``"numpy"`` default, ``"numba"``, ``"python"``), a
-        :class:`~repro.kernels.KernelBackend` instance, or ``None`` to honor
-        the ``REPRO_KERNEL_BACKEND`` environment variable.  All backends
-        return bit-identical results; see :mod:`repro.kernels`.
 
     Examples
     --------
@@ -97,7 +89,6 @@ class AIT(SamplingIndex):
         batch_pool_size: Optional[int] = None,
         snapshot_dirty_threshold: float = 0.5,
         build_backend: str = "columnar",
-        kernel_backend=None,
     ) -> None:
         super().__init__(dataset)
         if build_backend not in ("tree", "columnar"):
@@ -105,9 +96,6 @@ class AIT(SamplingIndex):
                 f"build_backend must be 'tree' or 'columnar', got {build_backend!r}"
             )
         self._build_backend = build_backend
-        # Resolve eagerly: a bad name fails at construction, not first query,
-        # and every snapshot this tree produces shares one backend instance.
-        self._kernels = resolve_backend(kernel_backend)
         self._tree_deferred = False
         self._built_version = 0
         # Columnar storage with amortised capacity-doubling growth: the
@@ -360,11 +348,6 @@ class AIT(SamplingIndex):
     def build_backend(self) -> str:
         """The full-build route this tree was configured with ('tree' | 'columnar')."""
         return self._build_backend
-
-    @property
-    def kernel_backend(self) -> str:
-        """Registry name of the kernel backend the flat snapshots run on."""
-        return self._kernels.name
 
     @property
     def tree_materialised(self) -> bool:
@@ -692,7 +675,6 @@ class AIT(SamplingIndex):
                     previous=previous,
                     dirty=self._journal if previous is not None else None,
                     max_dirty_fraction=self._snapshot_dirty_threshold,
-                    kernel_backend=self._kernels,
                 )
             if self._flat.built_incrementally:
                 self._snapshot_incremental_refreshes += 1
@@ -718,7 +700,6 @@ class AIT(SamplingIndex):
             self._rights[active],
             ids=active,
             weights=self._weights[active] if self._weighted else None,
-            kernel_backend=self._kernels,
         )
         if not self._tree_deferred and self._root is not None:
             self._attach_nodes(engine)

@@ -76,14 +76,12 @@ class AWIT(AIT):
         dataset: IntervalDataset,
         batch_pool_size: Optional[int] = None,
         build_backend: str = "columnar",
-        kernel_backend=None,
     ) -> None:
         super().__init__(
             dataset,
             weighted=True,
             batch_pool_size=batch_pool_size,
             build_backend=build_backend,
-            kernel_backend=kernel_backend,
         )
 
     def total_weight(self, query: QueryLike) -> float:

@@ -47,8 +47,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from ..kernels import resolve_backend
-from ..kernels.numpy_backend import segmented_cumsum as _numpy_segmented_cumsum
+from ..sampling.cumulative import record_weights, segmented_inverse_cdf
 from ..sampling.rng import RandomState, resolve_rng
 from .errors import EmptyResultError, InvalidIntervalError, InvalidWeightError
 from .query import QueryLike, coerce_query, coerce_query_batch, validate_sample_size
@@ -75,8 +74,7 @@ class _RecordBatch:
     (:attr:`FlatAIT._all_ids`); ``gbase`` the start of the owning node
     segment inside that super-pool (needed to read per-node weight prefixes);
     ``weight`` the record's total sampling weight.  Records of one query are
-    stored consecutively in traversal order once :meth:`sorted_by_query` has
-    been applied.
+    stored consecutively, in scalar traversal order.
     """
 
     __slots__ = ("query", "glo", "ghi", "gbase", "weight")
@@ -103,17 +101,6 @@ class _RecordBatch:
         """Number of intervals covered by each record."""
         return self.ghi - self.glo + 1
 
-    def sorted_by_query(self) -> "_RecordBatch":
-        """Records grouped by query (stable, so traversal order is preserved)."""
-        order = np.argsort(self.query, kind="stable")
-        return _RecordBatch(
-            self.query[order],
-            self.glo[order],
-            self.ghi[order],
-            self.gbase[order],
-            self.weight[order],
-        )
-
 
 def _ranges_to_indices(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Concatenation of ``arange(starts[i], starts[i] + lengths[i])`` for all i.
@@ -131,11 +118,28 @@ def _ranges_to_indices(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.cumsum(out)
 
 
-#: Inclusive prefix sums per segment, bit-identical to per-segment
-#: ``np.cumsum``.  The canonical implementation moved to the kernel tier
-#: (:func:`repro.kernels.numpy_backend.segmented_cumsum`); this module-level
-#: alias keeps the long-standing name for existing callers and tests.
-_segmented_cumsum = _numpy_segmented_cumsum
+def segmented_cumsum(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Inclusive prefix sums per segment, bit-identical to per-segment ``np.cumsum``.
+
+    A global cumsum with per-segment offset subtraction would accumulate in a
+    different floating-point order than the per-node ``np.cumsum`` the tree
+    build uses, so the results would only be *close*, not equal.  Instead,
+    segments are bucketed by length and every bucket runs one 2-D
+    ``np.cumsum(axis=1)`` — row-sequential accumulation, i.e. exactly the
+    rounding order of a 1-D cumsum over each segment — so the output matches
+    a Python loop of per-segment cumsums bit for bit, at a cost of one
+    vectorised pass per *distinct* segment length.
+    """
+    out = np.empty(values.shape[0], dtype=_F8)
+    lengths = lengths[lengths > 0]
+    if lengths.shape[0] == 0:
+        return out
+    starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
+    for length in np.unique(lengths):
+        rows = np.flatnonzero(lengths == length)
+        idx = starts[rows][:, None] + np.arange(int(length), dtype=_ID)[None, :]
+        out[idx] = np.cumsum(values[idx], axis=1)
+    return out
 
 
 class FlatAIT:
@@ -201,9 +205,7 @@ class FlatAIT:
         all_ids: np.ndarray,
         all_weight_prefix: Optional[np.ndarray],
         weighted: bool,
-        kernel_backend=None,
     ) -> None:
-        self._kernels = resolve_backend(kernel_backend)
         self._centers = centers
         self._left_child = left_child
         self._right_child = right_child
@@ -337,13 +339,25 @@ class FlatAIT:
     ) -> np.ndarray:
         """Insertion points of ``needles`` inside the given nodes' segments.
 
-        Equivalent to a segmented ``searchsorted`` over each node's sorted
-        run, resolved through the precomputed rank keys.  Delegates to the
-        active kernel backend (:meth:`repro.kernels.KernelBackend.rank_search`).
+        Equivalent to a per-node ``searchsorted`` over each node's sorted
+        run, resolved through the precomputed rank keys: rank each needle
+        against the global ``sorted_values`` column, then search ``key_pool``
+        for ``node * M + rank``.  Returns *global* pool indices.
         """
-        return self._kernels.rank_search(
-            key_pool, sorted_values, self._rank_m, nodes, needles, side
-        )
+        rank = np.searchsorted(sorted_values, needles, side=side)
+        return np.searchsorted(key_pool, nodes * self._rank_m + rank, side="left")
+
+    def _endpoint_ranks(
+        self, ql: np.ndarray, qr: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Per query: ``#(lefts <= q.r)`` and ``#(rights < q.l)`` as int64 arrays.
+
+        The two binary-search ranks behind the closed-form count and the
+        weighted total, over the root's globally sorted endpoint columns.
+        """
+        not_right = np.searchsorted(self._sorted_lefts, qr, side="right")
+        left_of = np.searchsorted(self._sorted_rights, ql, side="left")
+        return not_right, left_of
 
     # ------------------------------------------------------------------ #
     # construction
@@ -355,7 +369,6 @@ class FlatAIT:
         previous: Optional["FlatAIT"] = None,
         dirty: Optional[dict] = None,
         max_dirty_fraction: float = 0.5,
-        kernel_backend=None,
     ) -> "FlatAIT":
         """Serialise the current structure of ``tree`` into flat arrays.
 
@@ -375,12 +388,10 @@ class FlatAIT:
         ``snapshot_incremental_refreshes`` counters — to see which path ran.
         """
         if previous is not None and dirty is not None:
-            engine = cls._incremental_from_tree(
-                tree, previous, dirty, max_dirty_fraction, kernel_backend=kernel_backend
-            )
+            engine = cls._incremental_from_tree(tree, previous, dirty, max_dirty_fraction)
             if engine is not None:
                 return engine
-        return cls._full_from_tree(tree, kernel_backend=kernel_backend)
+        return cls._full_from_tree(tree)
 
     @classmethod
     def from_arrays(
@@ -389,7 +400,6 @@ class FlatAIT:
         rights,
         ids=None,
         weights=None,
-        kernel_backend=None,
     ) -> "FlatAIT":
         """Build the flattened index directly from endpoint arrays — no node tree.
 
@@ -503,7 +513,6 @@ class FlatAIT:
                 np.empty(0, dtype=_ID),
                 np.empty(0, dtype=_F8) if weighted else None,
                 weighted,
-                kernel_backend=kernel_backend,
             )
 
         # ---- level-synchronous partitioning over positions 0..n-1 -------- #
@@ -742,13 +751,12 @@ class FlatAIT:
             )
         all_weight_prefix = None
         if weighted:
-            cumsum = resolve_backend(kernel_backend).segmented_cumsum
             all_weight_prefix = np.concatenate(
                 (
-                    cumsum(weights[stab_pos_l], stab_len),
-                    cumsum(weights[stab_pos_r], stab_len),
-                    cumsum(weights[sub_pos_r], sub_len),
-                    cumsum(weights[sub_pos_l], sub_len),
+                    segmented_cumsum(weights[stab_pos_l], stab_len),
+                    segmented_cumsum(weights[stab_pos_r], stab_len),
+                    segmented_cumsum(weights[sub_pos_r], sub_len),
+                    segmented_cumsum(weights[sub_pos_l], sub_len),
                 )
             )
         return cls(
@@ -766,7 +774,6 @@ class FlatAIT:
             all_ids,
             all_weight_prefix,
             weighted,
-            kernel_backend=kernel_backend,
         )
 
     def to_buffers(self) -> dict[str, np.ndarray]:
@@ -786,7 +793,7 @@ class FlatAIT:
         return out
 
     @classmethod
-    def from_buffers(cls, arrays: dict, weighted: bool, kernel_backend=None) -> "FlatAIT":
+    def from_buffers(cls, arrays: dict, weighted: bool) -> "FlatAIT":
         """Reassemble a snapshot around existing buffers without copying.
 
         ``arrays`` maps :attr:`CORE_FIELDS` names (plus, optionally,
@@ -800,7 +807,6 @@ class FlatAIT:
         buffers: they must outlive it and stay unmodified.
         """
         flat = cls.__new__(cls)
-        flat._kernels = resolve_backend(kernel_backend)
         for name, attr in cls.CORE_FIELDS:
             setattr(flat, attr, arrays.get(name))
         if flat._all_weight_prefix is None and weighted:
@@ -846,7 +852,7 @@ class FlatAIT:
         return nodes
 
     @classmethod
-    def _full_from_tree(cls, tree: "AIT", kernel_backend=None) -> "FlatAIT":
+    def _full_from_tree(cls, tree: "AIT") -> "FlatAIT":
         """Classic full serialisation: walk every node, gather every list."""
         weighted = tree.is_weighted
         nodes = cls._walk_preorder(tree)
@@ -909,7 +915,6 @@ class FlatAIT:
             all_ids,
             all_weight_prefix,
             weighted,
-            kernel_backend=kernel_backend,
         )
         engine._nodes = nodes
         engine._node_index = index_of
@@ -922,7 +927,6 @@ class FlatAIT:
         previous: "FlatAIT",
         dirty: dict,
         max_dirty_fraction: float,
-        kernel_backend=None,
     ) -> Optional["FlatAIT"]:
         """Delta-aware serialisation; returns None when it cannot apply.
 
@@ -1054,7 +1058,6 @@ class FlatAIT:
             all_ids,
             all_weight_prefix,
             weighted,
-            kernel_backend=kernel_backend,
         )
         engine._nodes = nodes
         engine._node_index = index_of
@@ -1119,16 +1122,6 @@ class FlatAIT:
         """True when the snapshot carries weight prefix pools (AWIT)."""
         return self._weighted
 
-    @property
-    def kernel_backend(self) -> str:
-        """Registry name of the kernel backend running the hot loops."""
-        return self._kernels.name
-
-    @property
-    def kernels(self):
-        """The active :class:`~repro.kernels.KernelBackend` instance."""
-        return self._kernels
-
     def nbytes(self, include_rank_keys: bool = True) -> int:
         """Memory footprint of the flat arrays in bytes.
 
@@ -1180,9 +1173,7 @@ class FlatAIT:
         save_flat(self, path, fsync=fsync)
 
     @classmethod
-    def load(
-        cls, path, mmap: bool = True, verify: bool = True, kernel_backend=None
-    ) -> "FlatAIT":
+    def load(cls, path, mmap: bool = True, verify: bool = True) -> "FlatAIT":
         """Load a snapshot written by :meth:`save`.
 
         With ``mmap=True`` (default) the arrays are read-only memory maps:
@@ -1195,7 +1186,7 @@ class FlatAIT:
         """
         from ..persist.snapshot import load_flat
 
-        return load_flat(path, mmap=mmap, verify=verify, kernel_backend=kernel_backend)
+        return load_flat(path, mmap=mmap, verify=verify)
 
     # ------------------------------------------------------------------ #
     # query coercion
@@ -1216,16 +1207,131 @@ class FlatAIT:
     def collect_records_batch(self, ql: np.ndarray, qr: np.ndarray) -> _RecordBatch:
         """Collect node records for every query at once (Algorithm 1, batched).
 
-        Delegates the traversal to the active kernel backend
-        (:meth:`repro.kernels.KernelBackend.descend_many`).  The NumPy
-        backend advances all still-live queries level-synchronously —
-        classify against the current centers (case 1 / 2 / 3), resolve every
-        binary search of the round via the precomputed rank keys, emit, and
-        descend; loop backends walk each query's path directly.  Either way
-        the records come back grouped by query in scalar traversal order —
-        part of the backend interface's bit-identity contract.
+        Each round advances all still-live queries one level: classify
+        against the current centers (case 1 / 2 / 3), resolve every binary
+        search of the round via the precomputed rank keys
+        (:meth:`_rank_search` — two global ``np.searchsorted`` calls per
+        search site), emit the resulting records, and step to the child
+        (case 3 terminates a query after emitting up to three records).
+
+        The records come back grouped by query ordinal, and within one query
+        in scalar traversal order (the order of :meth:`collect_ranges`):
+        case 1 and case 2 emit at most one record per level on the way down,
+        and the terminal case-3 node emits its stab record, then the left
+        child's subtree record, then the right child's.  A final stable sort
+        by query ordinal of the level-synchronous emission restores it.
         """
-        return _RecordBatch(*self._kernels.descend_many(self, ql, qr))
+        nq = int(ql.shape[0])
+        chunks: list[tuple[np.ndarray, int, np.ndarray, np.ndarray, np.ndarray]] = []
+
+        def emit(
+            queries: np.ndarray, kind: int, lo: np.ndarray, hi: np.ndarray, seg: np.ndarray
+        ) -> None:
+            if queries.shape[0]:
+                chunks.append((queries, kind, lo, hi, seg))
+
+        if nq and self.node_count:
+            qidx = np.arange(nq, dtype=_ID)
+            node = np.zeros(nq, dtype=_ID)
+            live_l, live_r = ql, qr
+            while qidx.shape[0]:
+                center = self._centers[node]
+                c1 = live_r < center
+                c2 = center < live_l
+                c3 = ~(c1 | c2)
+
+                if c1.any():
+                    n1 = node[c1]
+                    off = self._stab_off[n1]
+                    ins = self._rank_search(
+                        self._stab_lefts_key, self._sorted_lefts, n1, live_r[c1], "right"
+                    )
+                    hi = ins - 1
+                    ok = hi >= off
+                    emit(qidx[c1][ok], 0, off[ok], hi[ok], off[ok])
+
+                if c2.any():
+                    n2 = node[c2]
+                    off = self._stab_off[n2]
+                    end = off + self._stab_len[n2]
+                    ins = self._rank_search(
+                        self._stab_rights_key, self._sorted_rights, n2, live_l[c2], "left"
+                    )
+                    ok = ins < end
+                    emit(qidx[c2][ok], 1, ins[ok], end[ok] - 1, off[ok])
+
+                if c3.any():
+                    n3 = node[c3]
+                    q3 = qidx[c3]
+                    # All stab intervals of the straddled node overlap q.
+                    off = self._stab_off[n3]
+                    ln = self._stab_len[n3]
+                    ok = ln > 0
+                    emit(q3[ok], 0, off[ok], (off + ln)[ok] - 1, off[ok])
+                    # Left child: subtree list by right endpoint vs q.l.
+                    lc = self._left_child[n3]
+                    has = lc >= 0
+                    if has.any():
+                        child = lc[has]
+                        off = self._sub_off[child]
+                        end = off + self._sub_len[child]
+                        ins = self._rank_search(
+                            self._sub_rights_key,
+                            self._sorted_rights,
+                            child,
+                            live_l[c3][has],
+                            "left",
+                        )
+                        ok = ins < end
+                        emit(q3[has][ok], 2, ins[ok], end[ok] - 1, off[ok])
+                    # Right child: subtree list by left endpoint vs q.r.
+                    rc = self._right_child[n3]
+                    has = rc >= 0
+                    if has.any():
+                        child = rc[has]
+                        off = self._sub_off[child]
+                        ins = self._rank_search(
+                            self._sub_lefts_key,
+                            self._sorted_lefts,
+                            child,
+                            live_r[c3][has],
+                            "right",
+                        )
+                        hi = ins - 1
+                        ok = hi >= off
+                        emit(q3[has][ok], 3, off[ok], hi[ok], off[ok])
+
+                nxt = np.where(c1, self._left_child[node], self._right_child[node])
+                nxt = np.where(c3, -1, nxt)
+                alive = nxt >= 0
+                qidx = qidx[alive]
+                node = nxt[alive]
+                live_l = live_l[alive]
+                live_r = live_r[alive]
+
+        if not chunks:
+            empty = np.empty(0, dtype=_ID)
+            return _RecordBatch(empty, empty, empty, empty, np.empty(0, dtype=_F8))
+
+        query = np.concatenate([c[0] for c in chunks])
+        kind = np.concatenate([np.full(c[0].shape[0], c[1], dtype=_ID) for c in chunks])
+        lo = np.concatenate([c[2] for c in chunks])
+        hi = np.concatenate([c[3] for c in chunks])
+        seg_off = np.concatenate([c[4] for c in chunks])
+
+        base = self._kind_base[kind]
+        glo = base + lo
+        ghi = base + hi
+        gbase = base + seg_off
+        order = np.argsort(query, kind="stable")
+        query = query[order]
+        glo = glo[order]
+        ghi = ghi[order]
+        gbase = gbase[order]
+        weight = record_weights(
+            self._all_weight_prefix if self._weighted else None, glo, ghi, gbase
+        )
+        return _RecordBatch(query, glo, ghi, gbase, weight)
 
     # ------------------------------------------------------------------ #
     # batch queries
@@ -1249,7 +1355,8 @@ class FlatAIT:
         """:meth:`count_many` over pre-coerced endpoint arrays."""
         if self.node_count == 0:
             return np.zeros(ql.shape[0], dtype=_ID)
-        return self._kernels.count_node(self._sorted_lefts, self._sorted_rights, ql, qr)
+        not_right, left_of = self._endpoint_ranks(ql, qr)
+        return (not_right - left_of).astype(_ID, copy=False)
 
     def total_weight_many(self, queries) -> np.ndarray:
         """Total weight of ``q ∩ X`` for every query (weighted counting).
@@ -1273,9 +1380,7 @@ class FlatAIT:
         # by-left at kind 3 (both start at the root's offset 0).
         prefix_by_right = prefix[self._kind_base[2] : self._kind_base[2] + n_active]
         prefix_by_left = prefix[self._kind_base[3] : self._kind_base[3] + n_active]
-        not_right, left_of = self._kernels.endpoint_ranks(
-            self._sorted_lefts, self._sorted_rights, ql, qr
-        )
+        not_right, left_of = self._endpoint_ranks(ql, qr)
         weight_not_right = np.where(not_right > 0, prefix_by_left[np.maximum(not_right - 1, 0)], 0.0)
         weight_left_of = np.where(left_of > 0, prefix_by_right[np.maximum(left_of - 1, 0)], 0.0)
         return weight_not_right - weight_left_of
@@ -1382,7 +1487,7 @@ class FlatAIT:
         dense = np.zeros((nq, width), dtype=_F8)
         dense[records.query, ordinal] = records.weight
         pvals = dense[draw_queries] / total_weight[draw_queries, None]
-        hits = self._kernels.multinomial_draw(rng, sample_size, pvals)  # (n_live, width)
+        hits = rng.multinomial(sample_size, pvals)  # (n_live, width)
 
         # Map every (query, ordinal) cell back to its flat record index and
         # expand to one entry per draw; draws come out grouped by query (each
@@ -1398,7 +1503,7 @@ class FlatAIT:
         # Pass 2: pick a position inside the chosen record.
         n_draws = chosen.shape[0]
         if self._weighted:
-            positions = self._kernels.weighted_pick(
+            positions = segmented_inverse_cdf(
                 self._all_weight_prefix,
                 records.glo[chosen],
                 records.ghi[chosen],
@@ -1493,12 +1598,9 @@ class FlatAIT:
         glo_arr = np.asarray(glo, dtype=_ID)
         ghi_arr = np.asarray(ghi, dtype=_ID)
         gbase_arr = np.asarray(gbase, dtype=_ID)
-        if self._weighted and glo_arr.shape[0]:
-            prefix = self._all_weight_prefix
-            before = np.where(glo_arr > gbase_arr, prefix[np.maximum(glo_arr - 1, 0)], 0.0)
-            weight = prefix[ghi_arr] - before
-        else:
-            weight = (ghi_arr - glo_arr + 1).astype(_F8)
+        weight = record_weights(
+            self._all_weight_prefix if self._weighted else None, glo_arr, ghi_arr, gbase_arr
+        )
         return glo_arr, ghi_arr, gbase_arr, weight
 
     def count(self, query: QueryLike) -> int:
@@ -1560,7 +1662,7 @@ class FlatAIT:
 
         rec_glo = glo[chosen]
         if self._weighted:
-            positions = self._kernels.weighted_pick(
+            positions = segmented_inverse_cdf(
                 self._all_weight_prefix,
                 rec_glo,
                 ghi[chosen],

@@ -10,7 +10,6 @@ from .report import ExperimentResult
 from . import (
     exp_build_throughput,
     exp_gateway_latency,
-    exp_kernel_throughput,
     exp_parallel_scaling,
     exp_recovery,
     exp_service_throughput,
@@ -96,11 +95,6 @@ EXPERIMENTS: dict[str, ExperimentEntry] = {
         "parallel_scaling",
         "Process-executor scaling vs the serial scatter loop (bit-identity gated)",
         exp_parallel_scaling.run,
-    ),
-    "kernel_throughput": ExperimentEntry(
-        "kernel_throughput",
-        "FlatAIT kernel backends vs the NumPy reference (bit-identity gated)",
-        exp_kernel_throughput.run,
     ),
     "serving_slo": ExperimentEntry(
         "serving_slo",

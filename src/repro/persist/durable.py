@@ -49,7 +49,6 @@ from ..core.awit import AWIT
 from ..core.dataset import IntervalDataset
 from ..core.errors import SnapshotCorruptError
 from ..core.flat import FlatAIT
-from ..kernels import resolve_backend
 from .checksum import CHECKSUM_ALGORITHM
 from .snapshot import (
     FORMAT_VERSION,
@@ -126,9 +125,7 @@ def _save_shard(shard, path: str, weighted: bool, fsync: bool) -> dict:
         # with no live interval left: its tombstones cover the whole base,
         # so it saves as an all-deleted tree with an empty snapshot.
         deleted.update(int(local) for local in shard.overlay.tombstones)
-        snapshot = FlatAIT.from_arrays(
-            np.empty(0), np.empty(0), kernel_backend=snapshot.kernels
-        )
+        snapshot = FlatAIT.from_arrays(np.empty(0), np.empty(0))
     arrays = flat_to_arrays(snapshot, prefix="flat.")
     arrays["col_lefts"] = tree._lefts
     arrays["col_rights"] = tree._rights
@@ -290,14 +287,14 @@ def _unlink_quiet(path: str) -> None:
 # ---------------------------------------------------------------------- #
 # open / recover
 # ---------------------------------------------------------------------- #
-def _restore_tree(arrays: dict, weighted: bool, kernel_backend=None):
+def _restore_tree(arrays: dict, weighted: bool):
     """Rebuild a shard's local tree: its columns, node graph deferred."""
     weights = arrays.get("col_weights") if weighted else None
     dataset = IntervalDataset(arrays["col_lefts"], arrays["col_rights"], weights)
     if weighted:
-        tree = AWIT(dataset, build_backend="columnar", kernel_backend=kernel_backend)
+        tree = AWIT(dataset, build_backend="columnar")
     else:
-        tree = AIT(dataset, build_backend="columnar", kernel_backend=kernel_backend)
+        tree = AIT(dataset, build_backend="columnar")
     deleted = arrays["deleted"]
     tree._deleted = set(int(g) for g in deleted)
     tree._active_count = int(tree._col_len) - len(tree._deleted)
@@ -305,11 +302,10 @@ def _restore_tree(arrays: dict, weighted: bool, kernel_backend=None):
     return tree
 
 
-def _restore_shard(shard_cls, arrays: dict, meta: dict, kernel_backend=None):
+def _restore_shard(shard_cls, arrays: dict, meta: dict):
     weighted = bool(meta["weighted"])
-    tree = _restore_tree(arrays, weighted, kernel_backend=kernel_backend)
-    snapshot = flat_from_arrays(arrays, weighted, prefix="flat.",
-                                kernel_backend=kernel_backend)
+    tree = _restore_tree(arrays, weighted)
+    snapshot = flat_from_arrays(arrays, weighted, prefix="flat.")
     return shard_cls.restore(
         shard_id=int(meta["shard_id"]),
         tree=tree,
@@ -337,11 +333,10 @@ def _read_manifest(directory: str, epoch: int) -> dict:
 
 
 def _load_epoch(engine_cls, directory: str, manifest: dict, mmap: bool, verify: bool,
-                executor, parallel_refresh: bool, kernel_backend=None):
+                executor, parallel_refresh: bool):
     from ..service.executor import resolve_executor
     from ..service.shard import Shard
 
-    kernels = resolve_backend(kernel_backend)
     engine_arrays, engine_meta = load_arrays(
         os.path.join(directory, manifest["engine"]), mmap=mmap, verify=verify
     )
@@ -352,11 +347,10 @@ def _load_epoch(engine_cls, directory: str, manifest: dict, mmap: bool, verify: 
         arrays, meta = load_arrays(os.path.join(directory, name), mmap=mmap, verify=verify)
         if meta.get("kind") != "shard":
             raise SnapshotCorruptError(f"{name}: not a shard snapshot file")
-        shards.append(_restore_shard(Shard, arrays, meta, kernel_backend=kernels))
+        shards.append(_restore_shard(Shard, arrays, meta))
     shards.sort(key=lambda shard: shard.shard_id)
 
     engine = engine_cls.__new__(engine_cls)
-    engine._kernel_backend = kernels
     engine._weighted = bool(engine_meta["weighted"])
     engine._policy = str(engine_meta["policy"])
     engine._build_backend = str(engine_meta.get("build_backend", "columnar"))
@@ -412,8 +406,7 @@ def _apply_wal_records(engine, shard_index: int, records: list) -> int:
 
 
 def open_engine(engine_cls, directory, mmap: bool = True, verify: bool = True,
-                fsync: str = "batch", executor=None, parallel_refresh: bool = False,
-                kernel_backend=None):
+                fsync: str = "batch", executor=None, parallel_refresh: bool = False):
     """Restore a :class:`ShardedEngine` from its newest valid epoch.
 
     Falls back epoch by epoch when validation fails (a half-written epoch
@@ -423,9 +416,6 @@ def open_engine(engine_cls, directory, mmap: bool = True, verify: bool = True,
     normal overlay refresh on first use.
     """
     directory = os.fspath(directory)
-    # Resolve eagerly: a bad backend name must raise ValueError here, not be
-    # swallowed by the per-epoch fallback loop as apparent corruption.
-    kernel_backend = resolve_backend(kernel_backend)
     epochs = snapshot_epochs(directory)
     if not epochs:
         raise SnapshotCorruptError(f"{directory}: no committed snapshot manifest found")
@@ -437,8 +427,7 @@ def open_engine(engine_cls, directory, mmap: bool = True, verify: bool = True,
         try:
             manifest = _read_manifest(directory, epoch)
             engine = _load_epoch(
-                engine_cls, directory, manifest, mmap, verify, executor,
-                parallel_refresh, kernel_backend=kernel_backend,
+                engine_cls, directory, manifest, mmap, verify, executor, parallel_refresh
             )
             base_epoch = epoch
             break

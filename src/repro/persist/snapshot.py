@@ -241,7 +241,7 @@ def flat_to_arrays(flat: FlatAIT, prefix: str = "") -> dict:
     return out
 
 
-def flat_from_arrays(arrays: dict, weighted: bool, prefix: str = "", kernel_backend=None) -> FlatAIT:
+def flat_from_arrays(arrays: dict, weighted: bool, prefix: str = "") -> FlatAIT:
     """Reassemble a :class:`FlatAIT` from loaded (possibly mmap-backed) arrays.
 
     Thin file-schema wrapper over :meth:`FlatAIT.from_buffers` (which adopts
@@ -258,7 +258,7 @@ def flat_from_arrays(arrays: dict, weighted: bool, prefix: str = "", kernel_back
         raise SnapshotCorruptError(
             "weighted snapshot is missing its all_weight_prefix array"
         )
-    return FlatAIT.from_buffers(named, weighted, kernel_backend=kernel_backend)
+    return FlatAIT.from_buffers(named, weighted)
 
 
 def save_flat(flat: FlatAIT, path, fsync: bool = True, opener=open) -> None:
@@ -272,13 +272,11 @@ def save_flat(flat: FlatAIT, path, fsync: bool = True, opener=open) -> None:
     )
 
 
-def load_flat(path, mmap: bool = True, verify: bool = True, kernel_backend=None) -> FlatAIT:
+def load_flat(path, mmap: bool = True, verify: bool = True) -> FlatAIT:
     """Load a standalone :class:`FlatAIT` snapshot written by :func:`save_flat`."""
     arrays, meta = load_arrays(path, mmap=mmap, verify=verify)
     if meta.get("kind") != "flat_ait":
         raise SnapshotCorruptError(
             f"{os.fspath(path)}: not a FlatAIT snapshot (kind={meta.get('kind')!r})"
         )
-    return flat_from_arrays(
-        arrays, bool(meta.get("weighted", False)), kernel_backend=kernel_backend
-    )
+    return flat_from_arrays(arrays, bool(meta.get("weighted", False)))

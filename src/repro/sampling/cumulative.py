@@ -16,12 +16,11 @@ AWIT needs.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Optional
 
 import numpy as np
 
 from ..core.errors import InvalidWeightError
-from ..kernels.numpy_backend import segmented_inverse_cdf, segmented_searchsorted
 from .rng import RandomState, resolve_rng
 
 __all__ = [
@@ -29,6 +28,7 @@ __all__ = [
     "prefix_sums",
     "sample_from_prefix_range",
     "range_weight",
+    "record_weights",
     "segmented_searchsorted",
     "segmented_inverse_cdf",
 ]
@@ -80,11 +80,84 @@ def sample_from_prefix_range(
     return k
 
 
-# The vectorised segmented primitives (segmented_searchsorted,
-# segmented_inverse_cdf) moved to the kernel tier — they are the hot loops a
-# compiled backend replaces.  Re-exported above so existing imports keep
-# working; the canonical implementations live in
-# :mod:`repro.kernels.numpy_backend`.
+def segmented_searchsorted(
+    pool: np.ndarray, lo: np.ndarray, hi: np.ndarray, needles: np.ndarray, side: str = "left"
+) -> np.ndarray:
+    """Vectorised ``searchsorted`` over many independent sorted segments.
+
+    ``pool`` is one flat array that concatenates many individually sorted
+    runs; for each needle ``i`` the run is ``pool[lo[i]:hi[i]]`` (half-open,
+    global indices).  Returns the global insertion index of ``needles[i]``
+    inside its run, with standard left/right semantics.  The whole batch is
+    resolved in ``O(log(max run length))`` vectorised rounds, which is what
+    lets the flat batch-query engine replace one Python-level
+    ``np.searchsorted`` call per (query, node) pair with a handful of
+    array operations per tree level.
+    """
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    lo = np.asarray(lo, dtype=np.int64).copy()
+    hi = np.asarray(hi, dtype=np.int64).copy()
+    needles = np.asarray(needles)
+    active = lo < hi
+    while active.any():
+        mid = (lo + hi) >> 1
+        mid_vals = pool[np.where(active, mid, 0)]
+        go_right = (mid_vals < needles) if side == "left" else (mid_vals <= needles)
+        go_right &= active
+        lo = np.where(go_right, mid + 1, lo)
+        hi = np.where(active & ~go_right, mid, hi)
+        active = lo < hi
+    return lo
+
+
+def segmented_inverse_cdf(
+    prefix: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    uniforms: np.ndarray,
+    base: np.ndarray | None = None,
+) -> np.ndarray:
+    """Batched inverse-CDF draw over slices of one flat prefix-sum array.
+
+    For each draw ``i`` the candidate positions are ``lo[i]..hi[i]``
+    (inclusive, global indices into ``prefix``); position ``k`` is chosen
+    with probability proportional to ``prefix[k] - prefix[k-1]`` within the
+    slice.  When ``prefix`` concatenates many independent prefix-sum runs
+    (each restarting from zero), ``base[i]`` must give the start of draw
+    ``i``'s run so the "weight before ``lo``" term is taken from the right
+    run; ``base=None`` treats the whole array as one run.  ``uniforms`` are
+    i.i.d. draws in ``[0, 1)``.  This is the vectorised counterpart of
+    :func:`sample_from_prefix_range`: the same threshold
+    ``before + u * total`` and the same first-``prefix >= threshold`` search.
+    """
+    lo = np.asarray(lo, dtype=np.int64)
+    hi = np.asarray(hi, dtype=np.int64)
+    floor = np.zeros_like(lo) if base is None else np.asarray(base, dtype=np.int64)
+    before = np.where(lo > floor, prefix[np.maximum(lo - 1, 0)], 0.0)
+    total = prefix[hi] - before
+    thresholds = before + np.asarray(uniforms, dtype=np.float64) * total
+    positions = segmented_searchsorted(prefix, lo, hi + 1, thresholds, side="left")
+    return np.minimum(positions, hi)
+
+
+def record_weights(
+    prefix: Optional[np.ndarray],
+    glo: np.ndarray,
+    ghi: np.ndarray,
+    gbase: np.ndarray,
+) -> np.ndarray:
+    """Total sampling weight of each record ``[glo, ghi]`` (global pool indices).
+
+    ``prefix`` is the concatenated per-segment inclusive weight-prefix pool
+    (``None`` for unweighted snapshots, where the weight is the record
+    cardinality); ``gbase`` marks the start of each record's segment so the
+    "weight before ``glo``" term never reads across a segment boundary.
+    """
+    if prefix is None:
+        return (ghi - glo + 1).astype(np.float64)
+    before = np.where(glo > gbase, prefix[np.maximum(glo - 1, 0)], 0.0)
+    return prefix[ghi] - before
 
 
 class CumulativeSampler:

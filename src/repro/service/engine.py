@@ -54,7 +54,6 @@ from ..core.errors import EmptyResultError, InvalidIntervalError, StructureState
 from ..core.flat import FlatAIT
 from ..core.interval import Interval, validate_endpoints
 from ..core.query import QueryLike, validate_sample_size
-from ..kernels import resolve_backend
 from ..sampling.rng import RandomState, resolve_rng, spawn_seeds
 from .executor import resolve_executor
 from .shard import Shard
@@ -104,12 +103,6 @@ class ShardedEngine:
         :meth:`~repro.core.flat.FlatAIT.from_arrays` — engine construction,
         writes and compactions never allocate Python tree nodes.
         ``"tree"`` keeps the legacy eager node build for base snapshots.
-    kernel_backend:
-        Forwarded to every shard's tree: which kernel implementation the
-        shard snapshots run their hot loops on (``"numpy"`` default,
-        ``"numba"``, ``"python"``; see :mod:`repro.kernels`).  Process
-        executor workers inherit the choice through the shared-memory
-        publish descriptor, so all execution tiers run the same kernels.
     parallel_refresh:
         When True, shard construction and delta-log refreshes fan out over
         the engine's executor (one task per shard; shards are disjoint, so
@@ -143,16 +136,12 @@ class ShardedEngine:
         executor=None,
         build_backend: str = "columnar",
         parallel_refresh: bool = False,
-        kernel_backend=None,
         scatter: Optional[str] = None,
     ) -> None:
         self._weighted = dataset.is_weighted if weighted is None else bool(weighted)
         parts = dataset.partition_indices(num_shards, policy)
         self._policy = policy
         self._build_backend = build_backend
-        # Resolved once so a bad name fails here and every shard shares one
-        # backend instance (kernels are stateless — see repro.kernels).
-        self._kernel_backend = resolve_backend(kernel_backend)
         self._parallel_refresh = bool(parallel_refresh)
         self._executor, self._owns_executor = resolve_executor(executor, scatter=scatter)
         # Durability attachment (populated by save_snapshot / open).
@@ -162,14 +151,7 @@ class ShardedEngine:
 
         def build_shard(item: tuple[int, np.ndarray]) -> Shard:
             index, ids = item
-            return Shard(
-                index,
-                dataset,
-                ids,
-                self._weighted,
-                build_backend,
-                kernel_backend=self._kernel_backend,
-            )
+            return Shard(index, dataset, ids, self._weighted, build_backend)
 
         try:
             if self._parallel_refresh and len(parts) > 1:
@@ -231,11 +213,6 @@ class ShardedEngine:
     def build_backend(self) -> str:
         """The shard-tree build backend this engine was built with."""
         return self._build_backend
-
-    @property
-    def kernel_backend(self) -> str:
-        """Registry name of the kernel backend the shard snapshots run on."""
-        return self._kernel_backend.name
 
     @property
     def parallel_refresh(self) -> bool:
@@ -427,7 +404,6 @@ class ShardedEngine:
         fsync: str = "batch",
         executor=None,
         parallel_refresh: bool = False,
-        kernel_backend=None,
     ) -> "ShardedEngine":
         """Restore an engine from its newest valid snapshot epoch + WAL chain.
 
@@ -448,7 +424,6 @@ class ShardedEngine:
             fsync=fsync,
             executor=executor,
             parallel_refresh=parallel_refresh,
-            kernel_backend=kernel_backend,
         )
 
     def sync_wal(self) -> None:

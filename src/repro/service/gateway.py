@@ -220,7 +220,6 @@ class RequestGateway:
         out["engine"] = {
             "executor": getattr(engine, "executor_kind", type(engine).__name__),
             "num_shards": getattr(engine, "num_shards", 1),
-            "kernel_backend": getattr(engine, "kernel_backend", "numpy"),
             "scatter": getattr(engine, "scatter", None),
         }
         return out

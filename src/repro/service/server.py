@@ -122,6 +122,40 @@ class _DeadlineExceeded(Exception):
     """The request's time budget expired; mapped to a 504 response."""
 
 
+class _Connection(asyncio.StreamReaderProtocol):
+    """One accepted connection, held by its front end from accept to close.
+
+    Tracked from protocol creation, before its handler task exists, so that
+    :meth:`HttpFrontend.stop` can close every accepted socket, including one
+    whose handler has not run yet, and wait until each is shut.
+    """
+
+    def __init__(self, frontend: "HttpFrontend") -> None:
+        super().__init__(asyncio.StreamReader(), frontend._serve_connection)
+        self._frontend = frontend
+        self._conn_transport: Optional[asyncio.BaseTransport] = None
+        frontend._track(self)
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self._conn_transport = transport
+        if self._frontend._closed:
+            transport.close()  # accepted after the final sweep of stop()
+            return
+        super().connection_made(transport)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        super().connection_lost(exc)
+        self._frontend._forget(self)
+
+    def close(self) -> None:
+        if self._conn_transport is not None:
+            self._conn_transport.close()
+
+    def abort(self) -> None:
+        if self._conn_transport is not None:
+            self._conn_transport.abort()
+
+
 def _jsonable(value):
     if isinstance(value, np.ndarray):
         return value.tolist()
@@ -199,7 +233,8 @@ class HttpFrontend:
         self._closed = False
         self._inflight = 0
         self._idle: Optional[asyncio.Event] = None
-        self._writers: set[asyncio.StreamWriter] = set()
+        self._connections: set[_Connection] = set()
+        self._no_connections: Optional[asyncio.Event] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
         self._counters = {
@@ -243,8 +278,10 @@ class HttpFrontend:
         self._loop = asyncio.get_running_loop()
         self._idle = asyncio.Event()
         self._idle.set()
-        self._server = await asyncio.start_server(
-            self._serve_connection, self._host, self._port
+        self._no_connections = asyncio.Event()
+        self._no_connections.set()
+        self._server = await self._loop.create_server(
+            lambda: _Connection(self), self._host, self._port
         )
         bound = self._server.sockets[0].getsockname()
         self._address = (bound[0], bound[1])
@@ -257,12 +294,21 @@ class HttpFrontend:
         no new connection is accepted; (2) in-flight requests drain (up to
         ``drain_timeout_s``); (3) the gateway closes, flushing its queue
         and fsyncing the engine WAL — every 200-acked write is on disk
-        before ``stop()`` returns.  Idempotent.
+        before ``stop()`` returns; (4) every accepted connection is closed,
+        and ``stop()`` returns only once each socket is shut.  Idempotent.
         """
         if self._closed:
             return
         self._draining = True
         if self._server is not None:
+            # Stop accepting first, then yield once so every accept already
+            # scheduled wraps its socket in a transport.  One that runs after
+            # Server.close() fails inside asyncio and leaves the accepted
+            # socket open, out of reach, until a garbage collection.
+            loop = asyncio.get_running_loop()
+            for sock in self._server.sockets:
+                loop.remove_reader(sock.fileno())
+            await asyncio.sleep(0)
             self._server.close()
             await self._server.wait_closed()
         if self._idle is not None and self._inflight > 0:
@@ -272,9 +318,35 @@ class HttpFrontend:
                 pass
         await asyncio.get_running_loop().run_in_executor(None, self._gateway.close)
         self._closed = True
-        for writer in list(self._writers):
-            writer.close()
+        await self._close_connections()
         await asyncio.sleep(0)
+
+    async def _close_connections(self) -> None:
+        """Close every accepted connection; abort those not shut within the drain budget.
+
+        A transport closes on a later loop iteration, so this waits for each
+        ``connection_lost``: a loop stopped before then would leave the
+        socket open.
+        """
+        if not self._connections:
+            return
+        for connection in list(self._connections):
+            connection.close()
+        try:
+            await asyncio.wait_for(self._no_connections.wait(), self._drain_timeout_s)
+        except TimeoutError:
+            for connection in list(self._connections):
+                connection.abort()
+            await asyncio.sleep(0)
+
+    def _track(self, connection: _Connection) -> None:
+        self._connections.add(connection)
+        self._no_connections.clear()
+
+    def _forget(self, connection: _Connection) -> None:
+        self._connections.discard(connection)
+        if not self._connections:
+            self._no_connections.set()
 
     # Thread-embedded mode --------------------------------------------- #
     def start_in_thread(self) -> tuple[str, int]:
@@ -354,7 +426,6 @@ class HttpFrontend:
     async def _serve_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        self._writers.add(writer)
         try:
             while True:
                 line = await reader.readline()
@@ -382,7 +453,6 @@ class HttpFrontend:
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
         finally:
-            self._writers.discard(writer)
             writer.close()
             try:
                 await writer.wait_closed()

@@ -98,18 +98,13 @@ class Shard:
         global_ids: np.ndarray,
         weighted: bool,
         build_backend: str = "columnar",
-        kernel_backend=None,
     ) -> None:
         self.shard_id = int(shard_id)
         # With the default "columnar" backend the tree defers its Python node
         # graph entirely: the snapshot is built treelessly by
         # FlatAIT.from_arrays, and writes go to the overlay, never the tree.
         tree_cls = AWIT if weighted else AIT
-        tree = tree_cls(
-            dataset.subset(global_ids),
-            build_backend=build_backend,
-            kernel_backend=kernel_backend,
-        )
+        tree = tree_cls(dataset.subset(global_ids), build_backend=build_backend)
         self._start(tree, tree.flat(), global_ids, version=1)
 
     @classmethod
@@ -342,7 +337,7 @@ class Shard:
             return None
         delta = None
         if gids.shape[0]:
-            delta = FlatAIT.from_arrays(lefts, rights, kernel_backend=self._snapshot.kernels)
+            delta = FlatAIT.from_arrays(lefts, rights)
         return Overlay(
             delta,
             gids,
@@ -373,7 +368,6 @@ class Shard:
                 np.concatenate((self.tree._rights[live], rights))[order],
             ),
             build_backend=self.tree.build_backend,
-            kernel_backend=self._snapshot.kernels,
         )
         return tree, tree.flat(), all_gids[order]
 

@@ -175,18 +175,14 @@ class Overlay:
         return arrays
 
     @classmethod
-    def from_buffers(cls, arrays: dict, kernel_backend=None, segment=None) -> "Overlay":
+    def from_buffers(cls, arrays: dict, segment=None) -> "Overlay":
         """Inverse of :meth:`to_buffers` (zero-copy, like :meth:`FlatAIT.from_buffers`)."""
         delta_arrays = {
             name[len("delta.") :]: array
             for name, array in arrays.items()
             if name.startswith("delta.")
         }
-        delta = (
-            FlatAIT.from_buffers(delta_arrays, False, kernel_backend=kernel_backend)
-            if delta_arrays
-            else None
-        )
+        delta = FlatAIT.from_buffers(delta_arrays, False) if delta_arrays else None
         return cls(
             delta,
             arrays["delta_map"],
@@ -587,7 +583,6 @@ def publish_shard(shard) -> ShardSegment:
         "shard_id": int(shard.shard_id),
         "version": int(shard.version),
         "weighted": bool(shard.snapshot.is_weighted),
-        "kernel": shard.snapshot.kernel_backend,
         "arrays": entries,
     }
     return ShardSegment(shm, manifest)
@@ -603,7 +598,7 @@ def publish_overlay(shard) -> Optional[ShardSegment]:
     if overlay is None:
         return None
     shm, entries = _pack(overlay.to_buffers())
-    manifest = {"shm": shm.name, "kernel": shard.snapshot.kernel_backend, "arrays": entries}
+    manifest = {"shm": shm.name, "arrays": entries}
     return ShardSegment(shm, manifest)
 
 
@@ -661,16 +656,14 @@ def attach_segment(manifest: dict) -> ShardView:
     """
     shm, arrays = _unpack(manifest)
     global_map = arrays.pop("global_map")
-    snapshot = FlatAIT.from_buffers(
-        arrays, bool(manifest["weighted"]), kernel_backend=manifest.get("kernel")
-    )
+    snapshot = FlatAIT.from_buffers(arrays, bool(manifest["weighted"]))
     return ShardView(manifest["shard_id"], snapshot, global_map, segment=shm)
 
 
 def attach_overlay(manifest: dict) -> Overlay:
     """Rebuild a zero-copy :class:`Overlay` from a :func:`publish_overlay` manifest."""
     shm, arrays = _unpack(manifest)
-    return Overlay.from_buffers(arrays, kernel_backend=manifest.get("kernel"), segment=shm)
+    return Overlay.from_buffers(arrays, segment=shm)
 
 
 def _close_quietly(shm: Optional[shared_memory.SharedMemory]) -> None:

@@ -17,7 +17,7 @@ import pytest
 
 from repro import AIT, AWIT, FlatAIT, IntervalDataset
 from repro.core.errors import InvalidIntervalError, InvalidWeightError
-from repro.core.flat import _segmented_cumsum
+from repro.core.flat import segmented_cumsum
 from repro.service import ShardedEngine
 
 #: Every array a FlatAIT holds, including derived rank keys.
@@ -184,14 +184,16 @@ class TestFromArraysEquivalence:
 
     def test_segmented_cumsum_matches_per_segment_cumsum_bitwise(self):
         rng = np.random.default_rng(31)
-        lengths = np.asarray([1, 7, 1, 3, 19, 7, 128, 1, 2], dtype=np.int64)
-        values = rng.uniform(0.0, 1.0, int(lengths.sum()))
-        out = _segmented_cumsum(values, lengths)
+        lengths = np.asarray([0, 1, 7, 1, 0, 3, 19, 7, 128, 1, 2], dtype=np.int64)
+        values = rng.uniform(-1.0, 1.0, int(lengths.sum()))
+        values[0] = -0.0  # a segment's first sum must keep the sign bit
+        out = segmented_cumsum(values, lengths)
         start = 0
         for length in lengths:
             segment = values[start : start + int(length)]
-            assert np.array_equal(out[start : start + int(length)], np.cumsum(segment))
+            assert out[start : start + int(length)].tobytes() == np.cumsum(segment).tobytes()
             start += int(length)
+        assert segmented_cumsum(np.empty(0), np.zeros(3, dtype=np.int64)).shape == (0,)
 
 
 # ---------------------------------------------------------------------- #

@@ -35,7 +35,6 @@ from repro import (
     WorkerTimeoutError,
 )
 from repro.core.query import coerce_query, coerce_query_batch, validate_sample_size
-from repro.kernels import get_backend, resolve_backend
 from repro.service import EXECUTOR_NAMES, resolve_executor
 
 
@@ -353,31 +352,3 @@ class TestExecutorResolution:
     def test_engine_surfaces_scatter_without_process(self):
         with pytest.raises(ValueError, match=r"scatter='data' requires executor='process'"):
             ShardedEngine(_dataset(), num_shards=2, executor="threads", scatter="data")
-
-
-# --------------------------------------------------------------------------- #
-# kernel backend resolution
-# --------------------------------------------------------------------------- #
-class TestKernelBackendResolution:
-    @pytest.mark.parametrize("name", ["numpyy", "jit", "cython", ""])
-    def test_unknown_name_raises_value_error(self, name):
-        with pytest.raises(
-            ValueError,
-            match=r"unknown kernel backend .*: expected one of 'numpy', 'numba', 'python'",
-        ):
-            get_backend(name)
-
-    def test_non_backend_object_raises_type_error(self):
-        with pytest.raises(
-            TypeError,
-            match=r"kernel_backend must be None, a backend name, or a KernelBackend instance",
-        ):
-            resolve_backend(object())
-
-    def test_tree_surfaces_unknown_backend_name(self):
-        with pytest.raises(ValueError, match=r"unknown kernel backend 'fortran'"):
-            AIT(_dataset(), kernel_backend="fortran")
-
-    def test_engine_surfaces_unknown_backend_name(self):
-        with pytest.raises(ValueError, match=r"unknown kernel backend 'fortran'"):
-            ShardedEngine(_dataset(), num_shards=2, kernel_backend="fortran")

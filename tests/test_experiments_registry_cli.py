@@ -33,7 +33,6 @@ EXTRA_IDS = {
     "build_throughput",
     "recovery",
     "parallel_scaling",
-    "kernel_throughput",
     "serving_slo",
 }
 

@@ -47,10 +47,28 @@ class TestCountReportEquivalence:
         assert batch.dtype == np.int64
         assert batch.tolist() == [tree.count(q) for q in queries]
 
-    def test_count_many_matches_oracle(self, dataset, queries):
-        tree = AIT(dataset)
-        oracle = ExhaustiveScan(dataset)
-        assert np.array_equal(tree.count_many(queries), oracle.count_many(queries))
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+    @pytest.mark.parametrize("n", [0, 1, 2, 63, 800, 1000])
+    def test_count_many_matches_oracle(self, n, weighted, make_random_dataset, queries):
+        # Degenerate sizes included: 0 (empty guards), 1-2 (one-node trees),
+        # 63 (a full level-synchronous descent).
+        data = make_random_dataset(n=n, seed=3, weighted=weighted)
+        weights = data.weights if weighted else None
+        engine = FlatAIT.from_arrays(data.lefts, data.rights, weights=weights)
+        truth = [data.overlap_indices(ql, qr) for ql, qr in queries]
+        counts = engine.count_many(queries)
+        assert counts.tolist() == [ids.shape[0] for ids in truth]
+        if n:
+            assert np.array_equal(counts, ExhaustiveScan(data).count_many(queries))
+        for chunk, ids in zip(engine.report_many(queries), truth):
+            assert np.array_equal(np.sort(chunk), ids)
+        assert np.allclose(
+            engine.total_weight_many(queries), [data.weights[ids].sum() for ids in truth]
+        )
+        draws = engine.sample_many(queries, 17, random_state=np.random.default_rng(99))
+        for chunk, ids in zip(draws, truth):
+            assert chunk.shape[0] == (17 if ids.shape[0] else 0)
+            assert np.isin(chunk, ids).all()
 
     def test_report_many_matches_scalar_exactly(self, dataset, queries):
         tree = AIT(dataset)

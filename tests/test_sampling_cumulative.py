@@ -13,6 +13,8 @@ from repro.sampling import (
     range_weight,
     resolve_rng,
     sample_from_prefix_range,
+    segmented_inverse_cdf,
+    segmented_searchsorted,
 )
 
 
@@ -75,6 +77,75 @@ class TestSampleFromPrefixRange:
         draws = np.array([sample_from_prefix_range(prefix, 1, 3, rng) for _ in range(20_000)])
         freq = np.bincount(draws, minlength=5)[1:4] / draws.shape[0]
         np.testing.assert_allclose(freq, weights[1:4] / weights[1:4].sum(), atol=0.02)
+
+
+class _FixedUniform:
+    """Generator stand-in whose ``random()`` returns one preset uniform."""
+
+    def __init__(self, u: float) -> None:
+        self._u = u
+
+    def random(self) -> float:
+        return self._u
+
+
+def _run_bounds(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    ends = np.cumsum(lengths)
+    return ends - lengths, ends
+
+
+class TestSegmentedPrimitives:
+    """The vectorised segment kernels against their one-segment references."""
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_segmented_searchsorted_matches_per_segment_searchsorted(self, side):
+        rng = np.random.default_rng(3)
+        lengths = np.array([0, 1, 5, 0, 17, 2, 64, 0, 3])
+        # Integer-valued runs: needles hit exact ties as well as gaps.
+        pool = np.concatenate([np.sort(rng.integers(0, 20, n)).astype(float) for n in lengths])
+        starts, ends = _run_bounds(lengths)
+        run = np.repeat(np.arange(lengths.shape[0]), 12)
+        needles = rng.integers(-2, 23, run.shape[0]).astype(float)
+        got = segmented_searchsorted(pool, starts[run], ends[run], needles, side=side)
+        want = [
+            lo + int(np.searchsorted(pool[lo:hi], x, side=side))
+            for lo, hi, x in zip(starts[run], ends[run], needles)
+        ]
+        assert got.tolist() == want
+
+    def test_segmented_searchsorted_rejects_unknown_side(self):
+        with pytest.raises(ValueError, match="side must be"):
+            segmented_searchsorted(np.zeros(1), [0], [1], [0.0], side="middle")
+
+    @pytest.mark.parametrize("per_run_prefix", [False, True], ids=["one_run", "runs"])
+    def test_segmented_inverse_cdf_matches_sample_from_prefix_range(self, per_run_prefix):
+        rng = np.random.default_rng(5)
+        lengths = np.array([1, 5, 17, 2, 64, 3])
+        weights = rng.uniform(0.05, 3.0, int(lengths.sum()))
+        weights[::7] = 0.0  # zero-weight positions put ties in the prefix
+        starts, ends = _run_bounds(lengths)
+        if per_run_prefix:
+            # Concatenated prefix runs, each restarting from zero.
+            prefix = np.concatenate([np.cumsum(weights[a:b]) for a, b in zip(starts, ends)])
+        else:
+            prefix = np.cumsum(weights)
+        run = rng.integers(0, lengths.shape[0], 400)
+        lo = starts[run] + (rng.random(400) * lengths[run]).astype(np.int64)
+        hi = lo + (rng.random(400) * (ends[run] - lo)).astype(np.int64)
+        floor = starts[run] if per_run_prefix else np.zeros_like(lo)
+        before = np.where(lo > floor, prefix[np.maximum(lo - 1, 0)], 0.0)
+        keep = prefix[hi] - before > 0  # the scalar primitive rejects empty mass
+        lo, hi, floor = lo[keep], hi[keep], floor[keep]
+        uniforms = rng.random(lo.shape[0])
+        uniforms[0] = 0.0  # threshold exactly on the range floor
+        got = segmented_inverse_cdf(
+            prefix, lo, hi, uniforms, base=floor if per_run_prefix else None
+        )
+        want = [
+            f + sample_from_prefix_range(prefix[f:], a - f, b - f, _FixedUniform(u))
+            for a, b, f, u in zip(lo, hi, floor, uniforms)
+        ]
+        assert got.tolist() == want
 
 
 class TestCumulativeSampler:

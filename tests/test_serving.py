@@ -598,6 +598,61 @@ class TestGracefulDrain:
                 closer.join(timeout=30)
             engine.close()
 
+    @pytest.mark.parametrize("round_", range(3))
+    def test_connects_racing_close_all_get_a_reply_or_a_close(self, round_):
+        # Connections accepted in the drain's last loop iterations must be
+        # answered or closed by the server, not left open until a GC pass.
+        engine = ShardedEngine(_dataset(), num_shards=1)
+        frontend = HttpFrontend(RequestGateway(engine))
+        address = frontend.start_in_thread()
+        payload = b'{"query": [0.0, 100.0]}'
+        request = _post_head("/count", len(payload)) + payload
+        sockets: list[socket.socket] = []
+        lock = threading.Lock()
+        stop = threading.Event()
+
+        def connect():
+            while not stop.is_set() and len(sockets) < 400:
+                try:
+                    sock = socket.create_connection(address, timeout=2)
+                except OSError:
+                    continue  # the listener is gone
+                with lock:
+                    sockets.append(sock)
+                try:
+                    sock.sendall(request)
+                except OSError:
+                    pass
+
+        threads = [threading.Thread(target=connect) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        try:
+            _wait_for(lambda: len(sockets) >= 40)
+            frontend.close()
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=10)
+            deadline = time.monotonic() + 2.0
+            stalled = 0
+            for sock in sockets:
+                sock.settimeout(max(deadline - time.monotonic(), 0.01))
+                try:
+                    raw = _read_to_eof(sock)
+                except TimeoutError:
+                    stalled += 1
+                except ConnectionError:
+                    continue  # reset: a server-side close
+                else:
+                    if raw:
+                        assert _decode_response(raw)[0] in (200, 503)
+            assert stalled == 0, f"{stalled} of {len(sockets)} sockets got no reply or close"
+        finally:
+            stop.set()
+            for sock in sockets:
+                sock.close()
+            engine.close()
+
     def test_client_raises_connection_error_on_an_empty_reply(self):
         with pytest.raises(ConnectionError, match="without a response"):
             _decode_response(b"")
