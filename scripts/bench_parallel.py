@@ -5,19 +5,26 @@ Usage::
 
     PYTHONPATH=src python scripts/bench_parallel.py [--out BENCH_parallel.json]
 
-For each dataset size the script sweeps shard counts K with the serial
-scatter loop and the :class:`~repro.service.ProcessExecutor` under both
-scatter strategies — ``scatter="data"`` (one worker per shard, the PR 7
-behaviour) and ``scatter="query"`` (shard x query-block tiles over all
-workers) — times ``count_many`` and ``sample_many`` on the same workload,
-and records queries/second per (n, operation, shards, executor, scatter)
-plus two derived columns:
+For each dataset size the script sweeps shard counts K and batch sizes
+with the serial scatter loop and the :class:`~repro.service.ProcessExecutor`
+under every scatter strategy — ``scatter="data"`` (one worker per shard),
+``scatter="query"`` (shard x query-block tiles over all workers) and
+``scatter="auto"`` (the default: inline in the owner process unless the
+batch is a ``sample`` batch of at least 64 queries) — times
+``count_many`` and ``sample_many`` on the same workload, and records
+queries/second per (n, operation, shards, executor, scatter, batch) plus
+two derived columns:
 
-* ``vs_serial_k1``      — throughput relative to the serial K=1 engine
-  (the scaling curve this PR exists to move);
+* ``vs_serial_k1``      — throughput relative to the serial K=1 engine at
+  the same batch size;
 * ``results_identical`` — **hard invariant**: the process executor's
   answers are bit-identical (exact array equality on counts and on
-  fixed-seed sample draws) to the serial executor's at the same K.
+  fixed-seed sample draws) to the serial executor's at the same K and
+  batch, under every scatter strategy, ``auto`` included.
+
+The batch-size axis is where the ``auto`` rule comes from: the batch size
+at which a worker-bound row first beats the serial row is the break-even
+of the worker round trip.
 
 Numbers are hardware-honest: ``config.cpu_count`` records the cores the
 sweep actually had.  ``count_many`` per shard is two ``searchsorted``
@@ -25,7 +32,7 @@ passes — data sharding splits the data, not the O(Q·log n) work, so the
 data scatter's count speedup is bounded by log n / log(n/K) even on a
 many-core box; the query scatter divides the batch itself and is the row
 that can exceed 1x on count given real cores.  On a single-core runner
-every process row pays IPC with no parallel gain, which is why the
+every worker-bound row pays IPC with no parallel gain, which is why the
 regression gate treats the scaling ratios as advisory (wide tolerance) and
 gates hard only on ``results_identical``.
 """
@@ -43,70 +50,47 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro import ShardedEngine, __version__  # noqa: E402
+from repro import __version__  # noqa: E402
 from repro.datasets import generate_paper_dataset, generate_queries  # noqa: E402
 from repro.experiments.exp_parallel_scaling import (  # noqa: E402
-    measure_engine,
-    results_identical,
+    PARALLEL_BATCH_SWEEP,
+    sweep,
 )
-from repro.service import ProcessExecutor  # noqa: E402
 
 
 def bench_one(
-    n: int, query_count: int, sample_size: int, shard_counts: list[int], repeats: int
+    n: int,
+    query_count: int,
+    sample_size: int,
+    shard_counts: list[int],
+    batches: list[int],
+    repeats: int,
 ) -> list[dict]:
     dataset = generate_paper_dataset("btc", n=n, random_state=1)
     workload = generate_queries(dataset, count=query_count, extent_fraction=0.08, random_state=2)
     query_array = np.asarray(list(workload), dtype=np.float64)
 
     rows = []
-    baselines: dict[str, float] = {}
-    for shards in shard_counts:
-        with ShardedEngine(dataset, num_shards=shards, executor="serial") as engine:
-            serial_count, serial_sample, counts, draws = measure_engine(
-                engine, query_array, sample_size, repeats
-            )
-        reference = (counts, draws)
-        if not baselines:
-            baselines = {"count": serial_count, "sample": serial_sample}
-
-        measured = [("serial", None, serial_count, serial_sample, True)]
-        # Same worker budget for both scatter strategies; the data scatter
-        # additionally caps itself at K (extra workers could never be busy),
-        # so K=1 shows exactly what query tiling buys over data sharding.
-        for scatter in ("data", "query"):
-            executor = ProcessExecutor(max_workers=max(shards, 2), scatter=scatter)
-            try:
-                with ShardedEngine(dataset, num_shards=shards, executor=executor) as engine:
-                    process_count, process_sample, counts, draws = measure_engine(
-                        engine, query_array, sample_size, repeats
-                    )
-            finally:
-                executor.shutdown()
-            identical = results_identical(reference, (counts, draws))
-            measured.append(("process", scatter, process_count, process_sample, identical))
-
-        for executor_name, scatter, count_qps, sample_qps, identical in measured:
-            for operation, qps in (("count", count_qps), ("sample", sample_qps)):
-                ratio = qps / baselines[operation] if baselines[operation] > 0 else float("inf")
-                rows.append(
-                    {
-                        "n": n,
-                        "operation": operation,
-                        "shards": shards,
-                        "executor": executor_name,
-                        "scatter": scatter,
-                        "qps": round(qps, 1),
-                        "vs_serial_k1": round(ratio, 3),
-                        "results_identical": bool(identical),
-                    }
-                )
-                label = executor_name if scatter is None else f"{executor_name}/{scatter}"
-                print(
-                    f"n={n:>7} {operation:<7} K={shards} {label:<14}"
-                    f" {qps:>12.0f} q/s   {ratio:5.2f}x serial-K1"
-                    f"   identical={identical}"
-                )
+    for row in sweep(dataset, query_array, sample_size, shard_counts, batches, repeats):
+        rows.append(
+            {
+                "n": n,
+                "operation": row["operation"],
+                "shards": row["shards"],
+                "executor": row["executor"],
+                "scatter": row["scatter"],
+                "batch": row["batch"],
+                "qps": round(row["qps"], 1),
+                "vs_serial_k1": round(row["vs_serial_k1"], 3),
+                "results_identical": bool(row["identical"]),
+            }
+        )
+        label = row["executor"] if row["scatter"] is None else f"process/{row['scatter']}"
+        print(
+            f"n={n:>7} {row['operation']:<7} K={row['shards']} {label:<14}"
+            f" batch={row['batch']:>5} {row['qps']:>12.0f} q/s"
+            f"   {row['vs_serial_k1']:5.2f}x serial-K1   identical={row['identical']}"
+        )
     return rows
 
 
@@ -121,17 +105,28 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--sizes", type=int, nargs="+", default=[100_000], help="dataset sizes"
     )
-    parser.add_argument("--queries", type=int, default=1_000, help="queries per measurement")
+    parser.add_argument(
+        "--queries", type=int, default=1_000, help="query workload (cycled to fill a batch)"
+    )
     parser.add_argument("--samples", type=int, default=100, help="samples per query")
     parser.add_argument(
         "--shards", type=int, nargs="+", default=[1, 2, 4], help="shard counts to sweep"
+    )
+    parser.add_argument(
+        "--batches",
+        type=int,
+        nargs="+",
+        default=list(PARALLEL_BATCH_SWEEP),
+        help="queries per count_many / sample_many call",
     )
     parser.add_argument("--repeats", type=int, default=3, help="best-of-N timing repetitions")
     args = parser.parse_args(argv)
 
     results = []
     for n in args.sizes:
-        results.extend(bench_one(n, args.queries, args.samples, args.shards, args.repeats))
+        results.extend(
+            bench_one(n, args.queries, args.samples, args.shards, args.batches, args.repeats)
+        )
 
     payload = {
         "config": {
@@ -141,6 +136,7 @@ def main(argv: list[str] | None = None) -> int:
             "extent_fraction": 0.08,
             "sample_size": args.samples,
             "shard_counts": args.shards,
+            "batches": args.batches,
             "repeats": args.repeats,
             "cpu_count": os.cpu_count(),
             "repro_version": __version__,

@@ -33,10 +33,10 @@ measure a *design property* rather than the hardware:
   bit-identical snapshot arrays;
 * ``BENCH_parallel.json``   — the hard invariant that the process executor's
   answers are bit-identical to the serial executor's at the same shard count
-  under *both* scatter strategies (``data`` and ``query``), plus advisory
-  process-vs-serial throughput ratios per (operation, scatter) — parallel
-  speedup is a property of the runner's core count, recorded in
-  ``config.cpu_count``;
+  and batch size under *every* scatter strategy (``data``, ``query`` and
+  ``auto``), plus advisory process-vs-serial throughput ratios per
+  (operation, scatter) — parallel speedup is a property of the runner's
+  core count, recorded in ``config.cpu_count``;
 * ``BENCH_serving.json``    — the hard invariants that every request shed by
   the HTTP front end's admission controller receives an explicit 429-class
   response (never a hang or a reset) and that a graceful drain under fire —
@@ -148,6 +148,7 @@ SCHEMAS: dict[str, dict] = {
                 "shards",
                 "executor",
                 "scatter",
+                "batch",
                 "qps",
                 "vs_serial_k1",
                 "results_identical",

@@ -248,7 +248,9 @@ def measure_drain(
     with ShardedEngine(dataset, num_shards=4) as seed_engine:
         seed_engine.save_snapshot(directory)
 
-    executor = ProcessExecutor(max_workers=2)
+    # The data scatter sends every read to the workers, so the SIGKILL below
+    # hits a live worker; under auto these small reads would run inline.
+    executor = ProcessExecutor(max_workers=2, scatter="data")
     engine = ShardedEngine.open(directory, executor=executor)
     gateway = RequestGateway(engine)
     frontend = HttpFrontend(gateway, max_deadline_ms=deadline_ms)

@@ -242,6 +242,18 @@ class ShardedEngine:
         return getattr(self._executor, "scatter", None)
 
     @property
+    def placements(self) -> Optional[dict[str, int]]:
+        """Read batches per placement (``inline`` / ``data`` / ``query``).
+
+        The :attr:`ProcessExecutor.placements
+        <repro.service.executor.ProcessExecutor.placements>` counter, so an
+        operator can see where reads ran; ``None`` for the in-process
+        executors, which run every batch in the owner process.  Exposed
+        through :meth:`RequestGateway.stats`.
+        """
+        return getattr(self._executor, "placements", None)
+
+    @property
     def size(self) -> int:
         """Number of active intervals, including writes still in delta logs."""
         return self._active

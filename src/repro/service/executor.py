@@ -23,9 +23,11 @@ Three implementations ship with the library:
   knob): partition the *data* (one worker per shard — cannot speed up
   counting, every shard still classifies every query) or partition the
   *query batch* (shard x query-block tiles round-robined over workers — the
-  strategy that divides the actual counting work).  See
+  strategy that divides the actual counting work).  The default, ``auto``,
+  answers a batch in the owner process unless it is a large enough
+  ``sample`` batch for the worker round trip to pay off.  See
   :mod:`repro.service.shm` for the segment layout and worker protocol, and
-  ``docs/ARCHITECTURE.md`` for the scaling model behind the ``auto`` choice.
+  ``docs/ARCHITECTURE.md`` for the measurements behind the ``auto`` rule.
 
 Determinism note: the engine never shares one RNG across concurrently
 executing shard tasks — it derives one integer seed per shard up front
@@ -44,7 +46,15 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Optional, TypeVar
 
 from ..core.errors import WorkerTimeoutError
-from .shm import SEED_BLOCK, merge_block_results, publish_overlay, publish_shard, worker_main
+from .shm import (
+    SEED_BLOCK,
+    ShardView,
+    merge_block_results,
+    publish_overlay,
+    publish_shard,
+    run_shard_op,
+    worker_main,
+)
 
 __all__ = [
     "SerialExecutor",
@@ -66,12 +76,13 @@ EXECUTOR_NAMES = ("serial", "threads", "process")
 #: ``scatter=`` argument of :class:`ShardedEngine`).
 SCATTER_NAMES = ("data", "query", "auto")
 
-#: Batch size at which ``scatter="auto"`` switches from the data scatter to
-#: the query scatter (given more than one worker).  Below this the per-tile
-#: IPC + reassembly overhead outweighs the divided classification work; at
-#: and above it, splitting the query batch wins.  See the scaling-model
-#: section of ``docs/ARCHITECTURE.md`` for the cost model this threshold
-#: falls out of.
+#: Smallest ``sample`` batch that ``scatter="auto"`` sends to the workers
+#: (under the query scatter); smaller sample batches, and every count,
+#: total-weight and report batch, run in the owner process.  64 queries is
+#: where a 100-draw sample batch breaks even against the worker round trip;
+#: counts stay cheaper inline up to ~1k queries and reports at every size
+#: measured.  See "What ``auto`` does" in ``docs/ARCHITECTURE.md`` and the
+#: ``batch`` rows of ``BENCH_parallel.json``.
 AUTO_QUERY_THRESHOLD = 64
 
 
@@ -165,22 +176,22 @@ class _Published:
 class ProcessExecutor:
     """Scatter per-shard query ops over long-lived worker processes.
 
-    Workers are spawned lazily on the first :meth:`run_shard_op` call (one
-    per CPU core, capped at ``max_workers`` — and additionally at the shard
-    count when ``scatter="data"``, where extra workers could never be busy)
-    with the ``spawn`` start method — safe regardless of what threads the
-    parent runs (gateway dispatcher, WAL fsyncs).  Every worker attaches
-    every shard's shared-memory segment once per published version (POSIX
-    shm pages are shared, so N attachments cost one physical copy) and
-    serves every later batch from those mappings, so steady-state batches
-    ship only task descriptors.
+    Workers are spawned lazily on the first worker-bound batch (one per CPU
+    core, capped at ``max_workers`` — and additionally at the shard count
+    when ``scatter="data"``, where extra workers could never be busy) with
+    the ``spawn`` start method — safe regardless of what threads the parent
+    runs (gateway dispatcher, WAL fsyncs).  Every worker attaches every
+    shard's shared-memory segment once per published version (POSIX shm
+    pages are shared, so N attachments cost one physical copy) and serves
+    every later batch from those mappings, so steady-state batches ship
+    only task descriptors.
 
-    Two scatter strategies decide what a task descriptor covers:
+    Each batch has one of three placements, counted in :attr:`placements`:
 
-    * ``scatter="data"`` — one task per shard, shard ``i`` always on worker
-      ``i mod workers`` (the PR 7 behaviour).  Parallel over shards only:
-      cannot speed up counting, because every shard classifies every query.
-    * ``scatter="query"`` — the query batch is cut into contiguous blocks
+    * ``data`` — one task per shard, shard ``i`` always on worker
+      ``i mod workers``.  Parallel over shards only: cannot speed up
+      counting, because every shard classifies every query.
+    * ``query`` — the query batch is cut into contiguous blocks
       (``block_size`` queries; default one block per worker) and the
       resulting shard x block tiles are round-robined over the workers, each
       executing the op over a payload slice.  Results are reassembled in
@@ -188,9 +199,18 @@ class ProcessExecutor:
       counting/reporting tiles are independent by construction, and sampling
       tiles are cut on the canonical :data:`repro.service.shm.SEED_BLOCK`
       boundaries its per-(shard, block) seed schedule is defined on.
-    * ``scatter="auto"`` (default) — per batch: query when there is more
-      than one worker and the batch has at least
-      :data:`AUTO_QUERY_THRESHOLD` queries, data otherwise.
+    * ``inline`` — the batch runs in the owner process, the same
+      :func:`~repro.service.shm.run_shard_op` loop over
+      :meth:`ShardView.of_shard <repro.service.shm.ShardView.of_shard>` views
+      that :class:`SerialExecutor` runs.  No worker, no publish.
+
+    ``scatter="data"`` and ``scatter="query"`` send every batch to the
+    workers.  ``scatter="auto"`` (default) sends a batch to the workers,
+    under the query scatter, only when it is a ``sample`` batch of at least
+    :data:`AUTO_QUERY_THRESHOLD` queries, and runs every other batch inline:
+    below that size the worker round trip costs more than it saves.  So a
+    workload of small batches never spawns a worker or publishes a segment,
+    and a write followed by small reads republishes nothing.
 
     For the engine's *structural* work — shard construction, delta-log
     refreshes — :meth:`map` degrades to a serial in-process loop on purpose:
@@ -241,6 +261,7 @@ class ProcessExecutor:
         self._workers: list[_Worker] = []
         #: key -> the shard's parent-held base and overlay segments.
         self._published: dict[str, _Published] = {}
+        self._placements = {"inline": 0, "data": 0, "query": 0}
         self._closed = False
 
     # -- executor protocol ---------------------------------------------- #
@@ -298,15 +319,31 @@ class ProcessExecutor:
 
     @property
     def num_workers(self) -> int:
-        """Live worker-process count (0 before the first scatter)."""
+        """Live worker-process count (0 before the first worker-bound batch)."""
         return len(self._workers)
+
+    @property
+    def placements(self) -> dict[str, int]:
+        """Batches answered per placement: ``inline``, ``data`` and ``query``."""
+        return dict(self._placements)
 
     def worker_pids(self) -> list[int]:
         """PIDs of the worker processes (test / ops introspection)."""
         return [worker.process.pid for worker in self._workers]
 
     def kill_worker(self, index: int = 0) -> None:
-        """SIGKILL one worker (crash-recovery tests); the next scatter respawns it."""
+        """SIGKILL one worker (crash-recovery tests); the next scatter respawns it.
+
+        Raises :class:`RuntimeError` when no worker has been spawned yet —
+        under ``scatter="auto"`` that is every executor that has only seen
+        batches it answered inline.
+        """
+        if not self._workers:
+            raise RuntimeError(
+                "ProcessExecutor has no worker to kill: workers start at the first "
+                "worker-bound batch (pass scatter='data' or 'query' to send every "
+                "batch to the workers)"
+            )
         worker = self._workers[index]
         worker.process.kill()
         worker.process.join(timeout=10.0)
@@ -315,21 +352,30 @@ class ProcessExecutor:
     def run_shard_op(self, shards, op: str, payload: dict) -> list:
         """Run one named per-shard op over every shard, in shard order.
 
-        Publishes to *every* worker any shard whose version differs from the
-        last published one.  A shard is published as two segments: its base
+        Under ``scatter="auto"`` a batch that is not a ``sample`` batch of at
+        least :data:`AUTO_QUERY_THRESHOLD` queries runs inline, in the owner
+        process.  A worker-bound batch first publishes to *every* worker any
+        shard whose version differs from the last published one.  A shard is
+        published as two segments: its base
         (:func:`~repro.service.shm.publish_shard`), re-exported only when a
         compaction rebuilt it, and its small overlay
         (:func:`~repro.service.shm.publish_overlay`), re-exported on every
         version bump — so a write republishes the overlay, not the shard.
         Superseded segments are unlinked once their replacements are
         attached.  The batch is then dispatched under the configured
-        ``scatter`` strategy (``auto`` resolves per batch).
+        ``scatter`` strategy (``auto`` uses the query scatter).
         """
         if self._closed:
             raise RuntimeError("ProcessExecutor is shut down")
         shards = list(shards)
+        nq = len(payload["ql"])
+        mode = self._scatter
+        if mode == "auto":
+            if op != "sample" or nq < AUTO_QUERY_THRESHOLD:
+                self._placements["inline"] += 1
+                return [run_shard_op(op, ShardView.of_shard(shard), payload) for shard in shards]
+            mode = "query"
         self._ensure_workers(len(shards))
-        width = len(self._workers)
 
         keys = [f"shard-{id(shard):x}" for shard in shards]
         for shard, key in zip(shards, keys):
@@ -350,12 +396,10 @@ class ProcessExecutor:
                     entry.overlay.unlink()
             self._published[key] = _Published(shard.base_rebuilds, shard.version, base, overlay)
 
-        nq = len(payload["ql"])
-        mode = self._scatter
-        if mode == "auto":
-            mode = "query" if (width > 1 and nq >= AUTO_QUERY_THRESHOLD) else "data"
         if mode == "query" and nq > 0:
+            self._placements["query"] += 1
             return self._run_query_scatter(keys, op, payload, nq)
+        self._placements["data"] += 1
         return self._run_data_scatter(keys, op, payload)
 
     def _run_data_scatter(self, keys: list, op: str, payload: dict) -> list:

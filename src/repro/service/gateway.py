@@ -209,7 +209,10 @@ class RequestGateway:
         ``"engine"`` section describing the serving stack behind the
         gateway — most usefully which execution tier is live
         (``executor: "serial" | "threads" | "process"``, plus the process
-        executor's ``scatter`` strategy, ``None`` for in-process executors).
+        executor's ``scatter`` strategy and its ``placements`` counter —
+        read batches answered ``inline``, under the ``data`` scatter and
+        under the ``query`` scatter — both ``None`` for in-process
+        executors).
         """
         out = self._metrics.snapshot()
         out["queue"] = {
@@ -221,6 +224,7 @@ class RequestGateway:
             "executor": getattr(engine, "executor_kind", type(engine).__name__),
             "num_shards": getattr(engine, "num_shards", 1),
             "scatter": getattr(engine, "scatter", None),
+            "placements": getattr(engine, "placements", None),
         }
         return out
 

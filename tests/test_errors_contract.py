@@ -284,6 +284,17 @@ class TestServiceStateErrors:
             executor._workers.clear()
             executor.shutdown()
 
+    def test_kill_worker_without_a_worker(self):
+        """Under auto, small reads never spawn a worker; killing one is an error."""
+        from repro.service import ProcessExecutor
+
+        with ShardedEngine(_dataset(), num_shards=2, executor="process") as engine:
+            engine.count_many([(0.0, 5.0)])
+            with pytest.raises(RuntimeError, match=r"ProcessExecutor has no worker to kill"):
+                engine._executor.kill_worker(0)
+        with pytest.raises(RuntimeError, match=r"no worker to kill"):
+            ProcessExecutor(scatter="data").kill_worker(0)
+
 
 # --------------------------------------------------------------------------- #
 # executor resolution (resolve_executor)

@@ -14,6 +14,8 @@ round-trip and of the publish-on-version-bump protocol, not a tautology.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -28,9 +30,13 @@ def _make_engine(dataset, num_shards, executor):
     if executor == "process":
         # An explicit two-worker pool exercises multi-worker routing (the
         # round-robin shard->worker assignment) even on single-core CI boxes,
-        # where cpu_count would collapse the pool to one worker.
+        # where cpu_count would collapse the pool to one worker.  The data
+        # scatter sends every batch to the workers; under auto these small
+        # batches would run inline.
         return ShardedEngine(
-            dataset, num_shards=num_shards, executor=ProcessExecutor(max_workers=2)
+            dataset,
+            num_shards=num_shards,
+            executor=ProcessExecutor(max_workers=2, scatter="data"),
         )
     return ShardedEngine(dataset, num_shards=num_shards, executor=executor)
 
@@ -247,20 +253,132 @@ def test_query_scatter_survives_worker_death_mid_block_schedule(dataset, queries
         executor.shutdown()
 
 
-def test_auto_scatter_matches_serial_on_both_sides_of_threshold(dataset, make_queries):
-    """``scatter="auto"`` flips strategy on batch size; both regimes match serial."""
+def _psm_segments() -> set[str]:
+    """Names of the POSIX shared-memory segments Python created (Linux)."""
+    try:
+        return {name for name in os.listdir("/dev/shm") if name.startswith("psm_")}
+    except FileNotFoundError:  # no /dev/shm: nothing to compare
+        return set()
+
+
+def _read_op(engine, op, batch, seed):
+    if op == "count":
+        return engine.count_many(batch)
+    if op == "total_weight":
+        return engine.total_weight_many(batch)
+    if op == "report":
+        return engine.report_many(batch)
+    return engine.sample_many(batch, 16, random_state=np.random.default_rng(seed))
+
+
+def _assert_rows_identical(got, expected):
+    if isinstance(expected, np.ndarray):
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+        return
+    assert len(got) == len(expected)
+    for row, exp_row in zip(got, expected):
+        assert np.array_equal(row, exp_row)
+
+
+@pytest.mark.parametrize("weighted_data", (False, True), ids=("unweighted", "weighted"))
+@pytest.mark.parametrize("op", ("count", "total_weight", "report", "sample"))
+def test_auto_scatter_matches_serial_on_both_sides_of_threshold(
+    dataset, weighted, make_queries, op, weighted_data
+):
+    """``scatter="auto"`` places a batch by op and size; both sides match serial.
+
+    Below :data:`AUTO_QUERY_THRESHOLD` every op runs inline: no worker is
+    spawned and no segment is published.  At and above it only ``sample``
+    goes to the workers (under the query scatter); its count pre-pass and
+    every other op still run inline.
+    """
     from repro.service.executor import AUTO_QUERY_THRESHOLD
 
-    small = make_queries(dataset, count=AUTO_QUERY_THRESHOLD - 1, extent=0.05, seed=21)
-    large = make_queries(dataset, count=AUTO_QUERY_THRESHOLD + 9, extent=0.05, seed=22)
+    data = weighted if weighted_data else dataset
+    small = make_queries(data, count=AUTO_QUERY_THRESHOLD - 1, extent=0.05, seed=21)
+    large = make_queries(data, count=AUTO_QUERY_THRESHOLD, extent=0.05, seed=22)
+    serial = _make_engine(data, 2, "serial")
+    executor = ProcessExecutor(max_workers=2, scatter="auto")
+    engine = ShardedEngine(data, num_shards=2, executor=executor)
+    segments = _psm_segments()
+    try:
+        assert engine.scatter == "auto"
+        _assert_rows_identical(
+            _read_op(engine, op, small, seed=61), _read_op(serial, op, small, seed=61)
+        )
+        scatters = 2 if op == "sample" else 1  # sample scatters a count pass first
+        assert executor.placements == {"inline": scatters, "data": 0, "query": 0}
+        assert executor.num_workers == 0
+        assert _psm_segments() == segments
+
+        _assert_rows_identical(
+            _read_op(engine, op, large, seed=62), _read_op(serial, op, large, seed=62)
+        )
+        if op == "sample":
+            assert executor.placements == {"inline": 3, "data": 0, "query": 1}
+            assert executor.num_workers == 2
+            assert len(_psm_segments() - segments) >= 2  # one base per shard
+        else:
+            assert executor.placements == {"inline": 2, "data": 0, "query": 0}
+            assert executor.num_workers == 0
+            assert _psm_segments() == segments
+        assert engine.placements == executor.placements
+    finally:
+        _close(serial)
+        _close(engine)
+    assert _psm_segments() <= segments
+
+
+def test_auto_scatter_small_reads_after_writes_publish_nothing(
+    dataset, queries, make_queries, monkeypatch
+):
+    """Writes followed by small reads republish nothing; the next big sample
+    batch republishes the overlay (not the base) and serves no stale segment."""
+    from repro.service import executor as executor_module
+    from repro.service.executor import AUTO_QUERY_THRESHOLD
+
+    published = []
+    for name in ("publish_shard", "publish_overlay"):
+        original = getattr(executor_module, name)
+        monkeypatch.setattr(
+            executor_module,
+            name,
+            lambda shard, _name=name, _fn=original: published.append(_name) or _fn(shard),
+        )
+
+    large = make_queries(dataset, count=AUTO_QUERY_THRESHOLD + 9, extent=0.05, seed=23)
     serial = _make_engine(dataset, 2, "serial")
     executor = ProcessExecutor(max_workers=2, scatter="auto")
     engine = ShardedEngine(dataset, num_shards=2, executor=executor)
     try:
-        assert engine.scatter == "auto"
-        for batch in (small, large):
-            expected = _read_all(serial, batch, seed=61)
-            _assert_identical(_read_all(engine, batch, seed=61), expected)
+        _assert_rows_identical(
+            _read_op(engine, "sample", large, seed=71), _read_op(serial, "sample", large, seed=71)
+        )
+        assert published.count("publish_shard") == 2
+        del published[:]
+
+        for round_seed in (808, 909):
+            trial = np.random.default_rng(round_seed)
+            lo, hi = dataset.domain()
+            lefts = trial.uniform(lo, hi, 12)
+            rights = lefts + trial.exponential((hi - lo) / 40.0, 12)
+            victims = trial.integers(0, len(dataset), 5)
+            for eng in (serial, engine):
+                eng.insert_many(lefts, rights)
+                eng.delete_many(victims)
+            # Every small read runs inline on the refreshed shards.
+            _assert_identical(
+                _read_all(engine, queries, seed=round_seed),
+                _read_all(serial, queries, seed=round_seed),
+            )
+        assert published == []
+
+        _assert_rows_identical(
+            _read_op(engine, "sample", large, seed=72), _read_op(serial, "sample", large, seed=72)
+        )
+        assert sorted(published) == ["publish_overlay", "publish_overlay"]
+        assert executor.placements["query"] == 2
     finally:
         _close(serial)
         _close(engine)
@@ -268,7 +386,7 @@ def test_auto_scatter_matches_serial_on_both_sides_of_threshold(dataset, make_qu
 
 def test_process_executor_survives_worker_death(dataset, queries):
     """A killed worker respawns, replays its segment manifests and re-answers."""
-    executor = ProcessExecutor(max_workers=2)
+    executor = ProcessExecutor(max_workers=2, scatter="data")
     engine = ShardedEngine(dataset, num_shards=4, executor=executor)
     try:
         expected = engine.count_many(queries)

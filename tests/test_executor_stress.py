@@ -71,7 +71,7 @@ class TestConcurrentGateway:
     def test_insert_only_counts_are_monotone_and_exact(self, dataset):
         base = len(dataset)
         total = self.N_WRITERS * self.WRITES_EACH
-        executor = ProcessExecutor(max_workers=2)
+        executor = ProcessExecutor(max_workers=2, scatter="data")
         engine = ShardedEngine(dataset, num_shards=4, executor=executor)
         acked_ids: list[list[int]] = [[] for _ in range(self.N_WRITERS)]
         seen_counts: list[list[int]] = [[] for _ in range(self.N_READERS)]
@@ -109,12 +109,14 @@ class TestConcurrentGateway:
         # after joins every acknowledged write is visible
         assert final == base + total
         assert stats["engine"]["executor"] == "process"
+        assert stats["engine"]["placements"]["inline"] == 0
+        assert stats["engine"]["placements"]["data"] > 0
         assert stats["errors"] == {}
 
     def test_mixed_writes_settle_to_exact_count(self, dataset):
         """Writers insert then delete their own acked ids; the ledger balances."""
         base = len(dataset)
-        executor = ProcessExecutor(max_workers=2)
+        executor = ProcessExecutor(max_workers=2, scatter="data")
         engine = ShardedEngine(dataset, num_shards=4, executor=executor)
         kept: list[int] = []
         lock = threading.Lock()
@@ -205,6 +207,7 @@ class TestQueryScatterGateway:
         assert set(kept) <= set(int(g) for g in surviving)
         assert stats["engine"]["executor"] == "process"
         assert stats["engine"]["scatter"] == "query"
+        assert stats["engine"]["placements"]["query"] > 0
         assert stats["errors"] == {}
 
 
@@ -219,7 +222,7 @@ class TestCheckpointKillRecover:
         batch_a = [(float(l), float(l) + 3.0) for l in rng.uniform(0.0, 900.0, 20)]
         batch_b = [(float(l), float(l) + 3.0) for l in rng.uniform(0.0, 900.0, 20)]
 
-        executor = ProcessExecutor(max_workers=2)
+        executor = ProcessExecutor(max_workers=2, scatter="data")
         engine = ShardedEngine.open(directory, executor=executor)
         acked: list[int] = []
         try:
@@ -272,7 +275,7 @@ class TestDrainUnderFire:
         with ShardedEngine(dataset, num_shards=4) as seed_engine:
             seed_engine.save_snapshot(directory)
 
-        executor = ProcessExecutor(max_workers=2)
+        executor = ProcessExecutor(max_workers=2, scatter="data")
         engine = ShardedEngine.open(directory, executor=executor)
         gateway = RequestGateway(engine)
         acked: list[list[int]] = [[] for _ in range(self.N_WRITERS)]

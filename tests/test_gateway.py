@@ -308,6 +308,7 @@ class TestValidationAndLifecycle:
         assert stats["queue"] == {"depth": 0, "max_queue_depth": 8192}
         assert stats["engine"]["executor"] == "serial"
         assert stats["engine"]["num_shards"] >= 1
+        assert stats["engine"]["placements"] is None
         assert stats["completions"] == {"count": 1, "sample": 1}
         for op in ("count", "sample"):
             summary = stats["latency_ms"][op]
