@@ -54,8 +54,11 @@ __all__ = [
 PARALLEL_SHARD_SWEEP: tuple[int, ...] = (1, 2, 4)
 
 #: Batch sizes (queries per ``count_many`` / ``sample_many`` call) swept at
-#: every shard count; the workload is cycled when it has fewer queries.
-PARALLEL_BATCH_SWEEP: tuple[int, ...] = (1, 16, 64, 256, 1024)
+#: every shard count; the workload is cycled when it has fewer queries.  The
+#: sweep spans both sides of the ``auto`` rule: ``sample`` crosses its
+#: threshold at 64, and 4096 is past where a ``count`` batch might pay for
+#: the round trip on more cores.
+PARALLEL_BATCH_SWEEP: tuple[int, ...] = (1, 16, 64, 256, 1024, 4096)
 
 #: Process-executor scatter strategies swept beside the serial loop.
 PARALLEL_SCATTERS: tuple[str, ...] = ("data", "query", "auto")
