@@ -5,7 +5,7 @@ Usage::
 
     PYTHONPATH=src python scripts/bench_build.py [--out BENCH_build.json]
 
-Three measurements:
+Two measurements:
 
 * **full_build** — producing a queryable ``FlatAIT`` over n intervals via the
   two full-build routes: *tree* (``AIT(build_backend="tree")`` + the
@@ -17,16 +17,12 @@ Three measurements:
   the tree route pays Python-level work per node, so datasets building many
   nodes (taxi) gain the most;
 * **weighted_build** — the same comparison for the weighted AWIT layout
-  (weight-prefix pools included), at ``--weighted-sizes``;
-* **engine_build** — ``ShardedEngine`` construction over K shards with
-  ``build_backend`` "tree" vs "columnar": the service-layer view of the same
-  win (treeless shard snapshots).
+  (weight-prefix pools included), at ``--weighted-sizes``.
 
 The emitted payload is shape-validated before it is written, so a CI smoke
 invocation at tiny sizes doubles as a schema regression test:
 
-    {"config": {...}, "results": {"full_build": [...], "weighted_build": [...],
-      "engine_build": [...]}}
+    {"config": {...}, "results": {"full_build": [...], "weighted_build": [...]}}
 """
 
 from __future__ import annotations
@@ -43,7 +39,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro import AIT, AWIT, ShardedEngine, __version__  # noqa: E402
+from repro import AIT, AWIT, __version__  # noqa: E402
 from repro.core.flat import FlatAIT  # noqa: E402
 from repro.datasets import generate_paper_dataset  # noqa: E402
 
@@ -132,40 +128,11 @@ def bench_weighted_build(n: int, repeats: int) -> dict:
     }
 
 
-def bench_engine_build(n: int, shards: int, repeats: int) -> dict:
-    """ShardedEngine construction with tree vs columnar shard backends."""
-    dataset = generate_paper_dataset("btc", n=n, random_state=1)
-
-    def build(backend: str) -> ShardedEngine:
-        engine = ShardedEngine(dataset, num_shards=shards, build_backend=backend)
-        engine.close()
-        return engine
-
-    columnar_seconds, _ = _best(lambda: build("columnar"), repeats)
-    tree_seconds, _ = _best(lambda: build("tree"), repeats)
-    # Equivalence of served results across backends is covered by the test
-    # suite (tests/test_build_columnar.py); here we only time construction.
-    speedup = tree_seconds / columnar_seconds if columnar_seconds > 0 else float("inf")
-    print(
-        f"   btc n={n:>8} engine K={shards}   tree {tree_seconds:8.2f} s   "
-        f"columnar {columnar_seconds:8.2f} s   {speedup:6.1f}x"
-    )
-    return {
-        "n": n,
-        "shards": shards,
-        "tree_seconds": round(tree_seconds, 4),
-        "columnar_seconds": round(columnar_seconds, 4),
-        "speedup": round(speedup, 2),
-    }
-
-
 def validate_payload(payload: dict) -> None:
     """Assert the emitted JSON has the committed schema; raise on drift."""
     assert set(payload) == {"config", "results"}, "payload must have config + results"
     results = payload["results"]
-    assert set(results) == {"full_build", "weighted_build", "engine_build"}, (
-        "unexpected result sections"
-    )
+    assert set(results) == {"full_build", "weighted_build"}, "unexpected result sections"
     for row in results["full_build"]:
         assert {
             "dataset",
@@ -177,9 +144,7 @@ def validate_payload(payload: dict) -> None:
         } <= set(row)
     for row in results["weighted_build"]:
         assert {"n", "tree_seconds", "columnar_seconds", "speedup"} <= set(row)
-    for row in results["engine_build"]:
-        assert {"n", "shards", "tree_seconds", "columnar_seconds", "speedup"} <= set(row)
-    assert results["full_build"] and results["weighted_build"] and results["engine_build"], (
+    assert results["full_build"] and results["weighted_build"], (
         "every section must carry at least one row"
     )
 
@@ -202,15 +167,6 @@ def main(argv: list[str] | None = None) -> int:
         default=[200_000],
         help="weighted_build dataset sizes",
     )
-    parser.add_argument(
-        "--shards", type=int, nargs="+", default=[4], help="engine_build shard counts"
-    )
-    parser.add_argument(
-        "--engine-size",
-        type=int,
-        default=None,
-        help="engine_build dataset size (default: smallest of --sizes)",
-    )
     parser.add_argument("--repeats", type=int, default=2, help="best-of-N per cell")
     args = parser.parse_args(argv)
 
@@ -219,16 +175,12 @@ def main(argv: list[str] | None = None) -> int:
         for dataset_name in DATASETS:
             full_rows.append(bench_full_build(dataset_name, n, args.repeats))
     weighted_rows = [bench_weighted_build(n, args.repeats) for n in args.weighted_sizes]
-    engine_n = args.engine_size if args.engine_size is not None else min(args.sizes)
-    engine_rows = [bench_engine_build(engine_n, k, args.repeats) for k in args.shards]
 
     payload = {
         "config": {
             "datasets": list(DATASETS),
             "sizes": args.sizes,
             "weighted_sizes": args.weighted_sizes,
-            "engine_size": engine_n,
-            "shard_counts": args.shards,
             "repeats": args.repeats,
             "repro_version": __version__,
             "python": platform.python_version(),
@@ -237,7 +189,6 @@ def main(argv: list[str] | None = None) -> int:
         "results": {
             "full_build": full_rows,
             "weighted_build": weighted_rows,
-            "engine_build": engine_rows,
         },
     }
     validate_payload(payload)

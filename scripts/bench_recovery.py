@@ -15,7 +15,7 @@ Three measurements:
   restart pays sequential I/O instead of comparison sorts;
 * **wal_replay** — journal ``--ops`` bulk writes after the snapshot, drop
   the engine, and time a reopen that replays the WAL chain through the
-  incremental refresh; ``recovered_ok`` is an exact ``count_many``/size
+  overlay refresh; ``recovered_ok`` is an exact ``count_many``/size
   equality check against the pre-shutdown engine;
 * **kill_recover** — the SIGKILL harness (``repro.persist.harness``): a
   child ingests acknowledged batches under ``fsync="always"``, dies mid

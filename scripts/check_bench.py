@@ -112,7 +112,6 @@ SCHEMAS: dict[str, dict] = {
                 "arrays_equal",
             },
             "weighted_build": {"n", "tree_seconds", "columnar_seconds", "speedup"},
-            "engine_build": {"n", "shards", "tree_seconds", "columnar_seconds", "speedup"},
         },
     },
     "BENCH_gateway.json": {

@@ -66,8 +66,7 @@ class AIT(SamplingIndex):
         structure an eager build would have.  ``"tree"`` keeps the legacy
         eager build: nodes are materialised in the constructor and snapshots
         always serialise them via :meth:`FlatAIT.from_tree` (the equivalence
-        oracle for the columnar path).  Either way, incremental snapshot
-        refreshes after updates run through the dirty-node journal.
+        oracle for the columnar path).
 
     Examples
     --------
@@ -87,7 +86,6 @@ class AIT(SamplingIndex):
         dataset: IntervalDataset,
         weighted: bool = False,
         batch_pool_size: Optional[int] = None,
-        snapshot_dirty_threshold: float = 0.5,
         build_backend: str = "columnar",
     ) -> None:
         super().__init__(dataset)
@@ -121,17 +119,6 @@ class AIT(SamplingIndex):
         self._structure_version = 0
         self._flat: Optional["FlatAIT"] = None
         self._flat_version = -1
-        # Dirty-node journal: nodes whose lists changed since the last flat
-        # snapshot, keyed by id(node) (the dict holds strong references, so
-        # object ids cannot be recycled while journalled).  `_journal_full`
-        # means the whole node set was replaced (rebuild); created and pruned
-        # nodes need no extra flag — the incremental refresh diffs the
-        # current preorder against the previous snapshot's node index.
-        self._journal: dict[int, AITNode] = {}
-        self._journal_full = True
-        self._snapshot_dirty_threshold = float(snapshot_dirty_threshold)
-        self._snapshot_full_builds = 0
-        self._snapshot_incremental_refreshes = 0
         self._rebuild()
 
     # ------------------------------------------------------------------ #
@@ -166,36 +153,18 @@ class AIT(SamplingIndex):
             setattr(self, name, grown)
 
     # ------------------------------------------------------------------ #
-    # dirty-node journal (consumed by the incremental snapshot refresh)
-    # ------------------------------------------------------------------ #
-    def _mark_dirty(self, node: AITNode) -> None:
-        """Record that ``node``'s lists changed since the last flat snapshot."""
-        self._journal[id(node)] = node
-
-    def _register_new_node(self, node: AITNode) -> None:
-        """Record a freshly created node (it must be gathered, not spliced)."""
-        self._journal[id(node)] = node
-
-    def _reset_journal(self) -> None:
-        self._journal.clear()
-        self._journal_full = False
-
-    # ------------------------------------------------------------------ #
     # construction
     # ------------------------------------------------------------------ #
     def _rebuild(self) -> None:
         """(Re)build the tree from the currently active intervals.
 
         With the ``"columnar"`` backend the node tree is *not* materialised
-        here: the rebuild is recorded logically (version counters, journal
-        reset) and :meth:`_ensure_tree` constructs the identical node graph
-        on first use, while snapshots build straight from the endpoint
-        columns via :meth:`FlatAIT.from_arrays`.
+        here: the rebuild is recorded logically (version counters) and
+        :meth:`_ensure_tree` constructs the identical node graph on first
+        use, while snapshots build straight from the endpoint columns via
+        :meth:`FlatAIT.from_arrays`.
         """
-        self._journal.clear()
-        self._journal_full = True
-        # The cached snapshot can never seed an incremental refresh after a
-        # rebuild; drop it now so it does not pin the old node graph.
+        # Drop the cached snapshot now so it does not outlive its structure.
         self._flat = None
         self._flat_version = -1
         self._structure_version += 1
@@ -240,34 +209,12 @@ class AIT(SamplingIndex):
         """Materialise a deferred node tree (columnar backend), exactly once.
 
         The materialised graph is identical to what an eager build would
-        have produced — same active set, same build algorithm — so if the
-        cached snapshot was built treelessly for this same structure
-        version, its preorder node list is attached now: that is what lets
-        later *incremental* refreshes splice against a
-        :meth:`FlatAIT.from_arrays` snapshot.
+        have produced — same active set, same build algorithm.
         """
         if not self._tree_deferred:
             return
         self._tree_deferred = False
         self._materialise_tree()
-        flat = self._flat
-        if (
-            flat is not None
-            and self._flat_version == self._structure_version
-            and flat._nodes is None
-        ):
-            self._attach_nodes(flat)
-
-    def _attach_nodes(self, flat: FlatAIT) -> None:
-        """Attach this tree's preorder node walk to a treeless snapshot.
-
-        Only valid when the snapshot's arrays correspond exactly to the
-        current node graph (callers guard this); afterwards the incremental
-        refresh can splice clean segments against it by node identity.
-        """
-        nodes = FlatAIT._walk_preorder(self)
-        flat._nodes = nodes
-        flat._node_index = {id(node): i for i, node in enumerate(nodes)}
 
     def _build_node(
         self, ids_by_left: np.ndarray, ids_by_right: np.ndarray, depth: int
@@ -377,8 +324,7 @@ class AIT(SamplingIndex):
         intervals all advance the version.  Operations confined to the
         batch-insertion pool do not: a pooled insertion, or a deletion that
         removes a still-pooled interval, changes the active set without
-        touching the tree.  Snapshot consumers — :meth:`flat` and the
-        per-shard snapshots of :class:`repro.service.ShardedEngine` — compare
+        touching the tree.  Snapshot consumers such as :meth:`flat` compare
         this counter against the version they serialised to decide whether a
         cached snapshot is still valid; they exclude the pool (the query
         wrappers merge it separately), so pool-only changes need no
@@ -425,16 +371,6 @@ class AIT(SamplingIndex):
         True
         """
         return self._pool_epoch
-
-    @property
-    def snapshot_full_builds(self) -> int:
-        """How many times :meth:`flat` rebuilt the snapshot from scratch."""
-        return self._snapshot_full_builds
-
-    @property
-    def snapshot_incremental_refreshes(self) -> int:
-        """How many times :meth:`flat` patched the snapshot incrementally."""
-        return self._snapshot_incremental_refreshes
 
     @property
     def column_capacity(self) -> int:
@@ -502,9 +438,8 @@ class AIT(SamplingIndex):
             Materialise a deferred (columnar-backend) node tree before
             measuring, so the reported figure covers the complete structure
             an eager build would hold (default).  Pass ``False`` to measure
-            only what currently exists — the service layer uses this so a
-            treeless shard snapshot is not forced to build its node graph
-            just to be sized.
+            only what currently exists, without forcing a deferred node
+            graph into being just to size it.
 
         Flat snapshots are measured separately via
         :meth:`FlatAIT.nbytes`, which symmetrically exposes an
@@ -642,68 +577,33 @@ class AIT(SamplingIndex):
         batch query wrappers scan the pool separately, like the scalar path
         does.
 
-        Refreshes are *incremental* when possible: the dirty-node journal
-        names the nodes touched since the last snapshot, and
-        :meth:`FlatAIT.from_tree` splices only their pool segments into the
-        previous snapshot's arrays.  A full rebuild remains the fallback
-        when the tree was rebuilt from scratch or the dirty fraction exceeds
-        the ``snapshot_dirty_threshold`` passed at construction;
-        :attr:`snapshot_full_builds` and
-        :attr:`snapshot_incremental_refreshes` count which path ran.
-
-        Full builds route through the *treeless columnar builder*
-        (:meth:`FlatAIT.from_arrays`) whenever the configured
-        ``build_backend`` is ``"columnar"`` and the tree is *pristine* — no
-        structural mutation since the last logical rebuild — in which case
-        the node tree (possibly still deferred) is guaranteed to equal a
-        fresh build over the current columns and the two builders produce
-        bit-identical arrays.  Once scalar updates have reshaped the tree,
-        full builds fall back to :meth:`FlatAIT.from_tree`, which serialises
-        the actual node graph.
+        Every refresh is a full rebuild.  It routes through the *treeless
+        columnar builder* (:meth:`FlatAIT.from_arrays`) whenever the
+        configured ``build_backend`` is ``"columnar"`` and the tree is
+        *pristine* — no structural mutation since the last logical rebuild —
+        in which case the node tree (possibly still deferred) is guaranteed
+        to equal a fresh build over the current columns and the two builders
+        produce bit-identical arrays.  Once scalar updates have reshaped the
+        tree, it serialises the actual node graph with
+        :meth:`FlatAIT.from_tree`.
         """
         if self._flat is None or self._flat_version != self._structure_version:
-            previous = None if (self._flat is None or self._journal_full) else self._flat
-            if previous is None and (
+            if (
                 self._build_backend == "columnar"
                 and self._structure_version == self._built_version
             ):
-                self._flat = self._columnar_snapshot()
+                active = self._indexed_ids()
+                self._flat = FlatAIT.from_arrays(
+                    self._lefts[active],
+                    self._rights[active],
+                    ids=active,
+                    weights=self._weights[active] if self._weighted else None,
+                )
             else:
                 self._ensure_tree()
-                self._flat = FlatAIT.from_tree(
-                    self,
-                    previous=previous,
-                    dirty=self._journal if previous is not None else None,
-                    max_dirty_fraction=self._snapshot_dirty_threshold,
-                )
-            if self._flat.built_incrementally:
-                self._snapshot_incremental_refreshes += 1
-            else:
-                self._snapshot_full_builds += 1
+                self._flat = FlatAIT.from_tree(self)
             self._flat_version = self._structure_version
-            self._reset_journal()
         return self._flat
-
-    def _columnar_snapshot(self) -> FlatAIT:
-        """Full snapshot straight from the endpoint columns (no node walk).
-
-        Only valid while the tree is pristine (structure equals a fresh
-        build over the current columns) — :meth:`flat` guards this.  When
-        the node tree happens to be materialised already, its preorder walk
-        is attached to the snapshot so later incremental refreshes can
-        splice against it; a deferred tree attaches lazily in
-        :meth:`_ensure_tree` instead.
-        """
-        active = self._indexed_ids()
-        engine = FlatAIT.from_arrays(
-            self._lefts[active],
-            self._rights[active],
-            ids=active,
-            weights=self._weights[active] if self._weighted else None,
-        )
-        if not self._tree_deferred and self._root is not None:
-            self._attach_nodes(engine)
-        return engine
 
     def _pool_match_mask(self, ql: np.ndarray, qr: np.ndarray) -> Optional[np.ndarray]:
         """Boolean (queries x pooled ids) overlap matrix, or None when no pool."""

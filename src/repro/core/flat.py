@@ -55,7 +55,7 @@ from .query import QueryLike, coerce_query, coerce_query_batch, validate_sample_
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .ait import AIT
 
-__all__ = ["FlatAIT"]
+__all__ = ["FlatAIT", "validate_columns"]
 
 _ID = np.int64
 _F8 = np.float64
@@ -140,6 +140,49 @@ def segmented_cumsum(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         idx = starts[rows][:, None] + np.arange(int(length), dtype=_ID)[None, :]
         out[idx] = np.cumsum(values[idx], axis=1)
     return out
+
+
+def validate_columns(lefts, rights, weights=None):
+    """Interval columns as contiguous float64 arrays, or a typed error.
+
+    Rejects columns of unequal length, non-finite endpoints, a left endpoint
+    above its right one, and (when ``weights`` is given) weights that are
+    not finite and non-negative.  Returns ``(lefts, rights, weights)``;
+    ``weights`` stays ``None`` when not given.
+    """
+    lefts = np.ascontiguousarray(lefts, dtype=_F8).reshape(-1)
+    rights = np.ascontiguousarray(rights, dtype=_F8).reshape(-1)
+    n = int(lefts.shape[0])
+    if int(rights.shape[0]) != n:
+        raise InvalidIntervalError(
+            f"expected equally long columns, got {n} lefts and {rights.shape[0]} rights"
+        )
+    finite = np.isfinite(lefts) & np.isfinite(rights)
+    if not finite.all():
+        bad = int(np.flatnonzero(~finite)[0])
+        raise InvalidIntervalError(
+            f"interval endpoints must be finite, got [{lefts[bad]}, {rights[bad]}] "
+            f"at position {bad}"
+        )
+    inverted = lefts > rights
+    if inverted.any():
+        bad = int(np.flatnonzero(inverted)[0])
+        raise InvalidIntervalError(
+            f"interval left endpoint must not exceed right endpoint, got "
+            f"[{lefts[bad]}, {rights[bad]}] at position {bad}"
+        )
+    if weights is not None:
+        weights = np.ascontiguousarray(weights, dtype=_F8).reshape(-1)
+        if int(weights.shape[0]) != n:
+            raise InvalidWeightError(f"got {weights.shape[0]} weights for {n} intervals")
+        valid = np.isfinite(weights) & (weights >= 0)
+        if not valid.all():
+            bad = int(np.flatnonzero(~valid)[0])
+            raise InvalidWeightError(
+                f"interval weight must be finite and non-negative, got "
+                f"{weights[bad]!r} at position {bad}"
+            )
+    return lefts, rights, weights
 
 
 class FlatAIT:
@@ -228,15 +271,6 @@ class FlatAIT:
         self._kind_base = np.array(
             [0, stab_total, 2 * stab_total, 2 * stab_total + sub_total], dtype=_ID
         )
-        # Set by from_tree: the serialised node objects in preorder and their
-        # id() -> index map.  Holding strong references keeps the node object
-        # ids stable, which is what lets a later incremental refresh match
-        # this snapshot's segments against the owning tree's dirty journal.
-        self._nodes: Optional[list] = None
-        self._node_index: Optional[dict[int, int]] = None
-        #: True when this snapshot was produced by the delta-aware splice
-        #: path of :meth:`from_tree` rather than a full re-flatten.
-        self.built_incrementally = False
         self._build_rank_keys()
 
     def _build_rank_keys(self) -> None:
@@ -363,35 +397,70 @@ class FlatAIT:
     # construction
     # ------------------------------------------------------------------ #
     @classmethod
-    def from_tree(
-        cls,
-        tree: "AIT",
-        previous: Optional["FlatAIT"] = None,
-        dirty: Optional[dict] = None,
-        max_dirty_fraction: float = 0.5,
-    ) -> "FlatAIT":
-        """Serialise the current structure of ``tree`` into flat arrays.
+    def from_tree(cls, tree: "AIT") -> "FlatAIT":
+        """Serialise the current structure of ``tree``: walk every node, gather every list."""
+        weighted = tree.is_weighted
+        nodes = cls._walk_preorder(tree)
+        m = len(nodes)
+        index_of = {id(node): i for i, node in enumerate(nodes)}
 
-        With ``previous`` (the last snapshot of the same tree) and ``dirty``
-        (the tree's dirty-node journal: ``id(node) -> node`` for every node
-        whose lists changed since that snapshot), the serialisation is
-        *delta-aware*: pool segments of clean nodes are spliced out of the
-        previous snapshot's arrays in contiguous runs, and only dirty or
-        newly created nodes are re-gathered from their node objects.  The
-        result is bit-identical to a full re-flatten.
+        centers = np.empty(m, dtype=_F8)
+        left_child = np.full(m, -1, dtype=_ID)
+        right_child = np.full(m, -1, dtype=_ID)
+        stab_len = np.empty(m, dtype=_ID)
+        sub_len = np.empty(m, dtype=_ID)
+        for i, node in enumerate(nodes):
+            centers[i] = node.center
+            if node.left is not None:
+                left_child[i] = index_of[id(node.left)]
+            if node.right is not None:
+                right_child[i] = index_of[id(node.right)]
+            stab_len[i] = node.stab_ids_by_left.shape[0]
+            sub_len[i] = node.subtree_ids_by_left.shape[0]
+        stab_off = np.concatenate(([0], np.cumsum(stab_len)[:-1])) if m else np.empty(0, dtype=_ID)
+        sub_off = np.concatenate(([0], np.cumsum(sub_len)[:-1])) if m else np.empty(0, dtype=_ID)
 
-        A full rebuild remains the fallback when no usable previous snapshot
-        exists or the dirty node fraction exceeds ``max_dirty_fraction``
-        (re-gathering nearly everything through the splice path would only
-        add bookkeeping).  Check :attr:`built_incrementally` on the result —
-        or the owning tree's ``snapshot_full_builds`` /
-        ``snapshot_incremental_refreshes`` counters — to see which path ran.
-        """
-        if previous is not None and dirty is not None:
-            engine = cls._incremental_from_tree(tree, previous, dirty, max_dirty_fraction)
-            if engine is not None:
-                return engine
-        return cls._full_from_tree(tree)
+        def _cat(arrays, dtype):
+            if not arrays:
+                return np.empty(0, dtype=dtype)
+            return np.concatenate(arrays).astype(dtype, copy=False)
+
+        stab_lefts = _cat([n.stab_lefts for n in nodes], _F8)
+        stab_rights = _cat([n.stab_rights for n in nodes], _F8)
+        sub_lefts = _cat([n.subtree_lefts for n in nodes], _F8)
+        sub_rights = _cat([n.subtree_rights for n in nodes], _F8)
+        all_ids = _cat(
+            [n.stab_ids_by_left for n in nodes]
+            + [n.stab_ids_by_right for n in nodes]
+            + [n.subtree_ids_by_right for n in nodes]
+            + [n.subtree_ids_by_left for n in nodes],
+            _ID,
+        )
+        all_weight_prefix = None
+        if weighted:
+            all_weight_prefix = _cat(
+                [n.stab_weight_by_left for n in nodes]
+                + [n.stab_weight_by_right for n in nodes]
+                + [n.subtree_weight_by_right for n in nodes]
+                + [n.subtree_weight_by_left for n in nodes],
+                _F8,
+            )
+        return cls(
+            centers,
+            left_child,
+            right_child,
+            stab_off.astype(_ID, copy=False),
+            stab_len,
+            sub_off.astype(_ID, copy=False),
+            sub_len,
+            stab_lefts,
+            stab_rights,
+            sub_lefts,
+            sub_rights,
+            all_ids,
+            all_weight_prefix,
+            weighted,
+        )
 
     @classmethod
     def from_arrays(
@@ -445,14 +514,8 @@ class FlatAIT:
         >>> engine.count_many([(4, 12), (18, 25)]).tolist()
         [2, 1]
         """
-        lefts = np.ascontiguousarray(lefts, dtype=_F8).reshape(-1)
-        rights = np.ascontiguousarray(rights, dtype=_F8).reshape(-1)
+        lefts, rights, weights = validate_columns(lefts, rights, weights)
         n = int(lefts.shape[0])
-        if int(rights.shape[0]) != n:
-            raise InvalidIntervalError(
-                f"from_arrays expects equally long columns, got {n} lefts and "
-                f"{rights.shape[0]} rights"
-            )
         if ids is None:
             ids = np.arange(n, dtype=_ID)
         else:
@@ -468,34 +531,7 @@ class FlatAIT:
                 raise InvalidIntervalError("from_arrays ids must be non-negative")
             if n and int(np.unique(ids).shape[0]) != n:
                 raise InvalidIntervalError("from_arrays ids must be unique")
-        finite = np.isfinite(lefts) & np.isfinite(rights)
-        if not finite.all():
-            bad = int(np.flatnonzero(~finite)[0])
-            raise InvalidIntervalError(
-                f"interval endpoints must be finite, got [{lefts[bad]}, {rights[bad]}] "
-                f"at position {bad}"
-            )
-        inverted = lefts > rights
-        if inverted.any():
-            bad = int(np.flatnonzero(inverted)[0])
-            raise InvalidIntervalError(
-                f"interval left endpoint must not exceed right endpoint, got "
-                f"[{lefts[bad]}, {rights[bad]}] at position {bad}"
-            )
         weighted = weights is not None
-        if weighted:
-            weights = np.ascontiguousarray(weights, dtype=_F8).reshape(-1)
-            if int(weights.shape[0]) != n:
-                raise InvalidWeightError(
-                    f"from_arrays got {weights.shape[0]} weights for {n} intervals"
-                )
-            valid = np.isfinite(weights) & (weights >= 0)
-            if not valid.all():
-                bad = int(np.flatnonzero(~valid)[0])
-                raise InvalidWeightError(
-                    f"interval weight must be finite and non-negative, got "
-                    f"{weights[bad]!r} at position {bad}"
-                )
 
         if n == 0:
             return cls(
@@ -819,9 +855,6 @@ class FlatAIT:
         flat._kind_base = np.array(
             [0, stab_total, 2 * stab_total, 2 * stab_total + sub_total], dtype=_ID
         )
-        flat._nodes = None
-        flat._node_index = None
-        flat.built_incrementally = False
         have_keys = all(
             arrays.get(name) is not None for name, _ in cls.RANK_KEY_FIELDS
         )
@@ -850,219 +883,6 @@ class FlatAIT:
                 if node.left is not None:
                     stack.append(node.left)
         return nodes
-
-    @classmethod
-    def _full_from_tree(cls, tree: "AIT") -> "FlatAIT":
-        """Classic full serialisation: walk every node, gather every list."""
-        weighted = tree.is_weighted
-        nodes = cls._walk_preorder(tree)
-        m = len(nodes)
-        index_of = {id(node): i for i, node in enumerate(nodes)}
-
-        centers = np.empty(m, dtype=_F8)
-        left_child = np.full(m, -1, dtype=_ID)
-        right_child = np.full(m, -1, dtype=_ID)
-        stab_len = np.empty(m, dtype=_ID)
-        sub_len = np.empty(m, dtype=_ID)
-        for i, node in enumerate(nodes):
-            centers[i] = node.center
-            if node.left is not None:
-                left_child[i] = index_of[id(node.left)]
-            if node.right is not None:
-                right_child[i] = index_of[id(node.right)]
-            stab_len[i] = node.stab_ids_by_left.shape[0]
-            sub_len[i] = node.subtree_ids_by_left.shape[0]
-        stab_off = np.concatenate(([0], np.cumsum(stab_len)[:-1])) if m else np.empty(0, dtype=_ID)
-        sub_off = np.concatenate(([0], np.cumsum(sub_len)[:-1])) if m else np.empty(0, dtype=_ID)
-
-        def _cat(arrays, dtype):
-            if not arrays:
-                return np.empty(0, dtype=dtype)
-            return np.concatenate(arrays).astype(dtype, copy=False)
-
-        stab_lefts = _cat([n.stab_lefts for n in nodes], _F8)
-        stab_rights = _cat([n.stab_rights for n in nodes], _F8)
-        sub_lefts = _cat([n.subtree_lefts for n in nodes], _F8)
-        sub_rights = _cat([n.subtree_rights for n in nodes], _F8)
-        all_ids = _cat(
-            [n.stab_ids_by_left for n in nodes]
-            + [n.stab_ids_by_right for n in nodes]
-            + [n.subtree_ids_by_right for n in nodes]
-            + [n.subtree_ids_by_left for n in nodes],
-            _ID,
-        )
-        all_weight_prefix = None
-        if weighted:
-            all_weight_prefix = _cat(
-                [n.stab_weight_by_left for n in nodes]
-                + [n.stab_weight_by_right for n in nodes]
-                + [n.subtree_weight_by_right for n in nodes]
-                + [n.subtree_weight_by_left for n in nodes],
-                _F8,
-            )
-        engine = cls(
-            centers,
-            left_child,
-            right_child,
-            stab_off.astype(_ID, copy=False),
-            stab_len,
-            sub_off.astype(_ID, copy=False),
-            sub_len,
-            stab_lefts,
-            stab_rights,
-            sub_lefts,
-            sub_rights,
-            all_ids,
-            all_weight_prefix,
-            weighted,
-        )
-        engine._nodes = nodes
-        engine._node_index = index_of
-        return engine
-
-    @classmethod
-    def _incremental_from_tree(
-        cls,
-        tree: "AIT",
-        previous: "FlatAIT",
-        dirty: dict,
-        max_dirty_fraction: float,
-    ) -> Optional["FlatAIT"]:
-        """Delta-aware serialisation; returns None when it cannot apply.
-
-        Splices the pool segments of *clean* nodes (present in ``previous``
-        and absent from ``dirty``) out of the previous snapshot's arrays in
-        maximal contiguous runs, and gathers only dirty / new nodes from
-        their node objects.  Handles created leaves and pruned nodes — the
-        current preorder decides segment placement; clean runs just avoid
-        re-reading unchanged lists.
-        """
-        weighted = tree.is_weighted
-        if (
-            previous._nodes is None
-            or previous._node_index is None
-            or previous._weighted != weighted
-            or previous.node_count == 0
-        ):
-            return None
-        nodes = cls._walk_preorder(tree)
-        m = len(nodes)
-        if m == 0:
-            return None
-
-        old_index = previous._node_index
-        clean_old = np.empty(m, dtype=_ID)
-        dirty_count = 0
-        for i, node in enumerate(nodes):
-            nid = id(node)
-            if nid in dirty or nid not in old_index:
-                clean_old[i] = -1
-                dirty_count += 1
-            else:
-                clean_old[i] = old_index[nid]
-        if dirty_count > max_dirty_fraction * m:
-            return None
-
-        # Maximal runs: ("old", first_old_index, last_old_index) for clean
-        # stretches whose previous positions are contiguous too, or
-        # ("new", first_pos, last_pos) for stretches gathered from nodes.
-        runs: list[tuple[str, int, int]] = []
-        i = 0
-        while i < m:
-            j = i
-            if clean_old[i] >= 0:
-                while j + 1 < m and clean_old[j + 1] == clean_old[j] + 1:
-                    j += 1
-                runs.append(("old", int(clean_old[i]), int(clean_old[j])))
-            else:
-                while j + 1 < m and clean_old[j + 1] < 0:
-                    j += 1
-                runs.append(("new", i, j))
-            i = j + 1
-
-        centers = np.empty(m, dtype=_F8)
-        left_child = np.full(m, -1, dtype=_ID)
-        right_child = np.full(m, -1, dtype=_ID)
-        stab_len = np.empty(m, dtype=_ID)
-        sub_len = np.empty(m, dtype=_ID)
-        index_of = {id(node): i for i, node in enumerate(nodes)}
-        for i, node in enumerate(nodes):
-            centers[i] = node.center
-            if node.left is not None:
-                left_child[i] = index_of[id(node.left)]
-            if node.right is not None:
-                right_child[i] = index_of[id(node.right)]
-            stab_len[i] = node.stab_ids_by_left.shape[0]
-            sub_len[i] = node.subtree_ids_by_left.shape[0]
-        stab_off = np.concatenate(([0], np.cumsum(stab_len)[:-1])).astype(_ID, copy=False)
-        sub_off = np.concatenate(([0], np.cumsum(sub_len)[:-1])).astype(_ID, copy=False)
-
-        p_stab_off, p_stab_len = previous._stab_off, previous._stab_len
-        p_sub_off, p_sub_len = previous._sub_off, previous._sub_len
-        p_kind_base = previous._kind_base
-
-        def splice(old_pool, old_off, old_len, attr, base=0):
-            """Assemble one pool: old-run slices + per-node arrays for new runs."""
-            chunks = []
-            for kind, a, b in runs:
-                if kind == "old":
-                    start = base + int(old_off[a])
-                    stop = base + int(old_off[b]) + int(old_len[b])
-                    chunks.append(old_pool[start:stop])
-                else:
-                    chunks.extend(getattr(nodes[p], attr) for p in range(a, b + 1))
-            return chunks
-
-        def _cat(arrays, dtype):
-            if not arrays:
-                return np.empty(0, dtype=dtype)
-            return np.concatenate(arrays).astype(dtype, copy=False)
-
-        stab_lefts = _cat(splice(previous._stab_lefts, p_stab_off, p_stab_len, "stab_lefts"), _F8)
-        stab_rights = _cat(
-            splice(previous._stab_rights, p_stab_off, p_stab_len, "stab_rights"), _F8
-        )
-        sub_lefts = _cat(splice(previous._sub_lefts, p_sub_off, p_sub_len, "subtree_lefts"), _F8)
-        sub_rights = _cat(
-            splice(previous._sub_rights, p_sub_off, p_sub_len, "subtree_rights"), _F8
-        )
-        all_ids = _cat(
-            splice(previous._all_ids, p_stab_off, p_stab_len, "stab_ids_by_left", int(p_kind_base[0]))
-            + splice(previous._all_ids, p_stab_off, p_stab_len, "stab_ids_by_right", int(p_kind_base[1]))
-            + splice(previous._all_ids, p_sub_off, p_sub_len, "subtree_ids_by_right", int(p_kind_base[2]))
-            + splice(previous._all_ids, p_sub_off, p_sub_len, "subtree_ids_by_left", int(p_kind_base[3])),
-            _ID,
-        )
-        all_weight_prefix = None
-        if weighted:
-            prefix = previous._all_weight_prefix
-            all_weight_prefix = _cat(
-                splice(prefix, p_stab_off, p_stab_len, "stab_weight_by_left", int(p_kind_base[0]))
-                + splice(prefix, p_stab_off, p_stab_len, "stab_weight_by_right", int(p_kind_base[1]))
-                + splice(prefix, p_sub_off, p_sub_len, "subtree_weight_by_right", int(p_kind_base[2]))
-                + splice(prefix, p_sub_off, p_sub_len, "subtree_weight_by_left", int(p_kind_base[3])),
-                _F8,
-            )
-        engine = cls(
-            centers,
-            left_child,
-            right_child,
-            stab_off,
-            stab_len,
-            sub_off,
-            sub_len,
-            stab_lefts,
-            stab_rights,
-            sub_lefts,
-            sub_rights,
-            all_ids,
-            all_weight_prefix,
-            weighted,
-        )
-        engine._nodes = nodes
-        engine._node_index = index_of
-        engine.built_incrementally = True
-        return engine
 
     # ------------------------------------------------------------------ #
     # basic accessors

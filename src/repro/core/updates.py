@@ -26,9 +26,7 @@ Five update paths are provided:
 * **bulk deletion** (:func:`delete_many`): classify a whole batch, filter
   each touched node's lists once via ``np.isin``, and prune in one pass.
 
-All mutations are recorded in the tree's dirty-node journal (consumed by the
-incremental :meth:`~repro.core.flat.FlatAIT.from_tree` refresh), and the bulk
-paths also maintain the AWIT's weight prefix arrays by wholesale
+The bulk paths also maintain the AWIT's weight prefix arrays by wholesale
 recomputation per touched list — which is why ``insert_many``/``delete_many``
 work on weighted trees even though the scalar paths stay unsupported
 (Section IV-A).
@@ -297,8 +295,7 @@ def _descend_and_insert(
 
     With ``defer_sorting=True`` the interval is only *recorded* against the
     nodes it touches (except freshly created leaves, whose lists are trivially
-    sorted); the caller re-sorts each touched list once afterwards.  Every
-    touched node lands in the tree's dirty-node journal either way.
+    sorted); the caller re-sorts each touched list once afterwards.
     """
 
     def record_subtree(node: AITNode) -> None:
@@ -309,7 +306,6 @@ def _descend_and_insert(
             node.insert_into_subtree(interval_id, left, right)
             if ait._weighted:
                 node.recompute_weight_prefixes(ait._weights)
-        ait._mark_dirty(node)
 
     def record_stab(node: AITNode) -> None:
         if defer_sorting:
@@ -319,7 +315,6 @@ def _descend_and_insert(
             node.insert_into_stab(interval_id, left, right)
             if ait._weighted:
                 node.recompute_weight_prefixes(ait._weights)
-        ait._mark_dirty(node)
 
     if ait._root is None:
         ait._root = _new_leaf(ait, interval_id, left, right)
@@ -352,7 +347,6 @@ def _new_leaf(ait: "AIT", interval_id: int, left: float, right: float) -> AITNod
     leaf.insert_into_subtree(interval_id, left, right)
     if ait._weighted:
         leaf.recompute_weight_prefixes(ait._weights)
-    ait._register_new_node(leaf)
     return leaf
 
 
@@ -446,7 +440,6 @@ def delete_interval(ait: "AIT", interval_id: int) -> bool:
 
     for node in path:
         node.remove_from_subtree(interval_id)
-        ait._mark_dirty(node)
     stab_node.remove_from_stab(interval_id)
     if ait._weighted:
         for node in path:
@@ -533,7 +526,6 @@ def delete_many(ait: "AIT", interval_ids) -> np.ndarray:
             node.remove_many_from_stab(np.asarray(gone, dtype=np.int64))
         for node, gone in touched_subtree.values():
             node.remove_many_from_subtree(np.asarray(gone, dtype=np.int64))
-            ait._mark_dirty(node)
         if ait._weighted:
             for node, _ in touched_subtree.values():
                 node.recompute_weight_prefixes(ait._weights)

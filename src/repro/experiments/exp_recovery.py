@@ -5,10 +5,10 @@ worth tracking alongside the paper's tables:
 
 * **Cold start**: reopening an engine from an epoch of checksummed,
   page-aligned, mmap-able snapshots must be far cheaper than rebuilding the
-  AIT shards from the raw endpoint arrays (the snapshot files *are* the
+  shards from the raw endpoint arrays (the snapshot files *are* the
   FlatAIT columns, so loading is I/O-bound rather than sort-bound).
 * **WAL replay**: recovering writes that landed after the last snapshot
-  costs one sequential scan plus the normal incremental refresh; the replay
+  costs one sequential scan plus the normal overlay refresh; the replay
   rate bounds how much un-snapshotted history is tolerable.
 
 Each measured point builds an engine, snapshots it, applies a burst of bulk
@@ -68,7 +68,7 @@ def measure_recovery_point(
 
     start = time.perf_counter()
     restored = ShardedEngine.open(directory)
-    # force the replayed deltas through the incremental refresh so the cost
+    # force the replayed deltas through the overlay refresh so the cost
     # of recovery is fully paid inside the measured window
     restored.refresh()
     open_s = time.perf_counter() - start
@@ -110,7 +110,7 @@ def run(config: ExperimentConfig) -> ExperimentResult:
             "rebuild_s constructs the sharded AIT engine from raw endpoint "
             "arrays; open_s restores the same state from the newest snapshot "
             "epoch plus a WAL replay of the post-snapshot writes (including "
-            "the incremental refresh that folds them in). consistent is an "
+            "the overlay refresh that folds them in). consistent is an "
             "exact count_many/size equality check against the pre-shutdown "
             "engine — it must always be True."
         ),

@@ -6,11 +6,11 @@ insertion, deletion), this one tracks the reproduction's engineering write
 path end-to-end.  Each measured round pushes a block of writes through the
 :class:`~repro.service.ShardedEngine` bulk APIs (``insert_many`` /
 ``delete_many`` — balanced, so the dataset size stays steady) and then
-answers one read batch, which forces the delta-log replay plus the
-incremental snapshot refresh at the batch boundary.  Sweeping the write
+answers one read batch, which forces the delta-log replay into each
+shard's overlay at the batch boundary.  Sweeping the write
 ratio and the shard count shows what sustained churn costs the serving
 layer: how quickly read throughput degrades as writes are mixed in, and how
-update isolation (only the owning shards re-snapshot) pays off with K.
+update isolation (only the owning shards rebuild an overlay) pays off with K.
 
 ``scripts/bench_updates.py`` runs the same measurement standalone — plus
 bulk-vs-scalar insert microbenchmarks and a refresh-path check — and emits
@@ -83,9 +83,9 @@ def run(config: ExperimentConfig) -> ExperimentResult:
         notes=(
             "Each round applies write_ratio * query_count balanced bulk writes "
             "(insert_many + delete_many) and then one count_many batch, which "
-            "pays the delta-log replay and the incremental snapshot refresh. "
-            "Expect reads/sec to fall as the write ratio grows; the write-path "
-            "overhaul keeps the fall graceful (bulk replay, dirty-node patching) "
+            "pays the delta-log replay and the overlay refresh. "
+            "Expect reads/sec to fall as the write ratio grows; the write path "
+            "keeps the fall graceful (bulk replay into a small overlay) "
             "instead of cliff-shaped (full per-batch re-flattens)."
         ),
     )

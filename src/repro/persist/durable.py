@@ -3,7 +3,7 @@
 A snapshot *directory* holds a sequence of **epochs**.  Epoch ``e`` consists
 of::
 
-    shard-<k>-<e>.snap     per-shard snapshot (flat arrays + tree columns + id map)
+    shard-<k>-<e>.snap     per-shard snapshot (flat arrays + base columns + id map)
     engine-<e>.state       engine bookkeeping (owner map, tombstones, cursors)
     wal-<e>-shard<k>.log   the delta log that extends epoch e (one per shard)
     MANIFEST-<e>.json      the commit record, written last via rename
@@ -44,11 +44,8 @@ from typing import Optional
 
 import numpy as np
 
-from ..core.ait import AIT
-from ..core.awit import AWIT
-from ..core.dataset import IntervalDataset
 from ..core.errors import SnapshotCorruptError
-from ..core.flat import FlatAIT
+from ..core.flat import FlatAIT, validate_columns
 from .checksum import CHECKSUM_ALGORITHM
 from .snapshot import (
     FORMAT_VERSION,
@@ -117,22 +114,23 @@ def _wal_files(directory) -> dict[int, dict[int, str]]:
 # save
 # ---------------------------------------------------------------------- #
 def _save_shard(shard, path: str, weighted: bool, fsync: bool) -> dict:
-    tree = shard.tree
+    lefts, rights, weights = shard.columns
     snapshot = shard.snapshot
-    deleted = set(tree._deleted)
+    deleted = shard.dead
     if shard.overlay is not None:
         # Compaction folds every overlay into the base, except on a shard
         # with no live interval left: its tombstones cover the whole base,
-        # so it saves as an all-deleted tree with an empty snapshot.
-        deleted.update(int(local) for local in shard.overlay.tombstones)
+        # so it saves as an all-dead base with an empty snapshot.
+        deleted = np.union1d(deleted, shard.overlay.tombstones)
         snapshot = FlatAIT.from_arrays(np.empty(0), np.empty(0))
     arrays = flat_to_arrays(snapshot, prefix="flat.")
-    arrays["col_lefts"] = tree._lefts
-    arrays["col_rights"] = tree._rights
+    arrays["col_lefts"] = lefts
+    arrays["col_rights"] = rights
     if weighted:
-        arrays["col_weights"] = tree._weights
-    arrays["deleted"] = np.fromiter(sorted(deleted), dtype=_ID, count=len(deleted))
-    arrays["free_slots"] = np.asarray(tree._free_slots, dtype=_ID)
+        arrays["col_weights"] = weights
+    arrays["deleted"] = np.asarray(deleted, dtype=_ID)
+    # Kept for the file layout: a shard never recycles column slots.
+    arrays["free_slots"] = np.empty(0, dtype=_ID)
     arrays["global_ids"] = shard.global_map
     meta = {
         "kind": "shard",
@@ -202,7 +200,6 @@ def save_engine_snapshot(engine, directory=None, fsync: bool = True,
         "kind": "engine",
         "policy": engine.policy,
         "weighted": weighted,
-        "build_backend": engine.build_backend,
         "num_shards": engine.num_shards,
         "next_global": int(engine._next_global),
         "rr_cursor": int(engine._rr_cursor),
@@ -287,30 +284,30 @@ def _unlink_quiet(path: str) -> None:
 # ---------------------------------------------------------------------- #
 # open / recover
 # ---------------------------------------------------------------------- #
-def _restore_tree(arrays: dict, weighted: bool):
-    """Rebuild a shard's local tree: its columns, node graph deferred."""
-    weights = arrays.get("col_weights") if weighted else None
-    dataset = IntervalDataset(arrays["col_lefts"], arrays["col_rights"], weights)
-    if weighted:
-        tree = AWIT(dataset, build_backend="columnar")
-    else:
-        tree = AIT(dataset, build_backend="columnar")
-    deleted = arrays["deleted"]
-    tree._deleted = set(int(g) for g in deleted)
-    tree._active_count = int(tree._col_len) - len(tree._deleted)
-    tree._free_slots = [int(slot) for slot in arrays["free_slots"]]
-    return tree
-
-
 def _restore_shard(shard_cls, arrays: dict, meta: dict):
+    """Reassemble one shard; reject columns no valid engine could have saved."""
     weighted = bool(meta["weighted"])
-    tree = _restore_tree(arrays, weighted)
-    snapshot = flat_from_arrays(arrays, weighted, prefix="flat.")
+    try:
+        lefts, rights, weights = validate_columns(
+            arrays["col_lefts"], arrays["col_rights"],
+            arrays["col_weights"] if weighted else None,
+        )
+    except ValueError as exc:
+        raise SnapshotCorruptError(f"shard {meta['shard_id']}: {exc}") from exc
+    global_ids, dead = arrays["global_ids"], arrays["deleted"]
+    n = lefts.shape[0]
+    if global_ids.shape[0] != n or (dead.shape[0] and not 0 <= dead.min() <= dead.max() < n):
+        raise SnapshotCorruptError(
+            f"shard {meta['shard_id']}: id map or dead slots do not fit {n} intervals"
+        )
     return shard_cls.restore(
         shard_id=int(meta["shard_id"]),
-        tree=tree,
-        snapshot=snapshot,
-        global_ids=arrays["global_ids"],
+        lefts=lefts,
+        rights=rights,
+        weights=weights,
+        snapshot=flat_from_arrays(arrays, weighted, prefix="flat."),
+        global_ids=global_ids,
+        dead=dead,
         version=int(meta.get("version", 1)),
     )
 
@@ -333,7 +330,7 @@ def _read_manifest(directory: str, epoch: int) -> dict:
 
 
 def _load_epoch(engine_cls, directory: str, manifest: dict, mmap: bool, verify: bool,
-                executor, parallel_refresh: bool):
+                executor):
     from ..service.executor import resolve_executor
     from ..service.shard import Shard
 
@@ -353,8 +350,6 @@ def _load_epoch(engine_cls, directory: str, manifest: dict, mmap: bool, verify: 
     engine = engine_cls.__new__(engine_cls)
     engine._weighted = bool(engine_meta["weighted"])
     engine._policy = str(engine_meta["policy"])
-    engine._build_backend = str(engine_meta.get("build_backend", "columnar"))
-    engine._parallel_refresh = bool(parallel_refresh)
     engine._executor, engine._owns_executor = resolve_executor(executor)
     engine._shards = shards
     owner = np.asarray(engine_arrays["owner"], dtype=_ID).copy()  # grows on insert
@@ -406,7 +401,7 @@ def _apply_wal_records(engine, shard_index: int, records: list) -> int:
 
 
 def open_engine(engine_cls, directory, mmap: bool = True, verify: bool = True,
-                fsync: str = "batch", executor=None, parallel_refresh: bool = False):
+                fsync: str = "batch", executor=None):
     """Restore a :class:`ShardedEngine` from its newest valid epoch.
 
     Falls back epoch by epoch when validation fails (a half-written epoch
@@ -426,9 +421,7 @@ def open_engine(engine_cls, directory, mmap: bool = True, verify: bool = True,
     for epoch in reversed(epochs):
         try:
             manifest = _read_manifest(directory, epoch)
-            engine = _load_epoch(
-                engine_cls, directory, manifest, mmap, verify, executor, parallel_refresh
-            )
+            engine = _load_epoch(engine_cls, directory, manifest, mmap, verify, executor)
             base_epoch = epoch
             break
         except (

@@ -82,7 +82,7 @@ class ShardedEngine:
         queries touch few shards).  See
         :meth:`IntervalDataset.partition_indices`.
     weighted:
-        Build :class:`~repro.core.awit.AWIT` shards (weight-proportional
+        Build weighted (AWIT-layout) shard snapshots (weight-proportional
         sampling).  Defaults to ``dataset.is_weighted``.  Weighted engines
         reject updates, mirroring the paper's static AWIT (Section IV-A).
     executor:
@@ -97,18 +97,6 @@ class ShardedEngine:
         the process default).  Only valid together with
         ``executor="process"``; pre-built executor objects configure scatter
         at construction instead.
-    build_backend:
-        Forwarded to every shard's tree.  ``"columnar"`` (default) builds
-        each shard's base snapshot treelessly via
-        :meth:`~repro.core.flat.FlatAIT.from_arrays` — engine construction,
-        writes and compactions never allocate Python tree nodes.
-        ``"tree"`` keeps the legacy eager node build for base snapshots.
-    parallel_refresh:
-        When True, shard construction and delta-log refreshes fan out over
-        the engine's executor (one task per shard; shards are disjoint, so
-        this is race-free).  Worth turning on with ``executor="threads"``
-        on multi-core machines — the per-shard rebuild work is dominated by
-        GIL-releasing NumPy kernels.  Defaults to False (serial refresh).
 
     Examples
     --------
@@ -134,33 +122,21 @@ class ShardedEngine:
         policy: str = "round_robin",
         weighted: Optional[bool] = None,
         executor=None,
-        build_backend: str = "columnar",
-        parallel_refresh: bool = False,
         scatter: Optional[str] = None,
     ) -> None:
         self._weighted = dataset.is_weighted if weighted is None else bool(weighted)
         parts = dataset.partition_indices(num_shards, policy)
         self._policy = policy
-        self._build_backend = build_backend
-        self._parallel_refresh = bool(parallel_refresh)
         self._executor, self._owns_executor = resolve_executor(executor, scatter=scatter)
         # Durability attachment (populated by save_snapshot / open).
         self._persist_dir: Optional[str] = None
         self._persist_epoch = 0
         self._wal_fsync: Optional[str] = None
 
-        def build_shard(item: tuple[int, np.ndarray]) -> Shard:
-            index, ids = item
-            return Shard(index, dataset, ids, self._weighted, build_backend)
-
         try:
-            if self._parallel_refresh and len(parts) > 1:
-                # list(): the executor contract only promises an order-preserving
-                # map; a lazy iterator (e.g. a raw ThreadPoolExecutor) must be
-                # drained here, not stored.
-                self._shards = list(self._executor.map(build_shard, list(enumerate(parts))))
-            else:
-                self._shards = [build_shard(item) for item in enumerate(parts)]
+            self._shards = [
+                Shard(index, dataset, ids, self._weighted) for index, ids in enumerate(parts)
+            ]
         except BaseException:
             # The executor is created before the shards; don't leak an
             # engine-owned thread pool when a shard build fails.
@@ -201,23 +177,13 @@ class ShardedEngine:
 
     @property
     def is_weighted(self) -> bool:
-        """True when shards are AWITs and sampling is weight-proportional."""
+        """True when shards use the weighted (AWIT) layout and sampling is weight-proportional."""
         return self._weighted
 
     @property
     def policy(self) -> str:
         """The partitioning policy this engine was built with."""
         return self._policy
-
-    @property
-    def build_backend(self) -> str:
-        """The shard-tree build backend this engine was built with."""
-        return self._build_backend
-
-    @property
-    def parallel_refresh(self) -> bool:
-        """True when shard construction / refreshes fan out over the executor."""
-        return self._parallel_refresh
 
     @property
     def executor_kind(self) -> str:
@@ -300,7 +266,7 @@ class ShardedEngine:
         self._owner_count = need
 
     def nbytes(self) -> int:
-        """Approximate memory footprint across all shards (trees, snapshots, overlays)."""
+        """Approximate memory footprint across all shards (columns, snapshots, overlays)."""
         return sum(shard.nbytes() for shard in self._shards)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -313,49 +279,16 @@ class ShardedEngine:
     # ------------------------------------------------------------------ #
     # lifecycle
     # ------------------------------------------------------------------ #
-    def refresh(self, parallel: Optional[bool] = None) -> list[int]:
+    def refresh(self) -> list[int]:
         """Apply every buffered write and return the new per-shard versions.
 
         Called automatically at the start of every batch; exposed so callers
         can pay the refresh cost at a moment of their choosing (e.g. off the
-        request path).  ``parallel`` overrides the engine's
-        ``parallel_refresh`` setting for this call: when on, every shard
-        with pending writes rebuilds on the executor concurrently (shards
-        are disjoint, so per-shard refresh is race-free).
+        request path).  A shard whose refresh raises keeps its delta log, so
+        the error surfaces here and the next refresh retries it.
         """
-        use_parallel = self._parallel_refresh if parallel is None else bool(parallel)
-        pending = [shard for shard in self._shards if shard.pending_ops]
-        if use_parallel and len(pending) > 1:
-
-            def guarded(shard: Shard) -> Optional[Exception]:
-                try:
-                    shard.refresh()
-                    return None
-                except Exception as exc:  # surfaced below, once every shard settled
-                    return exc
-
-            try:
-                # list(): force a lazy executor map to complete before
-                # versions() reads the refreshed state.
-                results = list(self._executor.map(guarded, pending))
-            except Exception:
-                # The executor itself failed mid-fan-out (not a shard task).
-                # Finish the sweep serially so no shard is left behind with
-                # buffered writes, then surface the executor error: callers
-                # see an exception, never a half-refreshed engine.
-                for shard in pending:
-                    if shard.pending_ops:
-                        shard.refresh()
-                raise
-            for shard, error in zip(pending, results):
-                if error is not None:
-                    # Every other shard has settled; the failing shard kept
-                    # its delta log (refresh clears it only after a full
-                    # replay), so per-shard versions are consistent and the
-                    # failure is retryable.
-                    raise error
-        else:
-            for shard in pending:
+        for shard in self._shards:
+            if shard.pending_ops:
                 shard.refresh()
         return self.versions()
 
@@ -415,7 +348,6 @@ class ShardedEngine:
         verify: bool = True,
         fsync: str = "batch",
         executor=None,
-        parallel_refresh: bool = False,
     ) -> "ShardedEngine":
         """Restore an engine from its newest valid snapshot epoch + WAL chain.
 
@@ -429,13 +361,7 @@ class ShardedEngine:
         from ..persist.durable import open_engine
 
         return open_engine(
-            cls,
-            directory,
-            mmap=mmap,
-            verify=verify,
-            fsync=fsync,
-            executor=executor,
-            parallel_refresh=parallel_refresh,
+            cls, directory, mmap=mmap, verify=verify, fsync=fsync, executor=executor
         )
 
     def sync_wal(self) -> None:
@@ -509,8 +435,7 @@ class ShardedEngine:
         vectorised: range engines bucket the batch by midpoint with one
         ``searchsorted``, round-robin engines deal the batch out cyclically,
         and each owning shard receives a single bulk delta-log entry that
-        :meth:`Shard.refresh` later replays through the tree's
-        ``insert_many``.
+        :meth:`Shard.refresh` later folds into the shard's overlay.
 
         Examples
         --------

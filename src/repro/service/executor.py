@@ -268,9 +268,8 @@ class ProcessExecutor:
     def map(self, fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
         """Structural fallback: apply ``fn`` in-process, in order.
 
-        Shard builds and refreshes mutate owner-process state that cannot
-        (and must not) cross the process boundary; only the read-only query
-        ops of :meth:`run_shard_op` fan out to the workers.
+        The engine sends its query ops through :meth:`run_shard_op`; only
+        those read-only ops fan out to the workers.
         """
         return [fn(item) for item in items]
 

@@ -6,13 +6,12 @@ static-to-dynamic split of Bentley & Saxe ("Decomposable searching problems
 I", J. Algorithms 1980), with deletions kept as a differential file
 (Severance & Lohman, "Differential files", TODS 1976):
 
-* the **base** — a local tree (:class:`~repro.core.ait.AIT`, or
-  :class:`~repro.core.awit.AWIT` for weighted engines) holding the shard's
-  intervals as of the last compaction in its columns, addressed by
-  *base-local* ids; the :class:`~repro.core.flat.FlatAIT` snapshot built
-  from it; and the local→global id map.  The base is built once — at
-  construction, restore or compaction — and writes never touch it; with the
-  default ``"columnar"`` backend its node graph is never materialised;
+* the **base** — the shard's intervals as of the last compaction as plain
+  endpoint (and, for weighted engines, weight) columns addressed by
+  *base-local* ids, the :class:`~repro.core.flat.FlatAIT` snapshot built
+  from them by :meth:`FlatAIT.from_arrays`, and the local→global id map.
+  The base is built once — at construction, restore or compaction — and
+  writes never touch it;
 * the **overlay** (:class:`~repro.service.shm.Overlay`) — a delta
   :class:`FlatAIT` rebuilt with :meth:`FlatAIT.from_arrays` over the live
   inserts since the last compaction, plus tombstones for deleted base ids;
@@ -37,8 +36,6 @@ from typing import Optional, Union
 
 import numpy as np
 
-from ..core.ait import AIT
-from ..core.awit import AWIT
 from ..core.dataset import IntervalDataset
 from ..core.flat import FlatAIT
 from .shm import Overlay
@@ -47,6 +44,7 @@ __all__ = ["Shard", "DeltaOp", "COMPACT_WORK"]
 
 _ID = np.int64
 _F8 = np.float64
+_NO_IDS = np.empty(0, dtype=_ID)
 
 #: One buffered write batch: ``("insert_many", global_ids, lefts, rights)``
 #: or ``("delete_many", global_ids)`` carrying whole arrays (scalar writes
@@ -75,8 +73,11 @@ class Shard:
 
     __slots__ = (
         "shard_id",
-        "tree",
         "wal",
+        "_lefts",
+        "_rights",
+        "_weights",
+        "_dead",
         "_snapshot",
         "_global_map",
         "_id_index",
@@ -97,40 +98,43 @@ class Shard:
         dataset: IntervalDataset,
         global_ids: np.ndarray,
         weighted: bool,
-        build_backend: str = "columnar",
     ) -> None:
         self.shard_id = int(shard_id)
-        # With the default "columnar" backend the tree defers its Python node
-        # graph entirely: the snapshot is built treelessly by
-        # FlatAIT.from_arrays, and writes go to the overlay, never the tree.
-        tree_cls = AWIT if weighted else AIT
-        tree = tree_cls(dataset.subset(global_ids), build_backend=build_backend)
-        self._start(tree, tree.flat(), global_ids, version=1)
+        global_ids = np.asarray(global_ids, dtype=_ID)
+        lefts = dataset.lefts[global_ids]
+        rights = dataset.rights[global_ids]
+        weights = dataset.weights[global_ids] if weighted else None
+        snapshot = FlatAIT.from_arrays(lefts, rights, weights=weights)
+        self._start(lefts, rights, weights, snapshot, global_ids, version=1)
 
     @classmethod
     def restore(
         cls,
         shard_id: int,
-        tree: AIT,
+        lefts: np.ndarray,
+        rights: np.ndarray,
+        weights: Optional[np.ndarray],
         snapshot: FlatAIT,
         global_ids: np.ndarray,
+        dead: np.ndarray,
         version: int = 1,
     ) -> "Shard":
         """Reassemble a shard from persisted state without rebuilding anything.
 
-        Used by :func:`repro.persist.durable.open_engine`: ``tree`` is the
-        restored local tree (node graph deferred), ``snapshot`` the loaded —
-        typically mmap-backed — :class:`FlatAIT` that becomes the base, and
-        ``global_ids`` the saved local->global id map.  The delta log starts
+        Used by :func:`repro.persist.durable.open_engine`: ``lefts`` /
+        ``rights`` / ``weights`` are the base columns, ``snapshot`` the
+        loaded — typically mmap-backed — :class:`FlatAIT` over them,
+        ``global_ids`` the saved local->global id map, and ``dead`` the
+        base-local ids the snapshot does not index.  The delta log starts
         empty; recovered WAL records are re-buffered afterwards and fold into
         the overlay through the normal :meth:`refresh`.
         """
         shard = cls.__new__(cls)
         shard.shard_id = int(shard_id)
-        shard._start(tree, snapshot, global_ids, version)
+        shard._start(lefts, rights, weights, snapshot, global_ids, version, dead)
         return shard
 
-    def _start(self, tree: AIT, snapshot: FlatAIT, global_ids, version: int) -> None:
+    def _start(self, lefts, rights, weights, snapshot, global_ids, version, dead=_NO_IDS) -> None:
         #: Optional write-ahead log (:class:`repro.persist.DeltaLog`); when
         #: set, every buffered batch is journaled durably *before* joining
         #: the in-memory delta log.
@@ -138,11 +142,18 @@ class Shard:
         self._pending: list[DeltaOp] = []
         self._version = int(version)
         self._base_rebuilds = 0
-        self._set_base(tree, snapshot, np.asarray(global_ids, dtype=_ID).copy())
+        global_map = np.asarray(global_ids, dtype=_ID).copy()
+        dead = np.unique(np.asarray(dead, dtype=_ID))
+        self._set_base(lefts, rights, weights, snapshot, global_map, dead)
 
-    def _set_base(self, tree: AIT, snapshot: FlatAIT, global_map: np.ndarray) -> None:
+    def _set_base(self, lefts, rights, weights, snapshot, global_map, dead=_NO_IDS) -> None:
         """Install a new base and clear the overlay it absorbed."""
-        self.tree = tree
+        self._lefts = lefts
+        self._rights = rights
+        self._weights = weights
+        #: Sorted base-local ids the snapshot does not index: only a restored
+        #: checkpoint has any (an emptied shard saves its whole base as dead).
+        self._dead = dead
         self._snapshot = snapshot
         self._global_map = global_map
         #: (sorted global ids, their base-local ids), built on the first delete.
@@ -159,10 +170,15 @@ class Shard:
     # accessors
     # ------------------------------------------------------------------ #
     @property
+    def base_size(self) -> int:
+        """Intervals the base snapshot indexes (tombstoned ones included)."""
+        return int(self._lefts.shape[0]) - int(self._dead.shape[0])
+
+    @property
     def size(self) -> int:
         """Intervals active in this shard as of the last :meth:`refresh`."""
         return (
-            int(self.tree.size)
+            self.base_size
             - int(self._tombstones.shape[0])
             + int(self._delta_gids.shape[0])
         )
@@ -202,14 +218,25 @@ class Shard:
         """
         return self._global_map
 
-    def nbytes(self) -> int:
-        """Approximate memory footprint: base tree columns, base snapshot, overlay.
+    @property
+    def columns(self) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+        """The base's ``(lefts, rights, weights)`` columns by base-local id.
 
-        Measures what the shard currently holds — a treeless (columnar
-        backend) base reports only columns plus snapshot, without forcing
-        node materialisation.
+        ``weights`` is ``None`` for unweighted shards.  Slots listed in
+        :attr:`dead` are not indexed by :attr:`snapshot`.
         """
-        total = int(self.tree.memory_bytes(materialise=False)) + int(self._snapshot.nbytes())
+        return self._lefts, self._rights, self._weights
+
+    @property
+    def dead(self) -> np.ndarray:
+        """Sorted base-local ids the base snapshot does not index."""
+        return self._dead
+
+    def nbytes(self) -> int:
+        """Approximate memory footprint: base columns, base snapshot, overlay."""
+        total = int(self._lefts.nbytes + self._rights.nbytes) + int(self._snapshot.nbytes())
+        if self._weights is not None:
+            total += int(self._weights.nbytes)
         return total + (self._overlay.nbytes() if self._overlay is not None else 0)
 
     def _base_locals(self, global_ids: np.ndarray) -> np.ndarray:
@@ -288,7 +315,7 @@ class Shard:
             self._pending = []
             return False
         work = self._overlay_work + gids.shape[0] + tombstones.shape[0]
-        if work > COMPACT_WORK * self.tree.size:
+        if work > COMPACT_WORK * self.base_size:
             base = self._build_base(gids, lefts, rights, tombstones)
             if base is not None:
                 self._pending = []
@@ -323,10 +350,9 @@ class Shard:
                 changed = True
             local = self._base_locals(doomed)
             local = local[local >= 0]
-            if self.tree._deleted and local.shape[0]:
+            if self._dead.shape[0] and local.shape[0]:
                 # Slots already dead in a restored base are not in its snapshot.
-                dead = np.fromiter(self.tree._deleted, dtype=_ID, count=len(self.tree._deleted))
-                local = local[~np.isin(local, dead)]
+                local = local[~np.isin(local, self._dead)]
             if local.shape[0]:
                 tombstones = np.union1d(tombstones, local)
                 changed = True
@@ -342,37 +368,34 @@ class Shard:
             delta,
             gids,
             tombstones,
-            np.sort(self.tree._lefts[tombstones]),
-            np.sort(self.tree._rights[tombstones]),
+            np.sort(self._lefts[tombstones]),
+            np.sort(self._rights[tombstones]),
         )
 
     def _build_base(self, gids, lefts, rights, tombstones):
-        """A new base folding the given overlay in, as ``(tree, snapshot,
-        global_map)``, or None when no live interval is left to build from.
+        """A new base folding the given overlay in, as ``(lefts, rights,
+        snapshot, global_map)``, or None when no live interval is left to
+        build from.
 
         The new base indexes the live base intervals plus the live inserts,
-        ordered by global id, and is built by the same tree backend as the
-        old one.  Only unweighted shards take writes, so the tree is an
-        :class:`AIT`.
+        ordered by global id.  Only unweighted shards take writes, so it has
+        no weight column.
         """
-        live = self.tree._indexed_ids()
-        if tombstones.shape[0]:
-            live = live[~np.isin(live, tombstones, assume_unique=True)]
+        live = np.ones(self._lefts.shape[0], dtype=bool)
+        live[self._dead] = False
+        live[tombstones] = False
+        live = np.flatnonzero(live)
         all_gids = np.concatenate((self._global_map[live], gids))
         if all_gids.shape[0] == 0:
             return None
         order = np.argsort(all_gids, kind="stable")
-        tree = AIT(
-            IntervalDataset(
-                np.concatenate((self.tree._lefts[live], lefts))[order],
-                np.concatenate((self.tree._rights[live], rights))[order],
-            ),
-            build_backend=self.tree.build_backend,
-        )
-        return tree, tree.flat(), all_gids[order]
+        base_lefts = np.concatenate((self._lefts[live], lefts))[order]
+        base_rights = np.concatenate((self._rights[live], rights))[order]
+        snapshot = FlatAIT.from_arrays(base_lefts, base_rights)
+        return base_lefts, base_rights, snapshot, all_gids[order]
 
-    def _install_base(self, tree: AIT, snapshot: FlatAIT, global_map: np.ndarray) -> None:
-        self._set_base(tree, snapshot, global_map)
+    def _install_base(self, lefts, rights, snapshot, global_map) -> None:
+        self._set_base(lefts, rights, None, snapshot, global_map)
         self._base_rebuilds += 1
         self._version += 1
 

@@ -5,9 +5,9 @@ output is **bit-identical** to flattening a freshly built node tree over the
 same data — every structure array, every list pool, every weight prefix,
 every derived rank key.  These tests pin that contract across dataset shapes
 (duplicates, point intervals, weighted columns, degenerate sizes), then
-verify the wiring: the ``build_backend`` knob on AIT / AWIT / ShardedEngine,
-lazy node-tree materialisation, and the handoff from a treeless snapshot to
-the incremental dirty-journal refresh path.
+verify the wiring: the ``build_backend`` knob on AIT / AWIT, lazy node-tree
+materialisation, the handoff from a treeless snapshot to ``from_tree`` after
+updates, and the engine's shard bases.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import pytest
 from repro import AIT, AWIT, FlatAIT, IntervalDataset
 from repro.core.errors import InvalidIntervalError, InvalidWeightError
 from repro.core.flat import segmented_cumsum
-from repro.service import ShardedEngine
+from repro.service import Shard, ShardedEngine
 
 #: Every array a FlatAIT holds, including derived rank keys.
 SNAPSHOT_ARRAYS = (
@@ -242,24 +242,23 @@ class TestBuildBackendKnob:
         assert lazy.root.center == eager.root.center
         assert lazy.memory_bytes() == eager.memory_bytes()
 
-    def test_updates_after_treeless_snapshot_refresh_incrementally(
-        self, make_random_dataset
+    def test_updates_after_treeless_snapshot_reflatten_the_tree(
+        self, make_random_dataset, make_queries
     ):
-        """The from_arrays snapshot hands off to the dirty-journal splice."""
-        tree = AIT(make_random_dataset(n=2000, seed=45))
+        """After updates, the from_arrays snapshot hands off to from_tree."""
+        dataset = make_random_dataset(n=2000, seed=45)
+        tree = AIT(dataset)
         tree.flat()
-        assert tree.snapshot_full_builds == 1
         assert not tree.tree_materialised
+        queries = make_queries(dataset, count=15)
         rng = np.random.default_rng(46)
-        lefts = rng.uniform(0.0, 1000.0, 25)
-        tree.insert_many(lefts, lefts + 5.0)  # materialises the node tree
-        assert tree.tree_materialised
-        tree.delete_many(rng.choice(2000, size=15, replace=False))
-        refreshed = tree.flat()
-        assert refreshed.built_incrementally
-        assert tree.snapshot_full_builds == 1
-        assert tree.snapshot_incremental_refreshes == 1
-        assert_snapshots_identical(refreshed, FlatAIT.from_tree(tree))
+        for _ in range(4):
+            lefts = rng.uniform(0.0, 1000.0, 25)
+            tree.insert_many(lefts, lefts + 5.0)  # materialises the node tree
+            assert tree.tree_materialised
+            tree.delete_many(rng.choice(2000, size=15, replace=False))
+            assert_snapshots_identical(tree.flat(), FlatAIT.from_tree(tree))
+            assert tree.count_many(queries).tolist() == [tree.count(q) for q in queries]
 
     def test_bulk_load_stays_treeless(self):
         """insert_many dominating the tree rebuilds without materialising."""
@@ -301,104 +300,67 @@ class TestBuildBackendKnob:
 # ---------------------------------------------------------------------- #
 # service layer wiring
 # ---------------------------------------------------------------------- #
-class TestServiceBackend:
-    @pytest.mark.parametrize("num_shards", (1, 3))
-    def test_engine_backends_serve_identical_results(
-        self, make_random_dataset, make_queries, num_shards
-    ):
-        dataset = make_random_dataset(n=900, seed=50)
-        queries = make_queries(dataset, count=20)
-        with ShardedEngine(dataset, num_shards=num_shards) as columnar, ShardedEngine(
-            dataset, num_shards=num_shards, build_backend="tree"
-        ) as legacy:
-            assert columnar.build_backend == "columnar"
-            assert columnar.count_many(queries).tolist() == legacy.count_many(queries).tolist()
-            for mine, theirs in zip(
-                columnar.report_many(queries), legacy.report_many(queries)
-            ):
-                assert sorted(mine.tolist()) == sorted(theirs.tolist())
-            mine_rows = columnar.sample_many(queries, 25, random_state=7)
-            their_rows = legacy.sample_many(queries, 25, random_state=7)
-            for mine, theirs in zip(mine_rows, their_rows):
-                assert mine.tolist() == theirs.tolist()
+def test_shard_bases_match_a_tree_built_snapshot(make_random_dataset, tmp_path):
+    """A shard's base is the from_tree flatten of its live intervals, by global id."""
+    dataset = make_random_dataset(n=900, seed=50)
+    rng = np.random.default_rng(53)
+    new_lefts = rng.uniform(0.0, 1000.0, 40)
+    new_rights = new_lefts + rng.exponential(20.0, 40)
+    all_lefts = np.concatenate((dataset.lefts, new_lefts))
+    all_rights = np.concatenate((dataset.rights, new_rights))
 
-    def test_columnar_shards_defer_trees_until_writes(self, make_random_dataset, tmp_path):
-        dataset = make_random_dataset(n=600, seed=51)
-        with ShardedEngine(dataset, num_shards=2) as engine:
-            engine.count((0.0, 100.0))
-            assert all(not shard.tree.tree_materialised for shard in engine.shards)
-            engine.insert((1.0, 2.0))
-            engine.delete(1)  # round robin: the insert went to shard 0, id 1 is shard 1's
-            engine.refresh()  # writes land in the overlay; trees stay deferred
-            assert all(not shard.tree.tree_materialised for shard in engine.shards)
-            assert [shard.base_rebuilds for shard in engine.shards] == [0, 0]
-            assert engine.count((1.0, 1.5)) >= 1
-            engine.save_snapshot(tmp_path)  # compaction rebuilds bases treelessly
-            assert [shard.base_rebuilds for shard in engine.shards] == [1, 1]
-            assert all(not shard.tree.tree_materialised for shard in engine.shards)
+    def assert_bases_match(engine, live):
+        for shard in engine.shards:
+            gids = shard.global_map
+            assert np.isin(gids, live).all()
+            subset = IntervalDataset(all_lefts[gids], all_rights[gids])
+            expected = FlatAIT.from_tree(AIT(subset, build_backend="tree"))
+            assert_snapshots_identical(shard.snapshot, expected)
 
-    def test_write_then_read_consistency_across_backends(
-        self, make_random_dataset, make_queries
-    ):
-        dataset = make_random_dataset(n=500, seed=52)
-        queries = make_queries(dataset, count=10)
-        engines = [
-            ShardedEngine(dataset, num_shards=2, build_backend=backend)
-            for backend in ("columnar", "tree")
-        ]
-        try:
-            rng = np.random.default_rng(53)
-            lefts = rng.uniform(0.0, 1000.0, 40)
-            rights = lefts + rng.exponential(20.0, 40)
-            for engine in engines:
-                engine.insert_many(lefts, rights)
-                engine.delete_many(list(range(0, 60, 3)))
-            columnar_counts = engines[0].count_many(queries)
-            legacy_counts = engines[1].count_many(queries)
-            assert columnar_counts.tolist() == legacy_counts.tolist()
-        finally:
-            for engine in engines:
-                engine.close()
+    with ShardedEngine(dataset, num_shards=3) as engine:
+        assert_bases_match(engine, np.arange(900))
+        engine.insert_many(new_lefts, new_rights)
+        engine.delete_many(list(range(0, 60, 3)))
+        engine.refresh()  # writes land in the overlays; the bases stay put
+        assert [shard.base_rebuilds for shard in engine.shards] == [0, 0, 0]
+        engine.save_snapshot(tmp_path)  # compacts every overlay into a new base
+        assert [shard.base_rebuilds for shard in engine.shards] == [1, 1, 1]
+        live = np.setdiff1d(np.arange(940), np.arange(0, 60, 3))
+        assert_bases_match(engine, live)
+        assert sum(shard.global_map.shape[0] for shard in engine.shards) == live.shape[0]
 
-    def test_parallel_refresh_with_lazy_map_executor(self, make_random_dataset):
-        """A raw ThreadPoolExecutor (lazy map iterator) must work end to end."""
-        from concurrent.futures import ThreadPoolExecutor
 
-        dataset = make_random_dataset(n=400, seed=56)
-        pool = ThreadPoolExecutor(max_workers=2)
-        try:
-            engine = ShardedEngine(
-                dataset, num_shards=2, executor=pool, parallel_refresh=True
-            )
-            assert len(engine.shards) == 2
-            engine.insert_many([1.0, 2.0], [3.0, 4.0])
-            versions_before = engine.versions()
-            engine.refresh(parallel=True)
-            assert engine.pending_ops() == 0
-            assert engine.versions() != versions_before
-            assert engine.count((1.0, 4.0)) >= 2
-            engine.close()
-        finally:
-            pool.shutdown()
+def test_weighted_shard_bases_match_a_tree_built_snapshot(make_random_dataset):
+    dataset = make_random_dataset(n=600, seed=57, weighted=True)
+    with ShardedEngine(dataset, num_shards=3) as engine:
+        for shard in engine.shards:
+            subset = dataset.subset(shard.global_map)
+            expected = FlatAIT.from_tree(AWIT(subset, build_backend="tree"))
+            assert_snapshots_identical(shard.snapshot, expected)
+            assert np.array_equal(shard.columns[2], dataset.weights[shard.global_map])
 
-    def test_parallel_refresh_matches_serial(self, make_random_dataset, make_queries):
-        dataset = make_random_dataset(n=800, seed=54)
-        queries = make_queries(dataset, count=10)
-        serial = ShardedEngine(dataset, num_shards=4)
-        parallel = ShardedEngine(
-            dataset, num_shards=4, executor="threads", parallel_refresh=True
-        )
-        try:
-            assert parallel.parallel_refresh
-            rng = np.random.default_rng(55)
-            lefts = rng.uniform(0.0, 1000.0, 30)
-            rights = lefts + rng.exponential(20.0, 30)
-            for engine in (serial, parallel):
-                engine.insert_many(lefts, rights)
-                engine.delete_many(list(range(10)))
-                engine.refresh()
-            assert serial.versions() == parallel.versions()
-            assert serial.count_many(queries).tolist() == parallel.count_many(queries).tolist()
-        finally:
-            serial.close()
-            parallel.close()
+
+def test_a_restored_shard_with_dead_slots_serves_and_compacts_without_them():
+    """Checkpoints may list base slots the saved snapshot does not index."""
+    rng = np.random.default_rng(58)
+    lefts = rng.uniform(0.0, 1000.0, 200)
+    rights = lefts + rng.exponential(20.0, 200)
+    gids = np.arange(200, dtype=np.int64) * 2  # a shard of even global ids
+    dead = np.array([3, 17, 150], dtype=np.int64)
+    live = np.setdiff1d(np.arange(200), dead)
+    snapshot = FlatAIT.from_arrays(lefts[live], rights[live], ids=live)
+    shard = Shard.restore(0, lefts, rights, None, snapshot, gids, dead, version=4)
+    assert shard.size == shard.base_size == 197
+    shard.buffer_delete_many(gids[[3, 5, 150, 199]])  # two of them already dead
+    shard.buffer_insert_many(np.array([401]), np.array([1.0]), np.array([2.0]))
+    shard.refresh()
+    assert shard.size == 197 - 2 + 1
+    assert shard.overlay.tombstones.tolist() == [5, 199]
+    assert shard.compact()
+    keep = np.setdiff1d(live, [5, 199])
+    assert shard.global_map.tolist() == gids[keep].tolist() + [401]
+    assert shard.dead.shape[0] == 0 and shard.size == 196
+    expected = FlatAIT.from_arrays(
+        np.append(lefts[keep], 1.0), np.append(rights[keep], 2.0)
+    )
+    assert_snapshots_identical(shard.snapshot, expected)

@@ -143,7 +143,6 @@ def test_random_interleavings_match_exhaustive_oracle(setup, tmp_path):
                 _close(engine)
                 engine = _open(directory, setup)
             _check(engine, oracle, queries, seed=step)
-            assert not any(shard.tree.tree_materialised for shard in engine.shards)
             rebuilt = rebuilt or any(shard.base_rebuilds for shard in engine.shards)
         assert rebuilt
     finally:
@@ -216,7 +215,7 @@ def test_crossing_the_compaction_threshold_rebuilds_the_base():
     # summed overlay work crosses COMPACT_WORK x base size after about
     # sqrt(2 * COMPACT_WORK * n) writes, and the compaction runs on exactly
     # the refresh that crosses it.
-    limit = COMPACT_WORK * shard.tree.size
+    limit = COMPACT_WORK * shard.base_size
     writes = 0
     while shard.base_rebuilds == 0:
         crossing = work + _overlay_entries(shard) + 1 > limit
@@ -228,7 +227,6 @@ def test_crossing_the_compaction_threshold_rebuilds_the_base():
         writes += 1
         assert writes <= 2 * int(np.sqrt(2 * limit))
     assert shard.overlay is None and shard.snapshot is not published
-    assert not shard.tree.tree_materialised
     _check(engine, oracle, queries, seed=2)
     # The new base keeps serving deletes of ids that came from the old overlay.
     last = oracle.alive.shape[0] - 1
@@ -281,7 +279,6 @@ def test_reopen_replays_a_wal_tail_of_inserts_and_deletes(tmp_path):
         _check(reopened, oracle, queries, seed=4)
         assert all(shard.base_rebuilds == 0 for shard in reopened.shards)
         assert all(shard.overlay is not None for shard in reopened.shards)
-        assert not any(shard.tree.tree_materialised for shard in reopened.shards)
     finally:
         reopened.close()
 

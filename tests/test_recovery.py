@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro import IntervalDataset, ShardedEngine, SnapshotCorruptError
-from repro.persist import DeltaLog, flip_byte, snapshot_epochs, truncate_file
+from repro.persist import DeltaLog, flip_byte, load_arrays, save_arrays, snapshot_epochs, truncate_file
 from repro.persist.snapshot import read_header
 from repro.persist.wal import HEADER_SIZE as WAL_HEADER_SIZE
 
@@ -203,6 +203,44 @@ def _mangle_header_dtype(path: str) -> None:
         handle.write(header)
 
 
+def _invert_row(arrays):
+    arrays["col_lefts"][5] = arrays["col_rights"][5] + 1.0
+
+
+def _nan_endpoint(arrays):
+    arrays["col_rights"][5] = np.nan
+
+
+def _short_id_map(arrays):
+    arrays["global_ids"] = arrays["global_ids"][:-1]
+
+
+def _dead_slot_out_of_range(arrays):
+    arrays["deleted"] = np.array([arrays["col_lefts"].shape[0]], dtype=np.int64)
+
+
+def _negative_weight(arrays):
+    arrays["col_weights"][3] = -1.0
+
+
+#: Shard-file rewrites that keep every checksum valid but describe columns
+#: no engine could have saved.
+_BAD_SHARD_ARRAYS = {
+    "inverted_row": _invert_row,
+    "nan_endpoint": _nan_endpoint,
+    "short_id_map": _short_id_map,
+    "dead_slot_out_of_range": _dead_slot_out_of_range,
+}
+
+
+def _rewrite_shard(path, corrupt):
+    """Re-save a shard file with one corruption; its checksums stay valid."""
+    arrays, meta = load_arrays(path, mmap=False)
+    arrays = {name: np.array(array) for name, array in arrays.items()}
+    corrupt(arrays)
+    save_arrays(path, arrays, meta=meta)
+
+
 class TestEpochFallback:
     def test_crc_valid_but_unparseable_header_falls_back(self, tmp_path, dataset):
         """A corrupt-but-CRC-valid header field raises np.dtype's TypeError /
@@ -238,6 +276,52 @@ class TestEpochFallback:
         with ShardedEngine.open(directory) as restored:
             assert restored.size == want_size
             np.testing.assert_array_equal(restored.count_many(queries), want_counts)
+
+    @pytest.mark.parametrize("corruption", sorted(_BAD_SHARD_ARRAYS))
+    def test_checksum_valid_bad_shard_columns_fall_back(self, tmp_path, dataset, corruption):
+        """A shard file whose checksums pass but whose columns no engine
+        could have saved is rejected: recovery falls back an epoch."""
+        directory = str(tmp_path / "cols")
+        queries = _queries()
+        everything = np.array([[-1e9, 1e9]])
+        with _engine(dataset) as engine:
+            engine.save_snapshot(directory)                      # epoch 1
+            engine.insert_many([10.0, 20.0], [15.0, 25.0])       # -> wal-1
+            engine.save_snapshot(directory)                      # epoch 2
+            want_counts = engine.count_many(queries)
+            want_size = engine.size
+            want_ids = np.sort(engine.report_many(everything)[0])
+        _rewrite_shard(os.path.join(directory, "shard-0-2.snap"), _BAD_SHARD_ARRAYS[corruption])
+        with ShardedEngine.open(directory) as restored:  # epoch 1 + wal-1
+            restored.refresh()
+            assert restored.size == sum(restored.shard_sizes()) == want_size
+            np.testing.assert_array_equal(restored.count_many(queries), want_counts)
+            np.testing.assert_array_equal(np.sort(restored.report_many(everything)[0]), want_ids)
+            lefts, rights, _ = restored.shards[0].columns
+            assert np.isfinite(rights).all() and (lefts <= rights).all()
+
+    def test_checksum_valid_inverted_row_without_fallback_fails_to_open(
+        self, tmp_path, dataset
+    ):
+        directory = str(tmp_path / "cols1")
+        with _engine(dataset) as engine:
+            engine.save_snapshot(directory, retain=1)
+        _rewrite_shard(os.path.join(directory, "shard-0-1.snap"), _invert_row)
+        with pytest.raises(SnapshotCorruptError, match=r"no epoch passed validation"):
+            ShardedEngine.open(directory)
+
+    def test_checksum_valid_negative_weight_falls_back(self, tmp_path, make_random_dataset):
+        data = make_random_dataset(500, seed=13, weighted=True)
+        directory = str(tmp_path / "wcols")
+        queries = _queries()
+        with _engine(data, num_shards=3) as engine:
+            engine.save_snapshot(directory)                      # epoch 1
+            engine.save_snapshot(directory)                      # epoch 2
+            want = engine.total_weight_many(queries)
+        _rewrite_shard(os.path.join(directory, "shard-1-2.snap"), _negative_weight)
+        with ShardedEngine.open(directory) as restored:
+            np.testing.assert_allclose(restored.total_weight_many(queries), want)
+            assert (restored.shards[1].columns[2] >= 0).all()
 
     def test_corrupt_manifest_falls_back(self, tmp_path, dataset):
         directory = str(tmp_path / "fbm")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import AIT, AWIT, IntervalDataset, ShardedEngine
+from repro import AIT, AWIT, FlatAIT, IntervalDataset, ShardedEngine
 from repro.core.errors import (
     EmptyResultError,
     InvalidIntervalError,
@@ -430,7 +430,6 @@ class TestBulkWrites:
         assert [s.base_rebuilds for s in engine.shards] == [0, 0]  # no base rebuild
         assert all(s.snapshot is base for s, base in zip(engine.shards, bases_before))
         assert all(s.overlay is not None for s in engine.shards)
-        assert not any(s.tree.tree_materialised for s in engine.shards)
 
     def test_mixed_bulk_and_scalar_log_replay(self, make_random_dataset, make_queries):
         """Interleaved scalar and bulk ops replay in log order at refresh."""
@@ -449,58 +448,33 @@ class TestBulkWrites:
         assert engine.size == len(dataset) + 4 - 2
 
 
-class TestParallelRefreshFailure:
-    """refresh(parallel=True) must never leave the engine half-refreshed."""
+def test_a_failed_shard_refresh_surfaces_and_the_next_refresh_drains_it(
+    dataset, monkeypatch
+):
+    """A shard whose refresh raises keeps its delta log for the next refresh."""
+    engine = ShardedEngine(dataset, num_shards=4)
+    rng = np.random.default_rng(17)
+    lefts = rng.uniform(0.0, 900.0, 64)
+    engine.insert_many(lefts, lefts + 10.0)
+    assert all(s.pending_ops for s in engine.shards)
+    build = FlatAIT.from_arrays
+    calls = []
 
-    def _spread_writes(self, engine):
-        rng = np.random.default_rng(17)
-        lefts = rng.uniform(0.0, 900.0, 64)
-        engine.insert_many(lefts, lefts + 10.0)
-        assert sum(1 for s in engine._shards if s.pending_ops) > 1
+    def fail_second_build(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise RuntimeError("injected shard failure")
+        return build(*args, **kwargs)
 
-    def test_shard_failure_propagates_after_all_shards_settle(self, dataset):
-        class OneShotFailure(SerialExecutor):
-            """Delivers one shard task's result as an injected exception."""
-
-            def map(self, fn, items):
-                items = list(items)
-                return [
-                    RuntimeError("injected shard failure") if i == 1 else fn(item)
-                    for i, item in enumerate(items)
-                ]
-
-        engine = ShardedEngine(dataset, num_shards=4, executor=OneShotFailure())
-        self._spread_writes(engine)
-        failing = [s for s in engine._shards if s.pending_ops][1]
+    with monkeypatch.context() as patch:
+        patch.setattr(FlatAIT, "from_arrays", fail_second_build)
         with pytest.raises(RuntimeError, match=r"injected shard failure"):
-            engine.refresh(parallel=True)
-        # every other shard settled; the failing shard kept its buffered ops
-        for shard in engine._shards:
-            if shard is failing:
-                assert shard.pending_ops > 0
-            else:
-                assert shard.pending_ops == 0
-        # the failure is retryable: a healthy pass drains the survivor
-        engine.refresh()
-        assert all(s.pending_ops == 0 for s in engine._shards)
-        assert engine.size == len(dataset) + 64
-
-    def test_executor_failure_falls_back_to_serial_sweep(self, dataset):
-        class ExplodingExecutor(SerialExecutor):
-            exploded = False
-
-            def map(self, fn, items):
-                if not ExplodingExecutor.exploded:
-                    ExplodingExecutor.exploded = True
-                    raise BrokenPipeError("executor died mid-fan-out")
-                return super().map(fn, items)
-
-        engine = ShardedEngine(dataset, num_shards=4, executor=ExplodingExecutor())
-        self._spread_writes(engine)
-        with pytest.raises(BrokenPipeError, match=r"executor died"):
-            engine.refresh(parallel=True)
-        # the serial sweep drained every shard before the error surfaced
-        assert all(s.pending_ops == 0 for s in engine._shards)
-        assert engine.size == len(dataset) + 64
-        queries = np.array([[0.0, 1000.0]])
-        assert engine.count_many(queries)[0] == engine.size
+            engine.refresh()
+    failing = engine.shards[1]
+    assert failing.pending_ops == 16 and failing.overlay is None
+    assert engine.shards[0].pending_ops == 0
+    engine.refresh()
+    assert engine.pending_ops() == 0
+    assert engine.size == len(dataset) + 64
+    assert sum(engine.shard_sizes()) == engine.size
+    assert engine.count_many(np.array([[-1e9, 1e9]]))[0] == engine.size

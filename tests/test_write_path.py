@@ -1,10 +1,10 @@
-"""Write-path tests: bulk APIs, columnar growth/recycling, incremental snapshots.
+"""Write-path tests: bulk APIs, columnar growth/recycling, snapshots after updates.
 
 Covers the update-path edge cases the scalar tests miss — delete-from-pool
 then flush, double deletes, recycled-slot deletes, interleaved bulk vs
-scalar-loop oracles — plus the equivalence of the incremental FlatAIT
-refresh against a full ``from_tree`` rebuild after randomised write
-sequences (AIT and AWIT), the pool-epoch staleness counter, and the
+scalar-loop oracles — plus the equivalence of the refreshed FlatAIT
+snapshot against an independent ``from_tree`` flatten after randomised
+write sequences (AIT and AWIT), the pool-epoch staleness counter, and the
 delete-of-unindexed-id regression.
 """
 
@@ -299,16 +299,17 @@ class TestDeleteRegressions:
 
 
 # ---------------------------------------------------------------------- #
-# incremental FlatAIT refresh
+# FlatAIT refresh after updates
 # ---------------------------------------------------------------------- #
-class TestIncrementalSnapshot:
+class TestSnapshotAfterUpdates:
     @pytest.mark.parametrize("weighted", (False, True))
     def test_randomised_write_sequences_match_full_rebuild(
-        self, make_random_dataset, weighted
+        self, make_random_dataset, make_queries, weighted
     ):
         dataset = make_random_dataset(n=600, seed=20, weighted=weighted)
         tree = AWIT(dataset) if weighted else AIT(dataset)
         tree.flat()  # establish the initial (full) snapshot
+        queries = make_queries(dataset, count=10)
         rng = np.random.default_rng(21)
         live = set(range(600))
         for round_index in range(10):
@@ -324,33 +325,23 @@ class TestIncrementalSnapshot:
                 victims = rng.choice(sorted(live), size=int(rng.integers(5, 30)), replace=False)
                 tree.delete_many(victims)
                 live.difference_update(int(v) for v in victims)
-            incremental = tree.flat()
+            refreshed = tree.flat()
             expected = FlatAIT.from_tree(tree)  # independent full rebuild
-            assert_flat_equal(incremental, expected)
-        assert tree.snapshot_incremental_refreshes > 0
+            assert_flat_equal(refreshed, expected)
+            assert tree.count_many(queries).tolist() == [tree.count(q) for q in queries]
 
-    def test_incremental_counter_stays_put_without_structural_change(
-        self, make_random_dataset
-    ):
+    def test_flat_is_cached_until_the_structure_changes(self, make_random_dataset):
         tree = AIT(make_random_dataset(n=500, seed=22))
-        tree.flat()
-        full_builds = tree.snapshot_full_builds
+        first = tree.flat()
+        assert tree.flat() is first
         tree.delete_many(list(range(20)))
-        tree.flat()
-        assert tree.snapshot_full_builds == full_builds
-        assert tree.snapshot_incremental_refreshes >= 1
+        refreshed = tree.flat()
+        assert refreshed is not first
+        assert tree.flat() is refreshed
+        assert_flat_equal(refreshed, FlatAIT.from_tree(tree))
 
-    def test_fallback_to_full_rebuild_above_threshold(self, make_random_dataset):
-        tree = AIT(make_random_dataset(n=300, seed=23), snapshot_dirty_threshold=0.0)
-        tree.flat()
-        full_builds = tree.snapshot_full_builds
-        tree.delete_many([0, 1, 2])
-        tree.flat()
-        assert tree.snapshot_full_builds == full_builds + 1
-        assert tree.snapshot_incremental_refreshes == 0
-
-    def test_rebuild_invalidates_journal(self, make_random_dataset):
-        """A height-limit rebuild replaces every node: the next snapshot is full."""
+    def test_snapshot_after_height_rebuild_matches_from_tree(self):
+        """A height-limit rebuild replaces every node; the snapshot follows."""
         dataset = IntervalDataset([0.0, 100.0], [1.0, 101.0])
         tree = AIT(dataset)
         tree.flat()
@@ -358,15 +349,9 @@ class TestIncrementalSnapshot:
             left = 200.0 + i
             tree.insert((left, left + 0.5), immediate=True)
         assert tree.rebuild_count >= 2
-        full_builds = tree.snapshot_full_builds
-        tree.flat()
-        assert tree.snapshot_full_builds == full_builds + 1
-        # ... and the fresh snapshot still matches a from-scratch flatten.
         assert_flat_equal(tree.flat(), FlatAIT.from_tree(tree))
 
-    def test_batch_queries_after_incremental_refresh(self, make_random_dataset, make_queries):
-        # Large tree + small delta keeps the dirty fraction under the
-        # threshold, so the refresh below must take the incremental path.
+    def test_batch_queries_after_updates(self, make_random_dataset, make_queries):
         dataset = make_random_dataset(n=3000, seed=24)
         tree = AIT(dataset)
         tree.flat()
@@ -375,8 +360,7 @@ class TestIncrementalSnapshot:
         tree.insert_many(lefts, rights)
         tree.delete_many(rng.choice(3000, size=20, replace=False))
         queries = make_queries(dataset, count=20)
-        flat = tree.flat()
-        assert flat.built_incrementally
+        assert_flat_equal(tree.flat(), FlatAIT.from_tree(tree))
         scalar_counts = [tree.count(q) for q in queries]
         assert tree.count_many(queries).tolist() == scalar_counts
         for query, chunk in zip(queries, tree.report_many(queries)):
