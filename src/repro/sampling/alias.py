@@ -52,7 +52,8 @@ class AliasTable:
 
         n = w.shape[0]
         # Scaled weights: mean 1.0, so cells with scaled weight < 1 are "small".
-        scaled = w * (n / total)
+        # Normalise before scaling: ``n / total`` overflows for subnormal totals.
+        scaled = (w / total) * n
         prob = np.ones(n, dtype=np.float64)
         alias = np.arange(n, dtype=np.int64)
 

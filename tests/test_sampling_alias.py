@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro import AliasTable, InvalidWeightError
 from repro.sampling import alias_sample, build_alias, resolve_rng
@@ -55,6 +55,7 @@ class TestExactProbabilities:
             lambda w: sum(w) > 0
         )
     )
+    @example([0.0, 2.225073858507e-311])  # subnormal total: n / total overflows
     def test_probabilities_match_weights_property(self, weights):
         table = AliasTable(weights)
         expected = np.asarray(weights) / np.sum(weights)
