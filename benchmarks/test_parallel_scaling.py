@@ -50,7 +50,6 @@ def test_parallel_scaling_bit_identity_and_floor(bench_config):
     for operation in ("count", "sample"):
         for shards in (1, 2, 4):
             for scatter, batch in (
-                ("data", largest),
                 ("query", largest),
                 ("auto", largest),
                 ("query", 64),
@@ -68,7 +67,7 @@ def test_parallel_scaling_benchmark(benchmark, bench_dataset, bench_queries):
     from repro.service import ProcessExecutor
 
     query_array = np.asarray(list(bench_queries), dtype=np.float64)
-    executor = ProcessExecutor(max_workers=2, scatter="data")
+    executor = ProcessExecutor(max_workers=2, scatter="query")
     try:
         with ShardedEngine(bench_dataset, num_shards=2, executor=executor) as engine:
             engine.count_many(query_array)  # spawn + publish outside the timed region

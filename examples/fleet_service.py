@@ -47,7 +47,7 @@ def main() -> None:
     rng = np.random.default_rng(7)
     shifts = build_fleet(rng)
 
-    with ShardedEngine(shifts, num_shards=4, policy="round_robin", executor="threads") as engine:
+    with ShardedEngine(shifts, num_shards=4, policy="round_robin") as engine:
         print(f"service up: {engine!r}")
         print(f"shard sizes: {engine.shard_sizes()}, snapshot versions {engine.versions()}")
 

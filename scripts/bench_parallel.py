@@ -6,21 +6,20 @@ Usage::
     PYTHONPATH=src python scripts/bench_parallel.py [--out BENCH_parallel.json]
 
 For each dataset size the script sweeps shard counts K and batch sizes
-with the serial scatter loop and the :class:`~repro.service.ProcessExecutor`
-under every scatter strategy — ``scatter="data"`` (one worker per shard),
-``scatter="query"`` (shard x query-block tiles over all workers) and
-``scatter="auto"`` (the default: inline in the owner process unless the
-batch is a ``sample`` batch of at least 64 queries) — times
-``count_many`` and ``sample_many`` on the same workload, and records
-queries/second per (n, operation, shards, executor, scatter, batch) plus
-two derived columns:
+with the serial (inline) loop and the :class:`~repro.service.ProcessExecutor`
+under both scatter strategies — ``scatter="query"`` (shard x query-block
+tiles over all workers) and ``scatter="auto"`` (the default: inline in the
+owner process unless the batch is a ``sample`` batch of at least 64
+queries) — times ``count_many`` and ``sample_many`` on the same workload,
+and records queries/second per (n, operation, shards, executor, scatter,
+batch) plus two derived columns:
 
 * ``vs_serial_k1``      — throughput relative to the serial K=1 engine at
   the same batch size;
 * ``results_identical`` — **hard invariant**: the process executor's
   answers are bit-identical (exact array equality on counts and on
   fixed-seed sample draws) to the serial executor's at the same K and
-  batch, under every scatter strategy, ``auto`` included.
+  batch, under both scatter strategies.
 
 The batch-size axis is where the ``auto`` rule comes from: the batch size
 at which a worker-bound row first beats the serial row is the break-even
@@ -28,13 +27,12 @@ of the worker round trip.
 
 Numbers are hardware-honest: ``config.cpu_count`` records the cores the
 sweep actually had.  ``count_many`` per shard is two ``searchsorted``
-passes — data sharding splits the data, not the O(Q·log n) work, so the
-data scatter's count speedup is bounded by log n / log(n/K) even on a
-many-core box; the query scatter divides the batch itself and is the row
-that can exceed 1x on count given real cores.  On a single-core runner
-every worker-bound row pays IPC with no parallel gain, which is why the
-regression gate treats the scaling ratios as advisory (wide tolerance) and
-gates hard only on ``results_identical``.
+passes — sharding splits the data, not the O(Q·log n) work; the query
+scatter divides the batch itself and is the row that can exceed 1x on
+count given real cores.  On a single-core runner every worker-bound row
+pays IPC with no parallel gain, which is why the regression gate treats the
+scaling ratios as advisory (wide tolerance) and gates hard only on
+``results_identical``.
 """
 
 from __future__ import annotations

@@ -7,22 +7,20 @@ Usage::
 
 For each dataset size the script builds the unsharded ``FlatAIT`` baseline
 and a :class:`~repro.service.ShardedEngine` at every requested shard count
-(serial and threaded executors), then times the three batch operations
+(serial executor), then times the three batch operations
 (``count_many`` / ``report_many`` / ``sample_many``) over the same query
 workload.  The JSON output records queries/second per (n, operation, shards,
 executor) so successive PRs have shard-scaling curves to compare against:
 
     {"config": {...}, "results": [{"n": ..., "operation": "sample",
-      "shards": 4, "executor": "threads", "qps": ..., "vs_unsharded": ...}, ...]}
+      "shards": 4, "executor": "serial", "qps": ..., "vs_unsharded": ...}, ...]}
 
 ``shards = 0`` rows are the unsharded baseline.  Expect the curves to sit
 *below* the baseline and fall as K grows: scatter-gather re-pays the batch's
-fixed vectorisation overhead once per shard, every shard classifies every
-query, and the thread pool only claws part of that back (the per-shard
-kernels release the GIL but the merge is serial Python).  That is the
-honest trade: on one node the sharded engine buys update isolation (a write
-re-snapshots one shard, not the world) and a scale-out architecture, not
-batch throughput — the curves quantify the price, and a PR that narrows the
+fixed vectorisation overhead once per shard, and every shard classifies
+every query.  That is the honest trade: on one node the sharded engine buys
+update isolation (a write re-snapshots one shard, not the world) and a
+scale-out architecture, not batch throughput — the curves quantify the price, and a PR that narrows the
 gap has improved the serving layer.
 """
 
@@ -75,26 +73,25 @@ def bench_one(
         print(f"n={n:>7} {operation:<7} unsharded            {qps:>12.0f} q/s")
 
     for shards in shard_counts:
-        for executor in ("serial", "threads"):
-            with ShardedEngine(dataset, num_shards=shards, executor=executor) as engine:
-                engine.refresh()
-                for operation, run_batch in operations.items():
-                    qps = measure_qps(lambda: run_batch(engine), query_count, repeats)
-                    ratio = qps / baselines[operation] if baselines[operation] > 0 else float("inf")
-                    rows.append(
-                        {
-                            "n": n,
-                            "operation": operation,
-                            "shards": shards,
-                            "executor": executor,
-                            "qps": round(qps, 1),
-                            "vs_unsharded": round(ratio, 3),
-                        }
-                    )
-                    print(
-                        f"n={n:>7} {operation:<7} K={shards} {executor:<8}"
-                        f"   {qps:>12.0f} q/s   {ratio:5.2f}x baseline"
-                    )
+        with ShardedEngine(dataset, num_shards=shards) as engine:
+            engine.refresh()
+            for operation, run_batch in operations.items():
+                qps = measure_qps(lambda: run_batch(engine), query_count, repeats)
+                ratio = qps / baselines[operation] if baselines[operation] > 0 else float("inf")
+                rows.append(
+                    {
+                        "n": n,
+                        "operation": operation,
+                        "shards": shards,
+                        "executor": "serial",
+                        "qps": round(qps, 1),
+                        "vs_unsharded": round(ratio, 3),
+                    }
+                )
+                print(
+                    f"n={n:>7} {operation:<7} K={shards} serial"
+                    f"     {qps:>12.0f} q/s   {ratio:5.2f}x baseline"
+                )
     return rows
 
 

@@ -33,8 +33,8 @@ measure a *design property* rather than the hardware:
   bit-identical snapshot arrays;
 * ``BENCH_parallel.json``   — the hard invariant that the process executor's
   answers are bit-identical to the serial executor's at the same shard count
-  and batch size under *every* scatter strategy (``data``, ``query`` and
-  ``auto``), plus advisory process-vs-serial throughput ratios per
+  and batch size under both scatter strategies (``query`` and ``auto``),
+  plus advisory process-vs-serial throughput ratios per
   (operation, scatter) — parallel speedup is a property of the runner's
   core count, recorded in ``config.cpu_count``;
 * ``BENCH_serving.json``    — the hard invariants that every request shed by
@@ -369,8 +369,7 @@ def _parallel_indicators(payload: dict) -> dict[str, float]:
     for row in payload["results"]:
         if row["executor"] != "process":
             continue
-        scatter = row.get("scatter") or "data"
-        key = f"process_vs_serial_k1[{row['operation']}:{scatter}]"
+        key = f"process_vs_serial_k1[{row['operation']}:{row['scatter']}]"
         out[key] = max(out.get(key, 0.0), float(row["vs_serial_k1"]))
     return out
 

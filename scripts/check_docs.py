@@ -168,7 +168,6 @@ def _resolvable_knobs() -> set[str]:
         RequestGateway,
         RetryPolicy,
         ShardedEngine,
-        ThreadedExecutor,
     )
 
     names: set[str] = set()
@@ -177,7 +176,6 @@ def _resolvable_knobs() -> set[str]:
         ShardedEngine.open,
         ShardedEngine.save_snapshot,
         ProcessExecutor.__init__,
-        ThreadedExecutor.__init__,
         RequestGateway.__init__,
         HttpFrontend.__init__,
         AdmissionController.__init__,

@@ -48,7 +48,7 @@ from .persist import DeltaLog
 from .sampling import AliasTable, CumulativeSampler
 from .service import RequestGateway, ShardedEngine
 
-__version__ = "1.11.0"
+__version__ = "1.12.0"
 
 __all__ = [
     "AIT",

@@ -2,11 +2,11 @@
 
 Not a table from the paper: this experiment tracks the engineering headroom
 of the process-parallel execution tier.  For each dataset it sweeps shard
-counts K and batch sizes with the serial scatter loop and the
-:class:`~repro.service.ProcessExecutor` under every scatter strategy
-(``data`` — one worker per shard; ``query`` — shard x query-block tiles over
-all workers; ``auto`` — the default, which answers a batch in the owner
-process unless it is a ``sample`` batch of at least
+counts K and batch sizes with the serial (inline) loop and the
+:class:`~repro.service.ProcessExecutor` under both scatter strategies
+(``query`` — shard x query-block tiles over all workers; ``auto`` — the
+default, which answers a batch in the owner process unless it is a
+``sample`` batch of at least
 :data:`~repro.service.executor.AUTO_QUERY_THRESHOLD` queries), measures
 ``count_many`` and ``sample_many`` throughput, and — the part that gates —
 asserts that every process-executor answer is **bit-identical** to the
@@ -15,19 +15,17 @@ array equality on counts and on sample draws under a fixed seed).
 
 The batch-size axis is the measurement the ``auto`` rule comes from: at
 small batches the worker round trip costs more than the work it moves, so
-the ``data``/``query`` rows sit far below serial while ``auto`` tracks it.
+the ``query`` rows sit far below serial while ``auto`` tracks it.
 
 Throughput expectations are hardware-honest.  ``count_many`` per shard is
-two ``searchsorted`` passes, O(Q·log n): data sharding *splits the data*,
-not the work (every shard still classifies every query against log(n/K)
-levels), so even on a many-core box the data scatter's count speedup is
-bounded by log n / log(n/K) — barely above 1.  The query scatter divides
-the batch itself — per-worker work drops to O((Q/W)·K·log(n/K)) — and is
-the strategy that can exceed 1x on count given real cores.  On a
-single-core runner every worker-bound row pays IPC without any gain.  That
-is why the committed baseline records ``cpu_count`` and why the scaling
-ratios are advisory (compared under the regression gate's wide tolerance)
-while ``identical`` is a hard 1.0 invariant.
+two ``searchsorted`` passes, O(Q·log n): sharding *splits the data*, not
+the work (every shard still classifies every query against log(n/K)
+levels).  The query scatter divides the batch itself — per-worker work
+drops to O((Q/W)·K·log(n/K)) — and can exceed 1x on count given real
+cores.  On a single-core runner every worker-bound row pays IPC without
+any gain.  That is why the committed baseline records ``cpu_count`` and why
+the scaling ratios are advisory (compared under the regression gate's wide
+tolerance) while ``identical`` is a hard 1.0 invariant.
 """
 
 from __future__ import annotations
@@ -61,7 +59,7 @@ PARALLEL_SHARD_SWEEP: tuple[int, ...] = (1, 2, 4)
 PARALLEL_BATCH_SWEEP: tuple[int, ...] = (1, 16, 64, 256, 1024, 4096)
 
 #: Process-executor scatter strategies swept beside the serial loop.
-PARALLEL_SCATTERS: tuple[str, ...] = ("data", "query", "auto")
+PARALLEL_SCATTERS: tuple[str, ...] = ("query", "auto")
 
 #: Fixed seed for the sample_many bit-identity check (same seed, same draws).
 SAMPLE_SEED = 12345
@@ -185,10 +183,10 @@ def run(config: ExperimentConfig) -> ExperimentResult:
             "identical = bit-identity of the row's answers vs the serial "
             "executor at the same K and batch (hard invariant).  "
             "vs_serial_k1 = throughput relative to the serial K=1 engine at "
-            "the same batch size (advisory; count_many work does not "
-            "partition under the data scatter — the query scatter is the one "
-            "that divides it — and on a single-core runner worker-bound rows "
-            "pay IPC with no parallel gain).  scatter=auto answers every "
+            "the same batch size (advisory; on a single-core runner "
+            "worker-bound rows pay IPC with no parallel gain).  "
+            "scatter=query sends every batch to the workers as shard x "
+            "query-block tiles; scatter=auto answers every "
             "count batch and every sample batch below 64 queries in the "
             "owner process."
         ),

@@ -7,12 +7,11 @@ dataset, answers one batch workload per operation (count / report / sample),
 and reports queries/second next to the unsharded ``FlatAIT`` baseline
 (``shards = 0`` row) plus the relative throughput.
 
-Two executors are measured for every shard count: the serial scatter-gather
-loop (isolates pure partitioning overhead/benefit) and the thread pool
-(adds real parallelism — the per-shard kernels are NumPy calls that release
-the GIL).  ``scripts/bench_service.py`` runs the same measurement standalone
-and emits ``BENCH_service.json`` so successive PRs can compare scaling
-curves.
+Every shard count runs the serial (inline) scatter-gather loop, which
+isolates pure partitioning overhead/benefit; process-executor scaling is the
+``parallel_scaling`` experiment.  ``scripts/bench_service.py`` runs the
+same measurement standalone and emits ``BENCH_service.json`` so successive
+PRs can compare scaling curves.
 """
 
 from __future__ import annotations
@@ -52,8 +51,8 @@ def run(config: ExperimentConfig) -> ExperimentResult:
         columns=["dataset", "operation", "shards", "executor", "qps", "vs_unsharded"],
         notes=(
             "Baseline (shards=0) = the unsharded FlatAIT batch engine; other "
-            "rows = ShardedEngine scatter-gather at K shards with a serial "
-            "loop or a thread pool.  Results are exactly equal (count/report) "
+            "rows = ShardedEngine scatter-gather at K shards with the serial "
+            "loop.  Results are exactly equal (count/report) "
             "or distribution-identical (sample) across all rows."
         ),
     )
@@ -89,23 +88,18 @@ def run(config: ExperimentConfig) -> ExperimentResult:
             )
 
         for shards in SHARD_SWEEP:
-            for executor in ("serial", "threads"):
-                with ShardedEngine(
-                    dataset, num_shards=shards, executor=executor
-                ) as engine:
-                    engine.refresh()
-                    for operation, run_batch in operations.items():
-                        qps = measure_qps(
-                            lambda: run_batch(engine), query_count, repeats
-                        )
-                        result.add_row(
-                            dataset=dataset_name,
-                            operation=operation,
-                            shards=shards,
-                            executor=executor,
-                            qps=qps,
-                            vs_unsharded=qps / baselines[operation]
-                            if baselines[operation] > 0
-                            else float("inf"),
-                        )
+            with ShardedEngine(dataset, num_shards=shards) as engine:
+                engine.refresh()
+                for operation, run_batch in operations.items():
+                    qps = measure_qps(lambda: run_batch(engine), query_count, repeats)
+                    result.add_row(
+                        dataset=dataset_name,
+                        operation=operation,
+                        shards=shards,
+                        executor="serial",
+                        qps=qps,
+                        vs_unsharded=qps / baselines[operation]
+                        if baselines[operation] > 0
+                        else float("inf"),
+                    )
     return result

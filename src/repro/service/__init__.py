@@ -13,10 +13,9 @@ latency percentiles).  On top of the gateway sits the wire tier: an
 :class:`HttpFrontend` (:mod:`repro.service.server`) serving JSON-over-HTTP
 with admission control, per-request deadlines, worker-failure retries, a
 :class:`CircuitBreaker` guarding a degraded read-only mode, and graceful
-drain (:mod:`repro.service.admission`).  Scatter-gather execution is pluggable
-(:class:`SerialExecutor` / :class:`ThreadedExecutor` /
-:class:`ProcessExecutor` — the latter fans shard ops out to long-lived
-worker processes over shared-memory snapshots, see :mod:`repro.service.shm`).
+drain (:mod:`repro.service.admission`).  A batch's shard ops run inline in
+the owner process or, through a :class:`ProcessExecutor`, on long-lived
+worker processes over shared-memory snapshots (see :mod:`repro.service.shm`).
 See ``docs/ARCHITECTURE.md`` for the layer map, the sampling-correctness
 argument, and the batch-boundary consistency argument.
 """
@@ -34,8 +33,6 @@ from .executor import (
     EXECUTOR_NAMES,
     SCATTER_NAMES,
     ProcessExecutor,
-    SerialExecutor,
-    ThreadedExecutor,
     resolve_executor,
 )
 from .gateway import RequestGateway
@@ -61,8 +58,6 @@ __all__ = [
     "GatewayMetrics",
     "BatchSizeHistogram",
     "LatencyReservoir",
-    "SerialExecutor",
-    "ThreadedExecutor",
     "ProcessExecutor",
     "resolve_executor",
     "EXECUTOR_NAMES",

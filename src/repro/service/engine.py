@@ -29,18 +29,18 @@ deletes, layered over an immutable base snapshot — at the next batch
 boundary, never mid-batch, so one scatter-gather round always observes one
 consistent version per shard.  See :mod:`repro.service.shard`.
 
-The scatter-gather step executes through a pluggable executor
-(:mod:`repro.service.executor`): a serial loop by default, a thread pool
-(``executor="threads"``) when shards are large enough for the GIL-releasing
-NumPy kernels to run in parallel, or long-lived worker processes
-(``executor="process"``) that attach each shard's snapshot arrays through
+The scatter-gather step runs each per-shard op in one of two places
+(:mod:`repro.service.executor`): inline in the owner process by default, or
+on the long-lived worker processes of a
+:class:`~repro.service.executor.ProcessExecutor` (``executor="process"``),
+which attach each shard's snapshot arrays through
 ``multiprocessing.shared_memory`` and execute the whole per-shard code path
-off the owner's GIL.  Whatever the executor, every per-shard op runs the same
+off the owner's GIL.  Either way every per-shard op runs the same
 module-level implementation over a :class:`~repro.service.shm.ShardView`
-(:meth:`ShardedEngine._scatter`), so results are bit-identical across
-execution tiers; writes, overlay rebuilds and compactions always stay on
-the owner process, and a shard's version bump triggers re-publication of its
-overlay segment (and of its base segment only after a compaction).
+(:meth:`ShardedEngine._scatter`), so results are bit-identical; writes,
+overlay rebuilds and compactions always stay on the owner process, and a
+shard's version bump triggers re-publication of its overlay segment (and of
+its base segment only after a compaction).
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from ..core.query import QueryLike, validate_sample_size
 from ..sampling.rng import RandomState, resolve_rng, spawn_seeds
 from .executor import resolve_executor
 from .shard import Shard
-from .shm import ShardView, run_shard_op
+from .shm import run_inline
 
 __all__ = ["ShardedEngine"]
 
@@ -86,17 +86,12 @@ class ShardedEngine:
         sampling).  Defaults to ``dataset.is_weighted``.  Weighted engines
         reject updates, mirroring the paper's static AWIT (Section IV-A).
     executor:
-        ``None`` / ``"serial"``, ``"threads"``, ``"process"`` (long-lived
-        worker processes reading shard snapshots from shared memory — true
-        multi-core scatter, see :class:`~repro.service.executor.ProcessExecutor`),
-        or any object with an order-preserving ``map(fn, items)``.
-    scatter:
-        Scatter strategy for ``executor="process"``: ``"data"`` (one worker
-        per shard), ``"query"`` (query-block tiles over all workers — the
-        mode that parallelises counting) or ``"auto"`` (per-batch choice,
-        the process default).  Only valid together with
-        ``executor="process"``; pre-built executor objects configure scatter
-        at construction instead.
+        ``None`` / ``"serial"`` (every batch runs inline, in the owner
+        process), ``"process"`` (a fresh, engine-owned
+        :class:`~repro.service.executor.ProcessExecutor`: long-lived worker
+        processes reading shard snapshots from shared memory), or a
+        pre-built ``ProcessExecutor`` (adopted, not owned — configure its
+        ``scatter`` there).
 
     Examples
     --------
@@ -122,12 +117,11 @@ class ShardedEngine:
         policy: str = "round_robin",
         weighted: Optional[bool] = None,
         executor=None,
-        scatter: Optional[str] = None,
     ) -> None:
         self._weighted = dataset.is_weighted if weighted is None else bool(weighted)
         parts = dataset.partition_indices(num_shards, policy)
         self._policy = policy
-        self._executor, self._owns_executor = resolve_executor(executor, scatter=scatter)
+        self._executor, self._owns_executor = resolve_executor(executor)
         # Durability attachment (populated by save_snapshot / open).
         self._persist_dir: Optional[str] = None
         self._persist_epoch = 0
@@ -139,7 +133,7 @@ class ShardedEngine:
             ]
         except BaseException:
             # The executor is created before the shards; don't leak an
-            # engine-owned thread pool when a shard build fails.
+            # engine-owned process executor when a shard build fails.
             if self._owns_executor:
                 self._executor.shutdown()
             raise
@@ -187,37 +181,34 @@ class ShardedEngine:
 
     @property
     def executor_kind(self) -> str:
-        """Short name of the executor serving this engine's scatter step.
+        """``"serial"`` (inline) or ``"process"``: where this engine's shard ops run.
 
-        ``"serial"`` / ``"threads"`` / ``"process"`` for the built-in
-        executors, the class name for a caller-supplied map object.  Exposed
-        through :meth:`RequestGateway.stats` so deployments can tell which
-        execution tier is live.
+        Exposed through :meth:`RequestGateway.stats` so deployments can tell
+        which execution tier is live.
         """
-        return getattr(self._executor, "kind", type(self._executor).__name__)
+        return "serial" if self._executor is None else self._executor.kind
 
     @property
     def scatter(self) -> Optional[str]:
-        """The executor's scatter strategy, or ``None`` when it has none.
+        """The process executor's scatter strategy, or ``None`` when serial.
 
-        ``"data"`` / ``"query"`` / ``"auto"`` for a
-        :class:`~repro.service.executor.ProcessExecutor`; ``None`` for the
-        in-process executors (the notion does not apply — they always run
-        one task per shard).  Exposed through :meth:`RequestGateway.stats`.
+        ``"query"`` / ``"auto"`` for a
+        :class:`~repro.service.executor.ProcessExecutor`; ``None`` when
+        every batch runs inline.  Exposed through :meth:`RequestGateway.stats`.
         """
-        return getattr(self._executor, "scatter", None)
+        return None if self._executor is None else self._executor.scatter
 
     @property
     def placements(self) -> Optional[dict[str, int]]:
-        """Read batches per placement (``inline`` / ``data`` / ``query``).
+        """Read batches per placement (``inline`` / ``query``).
 
         The :attr:`ProcessExecutor.placements
         <repro.service.executor.ProcessExecutor.placements>` counter, so an
-        operator can see where reads ran; ``None`` for the in-process
-        executors, which run every batch in the owner process.  Exposed
+        operator can see where reads ran; ``None`` without a process
+        executor, when every batch runs in the owner process.  Exposed
         through :meth:`RequestGateway.stats`.
         """
-        return getattr(self._executor, "placements", None)
+        return None if self._executor is None else self._executor.placements
 
     @property
     def size(self) -> int:
@@ -386,22 +377,18 @@ class ShardedEngine:
     def _scatter(self, op: str, payload: dict) -> list:
         """Run one named per-shard query op on every shard, in shard order.
 
-        Every executor runs the same module-level op implementations
-        (:data:`repro.service.shm.SHARD_OPS`) over :class:`ShardView`\\ s, so
-        results are bit-identical regardless of where the work executes.  An
-        executor exposing ``run_shard_op`` (the :class:`ProcessExecutor`)
-        receives the live shards and handles view placement itself —
-        republishing any shard whose snapshot version changed since its last
-        publication; plain ``map`` executors get in-process views.
+        Both places run the same module-level op implementations
+        (:data:`repro.service.shm.SHARD_OPS`) over ``ShardView``\\ s, so
+        results are bit-identical regardless of where the work executes.
+        Without a process executor the batch runs inline
+        (:func:`~repro.service.shm.run_inline`); a :class:`ProcessExecutor`
+        receives the live shards and places the batch itself — inline, or on
+        its workers after republishing any shard whose snapshot version
+        changed since its last publication.
         """
-        runner = getattr(self._executor, "run_shard_op", None)
-        if runner is not None:
-            return runner(self._shards, op, payload)
-        views = [ShardView.of_shard(shard) for shard in self._shards]
-        # list(): the executor contract only promises an order-preserving
-        # map; a lazy iterator (e.g. a raw ThreadPoolExecutor) must be
-        # drained before the merge steps index or reduce the rows.
-        return list(self._executor.map(lambda view: run_shard_op(op, view, payload), views))
+        if self._executor is None:
+            return run_inline(self._shards, op, payload)
+        return self._executor.run_shard_op(self._shards, op, payload)
 
     # ------------------------------------------------------------------ #
     # updates

@@ -208,11 +208,10 @@ class RequestGateway:
         Besides the request/batch counters the snapshot reports an
         ``"engine"`` section describing the serving stack behind the
         gateway — most usefully which execution tier is live
-        (``executor: "serial" | "threads" | "process"``, plus the process
-        executor's ``scatter`` strategy and its ``placements`` counter —
-        read batches answered ``inline``, under the ``data`` scatter and
-        under the ``query`` scatter — both ``None`` for in-process
-        executors).
+        (``executor: "serial" | "process"``, plus the process executor's
+        ``scatter`` strategy and its ``placements`` counter — read batches
+        answered ``inline`` and under the ``query`` scatter — both ``None``
+        for a serial engine).
         """
         out = self._metrics.snapshot()
         out["queue"] = {

@@ -1,16 +1,17 @@
 """Shared-memory shard views and the process-executor worker protocol.
 
-The engine's scatter-gather step runs one *op* per shard per batch.  For the
-in-process executors the op closes over the live :class:`~repro.service.shard.Shard`;
-for :class:`~repro.service.executor.ProcessExecutor` the shard must be visible
-from another process without pickling an engine.  This module provides both
-sides of that bridge:
+The engine's scatter-gather step runs one *op* per shard per batch, in one
+of two places: inline in the owner process (:func:`run_inline`, over the
+live :class:`~repro.service.shard.Shard` objects), or on the worker
+processes of a :class:`~repro.service.executor.ProcessExecutor`, where the
+shard must be visible from another process without pickling an engine.
+This module provides both sides of that bridge:
 
 * :class:`ShardView` — the minimal read surface an op needs: shard id, the
   immutable *base* :class:`~repro.core.flat.FlatAIT` snapshot, its
   local→global id map, and the shard's current :class:`Overlay` (the writes
-  since the base was built; ``None`` when there are none).  Every executor
-  runs the *same* module-level op functions over views, so results are
+  since the base was built; ``None`` when there are none).  Both places
+  run the *same* module-level op functions over views, so results are
   bit-identical by construction; only where the view's arrays live differs.
 * :func:`publish_shard` / :func:`attach_segment` — one
   ``multiprocessing.shared_memory`` segment per (shard, base): the base
@@ -30,11 +31,10 @@ The op payloads are compact per-batch task descriptors — query endpoint
 arrays, per-shard draw allocations, per-shard RNG *seeds* (plain ints, see
 :func:`repro.sampling.rng.spawn_seeds`) — never engines or closures.
 
-Query-parallel tiles.  An ``op`` message addresses work as *specs*: either a
-bare segment key (the whole query batch — the data-parallel scatter) or a
-``(key, start, stop)`` tile (a contiguous query block — the query-parallel
-scatter, see ``ProcessExecutor(scatter=...)``).  :func:`slice_payload` cuts a
-tile's payload out of the batch payload, and :func:`merge_block_results`
+Query-parallel tiles.  An ``op`` message addresses work as ``(key, start,
+stop)`` tiles: a contiguous query block of one shard (the query scatter, see
+:class:`~repro.service.executor.ProcessExecutor`).  :func:`slice_payload`
+cuts a tile's payload out of the batch payload, and :func:`merge_block_results`
 reassembles per-tile results into the exact value the whole-batch op would
 have returned.  Sampling stays bit-identical under any tiling because
 :func:`_op_sample` never draws from one batch-wide stream: every canonical
@@ -59,6 +59,7 @@ __all__ = [
     "ShardView",
     "Overlay",
     "run_shard_op",
+    "run_inline",
     "slice_payload",
     "merge_block_results",
     "publish_shard",
@@ -196,8 +197,8 @@ class Overlay:
 class ShardView:
     """The read-only face of one shard: base snapshot, id map and overlay.
 
-    Built either from a live :class:`~repro.service.shard.Shard` (in-process
-    executors; the arrays are the shard's own) or from shared-memory
+    Built either from a live :class:`~repro.service.shard.Shard` (inline
+    execution; the arrays are the shard's own) or from shared-memory
     segments (:func:`attach_segment` / :func:`attach_overlay`; the arrays are
     zero-copy views into the segments, and ``segment`` pins the base mapping
     alive).  ``overlay`` is ``None`` for a shard that took no writes since
@@ -222,7 +223,7 @@ class ShardView:
 
     @classmethod
     def of_shard(cls, shard) -> "ShardView":
-        """View a live shard directly (serial / threaded execution)."""
+        """View a live shard directly (inline execution in the owner process)."""
         return cls(shard.shard_id, shard.snapshot, shard.global_map, overlay=shard.overlay)
 
     def to_global(self, local_ids: np.ndarray) -> np.ndarray:
@@ -237,7 +238,7 @@ class ShardView:
 
 
 # ---------------------------------------------------------------------- #
-# per-shard ops (the one implementation every executor runs)
+# per-shard ops (the one implementation, inline or on a worker)
 # ---------------------------------------------------------------------- #
 def _op_count(view: ShardView, payload: dict) -> np.ndarray:
     ql, qr = payload["ql"], payload["qr"]
@@ -442,8 +443,13 @@ SHARD_OPS = {
 
 
 def run_shard_op(op: str, view: ShardView, payload: dict):
-    """Execute one named per-shard op over a view (any executor, any process)."""
+    """Execute one named per-shard op over a view (owner process or worker)."""
     return SHARD_OPS[op](view, payload)
+
+
+def run_inline(shards, op: str, payload: dict) -> list:
+    """Run one named op over every live shard in the owner process, in shard order."""
+    return [run_shard_op(op, ShardView.of_shard(shard), payload) for shard in shards]
 
 
 # ---------------------------------------------------------------------- #
@@ -709,10 +715,9 @@ def worker_main(tasks, results) -> None:
       one already served, replacing and closing the old one) and the
       overlay segment ``overlay_manifest`` (``None``: no overlay), replacing
       any previous overlay; reply ``("ok", None)``.
-    * ``("op", op, payload, specs)`` — run the named op for every spec in
-      order; reply ``("ok", [result, ...])``.  A spec is either a bare
-      segment ``key`` (whole batch) or a ``(key, start, stop)`` query tile
-      executed over :func:`slice_payload`.
+    * ``("op", op, payload, tiles)`` — run the named op for every
+      ``(key, start, stop)`` query tile in order, each over
+      :func:`slice_payload`; reply ``("ok", [result, ...])``.
     * ``("stop",)`` — release every mapping and exit (no reply).
 
     Any exception is caught and reported as ``("error", traceback_text)`` —
@@ -743,18 +748,11 @@ def worker_main(tasks, results) -> None:
                     _release_overlay(old)
                     results.put(("ok", None))
                 elif kind == "op":
-                    _, op, payload, specs = message
-                    out = []
-                    for spec in specs:
-                        if isinstance(spec, str):
-                            out.append(run_shard_op(op, views[spec], payload))
-                        else:
-                            key, start, stop = spec
-                            out.append(
-                                run_shard_op(
-                                    op, views[key], slice_payload(op, payload, start, stop)
-                                )
-                            )
+                    _, op, payload, tiles = message
+                    out = [
+                        run_shard_op(op, views[key], slice_payload(op, payload, start, stop))
+                        for key, start, stop in tiles
+                    ]
                     results.put(("ok", out))
                 else:
                     results.put(("error", f"unknown worker message kind {kind!r}"))

@@ -293,58 +293,75 @@ class TestServiceStateErrors:
             with pytest.raises(RuntimeError, match=r"ProcessExecutor has no worker to kill"):
                 engine._executor.kill_worker(0)
         with pytest.raises(RuntimeError, match=r"no worker to kill"):
-            ProcessExecutor(scatter="data").kill_worker(0)
+            ProcessExecutor(scatter="query").kill_worker(0)
 
 
 # --------------------------------------------------------------------------- #
 # executor resolution (resolve_executor)
 # --------------------------------------------------------------------------- #
+class _MapOnly:
+    """An object with ``map(fn, items)``: no longer an executor."""
+
+    def map(self, fn, items):
+        return [fn(item) for item in items]
+
+
 class TestExecutorResolution:
-    @pytest.mark.parametrize("name", ["serial", "threads", "process"])
-    def test_known_names_resolve_and_are_owned(self, name):
-        executor, owned = resolve_executor(name)
+    def test_executor_names(self):
+        assert EXECUTOR_NAMES == ("serial", "process")
+
+    @pytest.mark.parametrize("name", [None, "serial"])
+    def test_serial_resolves_to_inline(self, name):
+        assert resolve_executor(name) == (None, False)
+
+    def test_process_name_resolves_to_an_owned_executor(self):
+        from repro.service import ProcessExecutor
+
+        executor, owned = resolve_executor("process")
         try:
             assert owned is True
-            assert executor.kind == name
-            assert name in EXECUTOR_NAMES
+            assert isinstance(executor, ProcessExecutor)
+            assert executor.kind == "process"
         finally:
             executor.shutdown()
 
-    @pytest.mark.parametrize("name", ["processes", "thread", "fork", ""])
+    @pytest.mark.parametrize("name", ["processes", "thread", "threads", "fork", ""])
     def test_unknown_name_raises_value_error(self, name):
         with pytest.raises(
             ValueError,
-            match=r"unknown executor name .*: expected one of 'serial', 'threads', 'process'",
+            match=r"unknown executor name .*: expected one of 'serial', 'process'",
         ):
             resolve_executor(name)
 
-    def test_non_map_object_raises_type_error(self):
+    @pytest.mark.parametrize("executor", [object(), _MapOnly()], ids=["object", "map-object"])
+    def test_non_executor_object_raises_type_error(self, executor):
         with pytest.raises(
-            TypeError, match=r"executor must be None, 'serial', 'threads', 'process' or an object"
+            TypeError, match=r"executor must be None, 'serial', 'process' or a ProcessExecutor"
         ):
-            resolve_executor(object())
+            resolve_executor(executor)
 
-    def test_map_object_is_adopted_not_owned(self):
-        class MapOnly:
-            def map(self, fn, items):
-                return [fn(item) for item in items]
+    def test_process_executor_object_is_adopted_not_owned(self):
+        from repro.service import ProcessExecutor
 
-        custom = MapOnly()
-        executor, owned = resolve_executor(custom)
-        assert executor is custom
-        assert owned is False
+        custom = ProcessExecutor()
+        try:
+            executor, owned = resolve_executor(custom)
+            assert executor is custom
+            assert owned is False
+        finally:
+            custom.shutdown()
 
     def test_engine_surfaces_unknown_executor_name(self):
         with pytest.raises(ValueError, match=r"unknown executor name 'procces'"):
             ShardedEngine(_dataset(), num_shards=2, executor="procces")
 
-    @pytest.mark.parametrize("mode", ["queries", "shard", ""])
+    @pytest.mark.parametrize("mode", ["queries", "shard", "data", ""])
     def test_unknown_scatter_mode_raises_value_error(self, mode):
         from repro.service import ProcessExecutor
 
         with pytest.raises(
             ValueError,
-            match=r"unknown scatter mode .*: expected one of 'data', 'query', 'auto'",
+            match=r"unknown scatter mode .*: expected one of 'query', 'auto'",
         ):
             ProcessExecutor(scatter=mode)
 
@@ -355,11 +372,16 @@ class TestExecutorResolution:
         with pytest.raises(ValueError, match=r"block_size must be a positive integer"):
             ProcessExecutor(scatter="query", block_size=block_size)
 
-    @pytest.mark.parametrize("executor", [None, "serial", "threads"])
-    def test_scatter_requires_process_executor(self, executor):
-        with pytest.raises(ValueError, match=r"scatter='query' requires executor='process'"):
-            resolve_executor(executor, scatter="query")
+    @pytest.mark.parametrize("max_workers", [0, -3])
+    def test_non_positive_max_workers_raises_value_error(self, max_workers):
+        from repro.service import ProcessExecutor
 
-    def test_engine_surfaces_scatter_without_process(self):
-        with pytest.raises(ValueError, match=r"scatter='data' requires executor='process'"):
-            ShardedEngine(_dataset(), num_shards=2, executor="threads", scatter="data")
+        with pytest.raises(ValueError, match=r"max_workers must be a positive integer"):
+            ProcessExecutor(max_workers=max_workers)
+
+    @pytest.mark.parametrize("op_timeout", [0, -1, float("nan"), float("inf")])
+    def test_bad_op_timeout_raises_value_error(self, op_timeout):
+        from repro.service import ProcessExecutor
+
+        with pytest.raises(ValueError, match=r"op_timeout must be finite and positive"):
+            ProcessExecutor(op_timeout=op_timeout)

@@ -1,15 +1,16 @@
-"""Cross-executor equivalence: serial, threaded and process tiers are bit-identical.
+"""Cross-executor equivalence: inline and process placements are bit-identical.
 
-The acceptance bar (ISSUE 7) is that moving the scatter step off the owner
-process is *observationally invisible*: for the same dataset, the same
-queries and the same seed, ``SerialExecutor``, ``ThreadedExecutor`` and
-``ProcessExecutor`` produce bit-identical ``count_many`` /
-``total_weight_many`` / ``report_many`` rows and identical ``sample_many``
-draws — including after ``insert_many`` / ``delete_many`` and the snapshot
-refresh that republishes shared segments.  Every executor runs the same
-module-level op implementations (:data:`repro.service.shm.SHARD_OPS`), so
-equality here is an end-to-end check of the shared-memory pack/attach
-round-trip and of the publish-on-version-bump protocol, not a tautology.
+The acceptance bar is that moving the scatter step off the owner process is
+*observationally invisible*: for the same dataset, the same queries and the
+same seed, the serial (inline) engine and a ``ProcessExecutor`` under both
+``scatter="auto"`` and ``scatter="query"`` produce bit-identical
+``count_many`` / ``total_weight_many`` / ``report_many`` rows and identical
+``sample_many`` draws — including after ``insert_many`` / ``delete_many``
+and the snapshot refresh that republishes shared segments.  Both places run
+the same module-level op implementations
+(:data:`repro.service.shm.SHARD_OPS`), so equality here is an end-to-end
+check of the shared-memory pack/attach round-trip and of the
+publish-on-version-bump protocol, not a tautology.
 """
 
 from __future__ import annotations
@@ -23,20 +24,23 @@ from repro import ShardedEngine
 from repro.service import ProcessExecutor
 
 SHARD_COUNTS = (1, 2, 4, 8)
-EXECUTORS = ("serial", "threads", "process")
+#: The equivalence matrix: the inline reference, then the process executor
+#: under each scatter.  ``process`` uses the query scatter, which sends every
+#: batch to the workers; ``process-auto`` answers these small batches inline.
+EXECUTORS = ("serial", "process", "process-auto")
+PROCESS_SETUPS = ("process", "process-auto")
 
 
 def _make_engine(dataset, num_shards, executor):
-    if executor == "process":
+    if executor in PROCESS_SETUPS:
         # An explicit two-worker pool exercises multi-worker routing (the
-        # round-robin shard->worker assignment) even on single-core CI boxes,
-        # where cpu_count would collapse the pool to one worker.  The data
-        # scatter sends every batch to the workers; under auto these small
-        # batches would run inline.
+        # round-robin tile->worker assignment) even on single-core CI boxes,
+        # where cpu_count would collapse the pool to one worker.
+        scatter = "auto" if executor == "process-auto" else "query"
         return ShardedEngine(
             dataset,
             num_shards=num_shards,
-            executor=ProcessExecutor(max_workers=2, scatter="data"),
+            executor=ProcessExecutor(max_workers=2, scatter=scatter),
         )
     return ShardedEngine(dataset, num_shards=num_shards, executor=executor)
 
@@ -104,10 +108,11 @@ def test_executors_bit_identical_static(dataset, queries, num_shards):
         expected = _read_all(serial, queries, seed=901)
     finally:
         _close(serial)
-    for name in ("threads", "process"):
+    assert serial.executor_kind == "serial"
+    for name in PROCESS_SETUPS:
         engine = _make_engine(dataset, num_shards, name)
         try:
-            assert engine.executor_kind == name
+            assert engine.executor_kind == "process"
             _assert_identical(_read_all(engine, queries, seed=901), expected)
         finally:
             _close(engine)
@@ -122,11 +127,12 @@ def test_executors_bit_identical_weighted(weighted, make_queries, num_shards):
         expected = _read_all(serial, batch, seed=77)
     finally:
         _close(serial)
-    engine = _make_engine(weighted, num_shards, "process")
-    try:
-        _assert_identical(_read_all(engine, batch, seed=77), expected)
-    finally:
-        _close(engine)
+    for name in PROCESS_SETUPS:
+        engine = _make_engine(weighted, num_shards, name)
+        try:
+            _assert_identical(_read_all(engine, batch, seed=77), expected)
+        finally:
+            _close(engine)
 
 
 @pytest.mark.parametrize("num_shards", (1, 4))
@@ -153,11 +159,11 @@ def test_executors_bit_identical_after_updates(dataset, queries, num_shards):
                 engine.delete_many(victims)
                 engine.refresh()
             # Global id assignment is part of the observable contract.
-            assert np.array_equal(new_ids["threads"], new_ids["serial"])
-            assert np.array_equal(new_ids["process"], new_ids["serial"])
+            for name in PROCESS_SETUPS:
+                assert np.array_equal(new_ids[name], new_ids["serial"])
 
             expected = _read_all(engines["serial"], queries, seed=round_seed)
-            for name in ("threads", "process"):
+            for name in PROCESS_SETUPS:
                 _assert_identical(_read_all(engines[name], queries, seed=round_seed), expected)
     finally:
         for engine in engines.values():
@@ -308,7 +314,7 @@ def test_auto_scatter_matches_serial_on_both_sides_of_threshold(
             _read_op(engine, op, small, seed=61), _read_op(serial, op, small, seed=61)
         )
         scatters = 2 if op == "sample" else 1  # sample scatters a count pass first
-        assert executor.placements == {"inline": scatters, "data": 0, "query": 0}
+        assert executor.placements == {"inline": scatters, "query": 0}
         assert executor.num_workers == 0
         assert _psm_segments() == segments
 
@@ -316,11 +322,11 @@ def test_auto_scatter_matches_serial_on_both_sides_of_threshold(
             _read_op(engine, op, large, seed=62), _read_op(serial, op, large, seed=62)
         )
         if op == "sample":
-            assert executor.placements == {"inline": 3, "data": 0, "query": 1}
+            assert executor.placements == {"inline": 3, "query": 1}
             assert executor.num_workers == 2
             assert len(_psm_segments() - segments) >= 2  # one base per shard
         else:
-            assert executor.placements == {"inline": 2, "data": 0, "query": 0}
+            assert executor.placements == {"inline": 2, "query": 0}
             assert executor.num_workers == 0
             assert _psm_segments() == segments
         assert engine.placements == executor.placements
@@ -386,7 +392,7 @@ def test_auto_scatter_small_reads_after_writes_publish_nothing(
 
 def test_process_executor_survives_worker_death(dataset, queries):
     """A killed worker respawns, replays its segment manifests and re-answers."""
-    executor = ProcessExecutor(max_workers=2, scatter="data")
+    executor = ProcessExecutor(max_workers=2, scatter="query")
     engine = ShardedEngine(dataset, num_shards=4, executor=executor)
     try:
         expected = engine.count_many(queries)
@@ -399,6 +405,23 @@ def test_process_executor_survives_worker_death(dataset, queries):
     finally:
         engine.close()
         executor.shutdown()
+
+
+def test_empty_batches_run_inline_under_query_scatter(dataset):
+    """A 0-query batch spawns no worker and publishes nothing, even under ``query``."""
+    executor = ProcessExecutor(max_workers=2, scatter="query")
+    engine = ShardedEngine(dataset, num_shards=2, executor=executor)
+    segments = _psm_segments()
+    try:
+        assert engine.count_many([]).shape == (0,)
+        assert engine.total_weight_many([]).shape == (0,)
+        assert engine.report_many([]) == []
+        assert engine.sample_many([], 8, random_state=1) == []
+        assert executor.num_workers == 0
+        assert executor.placements["query"] == 0
+        assert _psm_segments() == segments
+    finally:
+        _close(engine)
 
 
 def test_sample_draws_match_across_seeds(dataset):

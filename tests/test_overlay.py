@@ -29,8 +29,8 @@ DOMAIN = 1000.0
 #: Executor set-ups: (name, executor factory or name).
 SETUPS = {
     "serial": lambda: "serial",
-    "process-data": lambda: ProcessExecutor(max_workers=2, scatter="data"),
     "process-query": lambda: ProcessExecutor(max_workers=2, scatter="query", block_size=5),
+    "process-query-split": lambda: ProcessExecutor(max_workers=2, scatter="query"),
 }
 
 

@@ -19,7 +19,7 @@ from repro.core.errors import (
     InvalidIntervalError,
     StructureStateError,
 )
-from repro.service import SerialExecutor, ThreadedExecutor, resolve_executor
+from repro.service import ProcessExecutor, resolve_executor
 from repro.stats import chi_square_uniformity, chi_square_weighted
 
 SHARD_COUNTS = (1, 2, 4, 8)
@@ -327,36 +327,11 @@ class TestUpdates:
 # executors
 # ---------------------------------------------------------------------- #
 class TestExecutors:
-    def test_threaded_matches_serial_exactly(self, dataset, queries):
-        serial = ShardedEngine(dataset, num_shards=4)
-        with ShardedEngine(dataset, num_shards=4, executor="threads") as threaded:
-            assert np.array_equal(
-                serial.count_many(queries), threaded.count_many(queries)
-            )
-            for a, b in zip(serial.report_many(queries), threaded.report_many(queries)):
-                assert np.array_equal(a, b)
-            sample_a = serial.sample_many(queries, 9, random_state=77)
-            sample_b = threaded.sample_many(queries, 9, random_state=77)
-            for a, b in zip(sample_a, sample_b):
-                assert np.array_equal(a, b)
-
-    def test_custom_executor_object(self, dataset, queries):
-        class CountingExecutor(SerialExecutor):
-            calls = 0
-
-            def map(self, fn, items):
-                CountingExecutor.calls += 1
-                return super().map(fn, items)
-
-        engine = ShardedEngine(dataset, num_shards=2, executor=CountingExecutor())
-        engine.count_many(queries)
-        assert CountingExecutor.calls == 1
-
     def test_resolve_executor_errors(self):
         with pytest.raises(TypeError):
             resolve_executor(42)
-        executor, owned = resolve_executor("threads")
-        assert isinstance(executor, ThreadedExecutor) and owned
+        executor, owned = resolve_executor("process")
+        assert isinstance(executor, ProcessExecutor) and owned
         executor.shutdown()
 
     def test_engine_repr_and_introspection(self, dataset):
