@@ -11,8 +11,9 @@ independent range sampling is built for, served here by
 * the dataset is partitioned across 4 shards, each holding its own
   ``FlatAIT`` snapshot;
 * dashboard batches scatter-gather across the shards (counts merge by
-  summation; samples are allocated by a multinomial over per-shard overlap
-  counts, so the merged draws are exactly i.i.d. uniform);
+  summation; each sample is one uniform rank over the per-shard overlap
+  counts, answered by the shard that owns it, so the merged draws are
+  exactly i.i.d. uniform);
 * dispatch writes land in per-shard delta logs and become visible at the
   next batch boundary — snapshots refresh lazily and are never swapped
   mid-batch.

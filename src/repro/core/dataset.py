@@ -92,6 +92,13 @@ class IntervalDataset:
                 )
             if not np.all(np.isfinite(weights_arr)) or np.any(weights_arr < 0):
                 raise InvalidWeightError("weights must be finite and non-negative")
+            with np.errstate(over="ignore"):
+                total = float(weights_arr.sum())
+            if not np.isfinite(total):
+                raise InvalidWeightError(
+                    "weights must be finite and non-negative with a finite sum, "
+                    f"got a sum of {total}"
+                )
             explicit = True
 
         if payloads is not None and len(payloads) != lefts_arr.shape[0]:

@@ -47,7 +47,11 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from ..sampling.cumulative import record_weights, segmented_inverse_cdf
+from ..sampling.cumulative import (
+    record_weights,
+    segmented_inverse_cdf,
+    segmented_searchsorted,
+)
 from ..sampling.rng import RandomState, resolve_rng
 from .errors import EmptyResultError, InvalidIntervalError, InvalidWeightError
 from .query import QueryLike, coerce_query, coerce_query_batch, validate_sample_size
@@ -55,7 +59,7 @@ from .query import QueryLike, coerce_query, coerce_query_batch, validate_sample_
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .ait import AIT
 
-__all__ = ["FlatAIT", "validate_columns"]
+__all__ = ["FlatAIT", "draw_ranks", "validate_columns"]
 
 _ID = np.int64
 _F8 = np.float64
@@ -142,13 +146,28 @@ def segmented_cumsum(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return out
 
 
+def draw_ranks(uniforms: np.ndarray, mass: np.ndarray) -> np.ndarray:
+    """Turn uniforms ``(rows, s)`` in ``[0, 1)`` into ranks over per-row masses.
+
+    An integer mass ``M`` (an interval count) gives the exact integer rank
+    ``floor(u * M)`` in ``[0, M)``; a float mass ``W`` (a total weight) gives
+    the point ``u * W`` in ``[0, W)``.  Both clamp the ``u`` whose product
+    rounds up to the mass itself.
+    """
+    scaled = uniforms * mass[:, None]
+    if mass.dtype.kind == "f":
+        return np.minimum(scaled, np.nextafter(mass, 0.0)[:, None], out=scaled)
+    ranks = scaled.astype(_ID)
+    return np.minimum(ranks, mass[:, None] - 1, out=ranks)
+
+
 def validate_columns(lefts, rights, weights=None):
     """Interval columns as contiguous float64 arrays, or a typed error.
 
     Rejects columns of unequal length, non-finite endpoints, a left endpoint
     above its right one, and (when ``weights`` is given) weights that are
-    not finite and non-negative.  Returns ``(lefts, rights, weights)``;
-    ``weights`` stays ``None`` when not given.
+    not finite and non-negative or whose sum overflows.  Returns
+    ``(lefts, rights, weights)``; ``weights`` stays ``None`` when not given.
     """
     lefts = np.ascontiguousarray(lefts, dtype=_F8).reshape(-1)
     rights = np.ascontiguousarray(rights, dtype=_F8).reshape(-1)
@@ -181,6 +200,13 @@ def validate_columns(lefts, rights, weights=None):
             raise InvalidWeightError(
                 f"interval weight must be finite and non-negative, got "
                 f"{weights[bad]!r} at position {bad}"
+            )
+        with np.errstate(over="ignore"):
+            total = float(weights.sum())
+        if not np.isfinite(total):
+            raise InvalidWeightError(
+                f"interval weights must be finite and non-negative with a finite sum, "
+                f"got a sum of {total} over {n} weights"
             )
     return lefts, rights, weights
 
@@ -1243,17 +1269,15 @@ class FlatAIT:
     ) -> list[np.ndarray]:
         """Draw ``sample_size`` ids independently from each query's result set.
 
-        Record selection runs as one *batched multinomial* over the per-query
-        record weights (records are ``O(log n)`` few, so the dense
-        query x record matrix is tiny), then every draw picks its position
-        inside the chosen record vectorised across the whole batch, and each
-        query's row is shuffled.  The shuffle matters: the multinomial
-        produces draws grouped by record, and without it position ``i`` of
-        the output would carry information about which record it came from
-        (a consumer slicing ``ids[:k]`` would see a biased subsample).  After
-        the per-row permutation every position is marginally the exact scalar
-        per-draw law (``1/|q ∩ X|``, or ``w(x)/W``) and the sequence is
-        exchangeable, matching :meth:`sample`.
+        Every draw is one uniform ``u``, turned into a *rank* over the
+        query's overlap: ``floor(u * count)``, or ``u * weight`` for weighted
+        snapshots.  The rank lands in one record (a ``searchsorted`` over the
+        query's cumulative record masses) and then on one member of it
+        (:meth:`_ids_at_ranks`).  Ranks order the overlap record by record,
+        so a uniform rank is a uniform (weight-proportional) draw — the
+        paper's record-then-member argument (Theorem 3 / Corollary 5) — and
+        every cell of the output is an independent draw with the scalar
+        per-draw law, with no grouping by record to undo.
         """
         ql, qr = self.coerce_queries(queries)
         return self._sample_many(ql, qr, sample_size, random_state, on_empty)
@@ -1271,15 +1295,11 @@ class FlatAIT:
         rng = resolve_rng(random_state)
         nq = int(ql.shape[0])
         records = self.collect_records_batch(ql, qr)
-
-        rec_per_query = np.bincount(records.query, minlength=nq) if len(records) else np.zeros(
-            nq, dtype=_ID
-        )
-        rec_end = np.cumsum(rec_per_query)
-        rec_start = rec_end - rec_per_query
-        total_weight = np.zeros(nq, dtype=_F8)
-        np.add.at(total_weight, records.query, records.weight)
-        answerable = (rec_per_query > 0) & (total_weight > 0)
+        if self._weighted:
+            mass = np.bincount(records.query, records.weight, minlength=nq)
+        else:
+            mass = np.bincount(records.query, records.counts, minlength=nq).astype(_ID)
+        answerable = mass > 0
 
         if on_empty == "raise":
             if not answerable.all():
@@ -1294,61 +1314,79 @@ class FlatAIT:
         if sample_size == 0 or not answerable.any():
             return [empty.copy() for _ in range(nq)]
 
-        draw_queries = np.flatnonzero(answerable)
-        n_live = draw_queries.shape[0]
-
-        # Pass 1: how many of each query's draws land in each of its records.
-        # Dense (live queries x max records) weight matrix -> one batched
-        # multinomial; the matrix is tiny because records are O(log n) few.
-        # Width must cover every query that owns records — unanswerable
-        # queries (zero total weight) still scatter their records below.
-        width = int(rec_per_query.max())
-        ordinal = np.arange(len(records), dtype=_ID) - rec_start[records.query]
-        dense = np.zeros((nq, width), dtype=_F8)
-        dense[records.query, ordinal] = records.weight
-        pvals = dense[draw_queries] / total_weight[draw_queries, None]
-        hits = rng.multinomial(sample_size, pvals)  # (n_live, width)
-
-        # Map every (query, ordinal) cell back to its flat record index and
-        # expand to one entry per draw; draws come out grouped by query (each
-        # query contributes exactly sample_size of them, contiguously).
-        # Per-draw intermediates use 32-bit indices when the pools allow it —
-        # they are the hot multi-million-element arrays, and halving their
-        # width measurably cuts the wall-clock of the whole pass.
-        idx_dtype = np.int32 if self._all_ids.shape[0] < 2**31 - 1 else _ID
-        cell_record = rec_start[draw_queries][:, None] + np.arange(width, dtype=_ID)[None, :]
-        cell_record = np.minimum(cell_record, len(records) - 1)  # padding cells get 0 hits
-        chosen = np.repeat(cell_record.astype(idx_dtype).ravel(), hits.ravel())
-
-        # Pass 2: pick a position inside the chosen record.
-        n_draws = chosen.shape[0]
-        if self._weighted:
-            positions = segmented_inverse_cdf(
-                self._all_weight_prefix,
-                records.glo[chosen],
-                records.ghi[chosen],
-                rng.random(n_draws),
-                base=records.gbase[chosen],
-            )
-        else:
-            lengths = records.counts.astype(idx_dtype)[chosen]
-            # floor(u * len) can round up to len for very long records; clamp.
-            offsets = (rng.random(n_draws) * lengths).astype(idx_dtype)
-            np.minimum(offsets, lengths - 1, out=offsets)
-            positions = records.glo.astype(idx_dtype)[chosen]
-            positions += offsets
-        # Restore per-position i.i.d. order: the draws arrive grouped by
-        # record; a uniform permutation of each row makes the sequence
-        # exchangeable again (see docstring).  Shuffling the (narrower)
-        # position array is cheaper than shuffling the gathered ids.
-        positions_2d = positions.reshape(n_live, sample_size)
-        rng.permuted(positions_2d, axis=1, out=positions_2d)
-        ids = self._all_ids[positions].reshape(n_live, sample_size)
+        live = np.flatnonzero(answerable)
+        ranks = draw_ranks(rng.random((live.shape[0], sample_size)), mass[live])
+        query_of = np.broadcast_to(live[:, None], ranks.shape).ravel()
+        ids = self._ids_at_ranks(records, nq, query_of, ranks.ravel())
+        ids = ids.reshape(ranks.shape)
 
         out: list[np.ndarray] = [empty] * nq
-        for row, q in enumerate(draw_queries):
+        for row, q in enumerate(live):
             out[int(q)] = ids[row]
         return out
+
+    def _ids_at_ranks(
+        self,
+        records: _RecordBatch,
+        nq: int,
+        query_of: np.ndarray,
+        ranks: np.ndarray,
+    ) -> np.ndarray:
+        """The snapshot id at ``ranks[i]`` of the overlap of query ``query_of[i]``.
+
+        ``records`` are the batch's records (:meth:`collect_records_batch`
+        over ``nq`` queries).  A query's overlap is ordered record by record,
+        in traversal order, and within a record in pool order; an unweighted
+        rank is an integer position in ``[0, count)``, a weighted one a point
+        in ``[0, weight)`` of the concatenated member weights.  A rank past
+        the query's mass (a stale caller) is clamped to the last member, and
+        a draw whose query has no records gets ``-1``.
+        """
+        per_query = np.bincount(records.query, minlength=nq)
+        found = per_query[query_of] > 0 if not per_query.all() else None
+        if found is not None:
+            ids = np.full(query_of.shape[0], -1, dtype=_ID)
+            query_of, ranks = query_of[found], ranks[found]
+        if query_of.shape[0] == 0:
+            return np.empty(0, dtype=_ID) if found is None else ids
+        stop = np.cumsum(per_query)
+        first = stop - per_query
+        lo, hi = first[query_of], stop[query_of]
+        if not self._weighted:
+            # One global search: the records' cumulative counts, offset by
+            # the mass of the batch's earlier queries, are exact integers.
+            counts = records.counts
+            ends = np.cumsum(counts)
+            starts = ends - counts
+            total = ends[hi - 1] - starts[lo]
+            target = starts[lo] + np.minimum(ranks, total - 1)
+            rec = np.searchsorted(ends, target, side="right")
+            positions = records.glo[rec] + (target - starts[rec])
+        else:
+            # Cumulative weights restart at every query (summed row by row,
+            # so they do not depend on the rest of the batch), and a rank is
+            # searched for among its own query's records only.
+            ordinal = np.arange(len(records), dtype=_ID) - first[records.query]
+            dense = np.zeros((nq, int(per_query.max())), dtype=_F8)
+            dense[records.query, ordinal] = records.weight
+            np.cumsum(dense, axis=1, out=dense)
+            ends = dense[records.query, ordinal]
+            rec = segmented_searchsorted(ends, lo, hi, ranks, side="right")
+            np.minimum(rec, hi - 1, out=rec)
+            weight = records.weight[rec]
+            residual = ranks - np.where(rec > lo, ends[rec - 1], 0.0)
+            fraction = np.divide(residual, weight, out=np.zeros_like(residual), where=weight > 0)
+            positions = segmented_inverse_cdf(
+                self._all_weight_prefix,
+                records.glo[rec],
+                records.ghi[rec],
+                fraction,
+                base=records.gbase[rec],
+            )
+        if found is None:
+            return self._all_ids[positions]
+        ids[found] = self._all_ids[positions]
+        return ids
 
     # ------------------------------------------------------------------ #
     # scalar fast paths

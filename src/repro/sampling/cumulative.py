@@ -89,26 +89,32 @@ def segmented_searchsorted(
     runs; for each needle ``i`` the run is ``pool[lo[i]:hi[i]]`` (half-open,
     global indices).  Returns the global insertion index of ``needles[i]``
     inside its run, with standard left/right semantics.  The whole batch is
-    resolved in ``O(log(max run length))`` vectorised rounds, which is what
+    resolved in ``ceil(log2(max run length))`` vectorised rounds, which is what
     lets the flat batch-query engine replace one Python-level
     ``np.searchsorted`` call per (query, node) pair with a handful of
     array operations per tree level.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    lo = np.asarray(lo, dtype=np.int64).copy()
-    hi = np.asarray(hi, dtype=np.int64).copy()
+    before = np.less if side == "left" else np.less_equal
+    base = np.array(lo, dtype=np.int64)
+    size = np.asarray(hi, dtype=np.int64) - base
     needles = np.asarray(needles)
-    active = lo < hi
-    while active.any():
-        mid = (lo + hi) >> 1
-        mid_vals = pool[np.where(active, mid, 0)]
-        go_right = (mid_vals < needles) if side == "left" else (mid_vals <= needles)
-        go_right &= active
-        lo = np.where(go_right, mid + 1, lo)
-        hi = np.where(active & ~go_right, mid, hi)
-        active = lo < hi
-    return lo
+    # Branch-free halving: the answer stays in [base, base + size]; each
+    # round probes base + size // 2 and keeps the half that holds it.
+    # Every segment's size reaches 1 within the longest one's rounds.  An
+    # empty segment probes its own start, which may lie past the pool (its
+    # result is discarded, hence ``clip``).
+    longest = int(size.max()) if size.shape[0] else 0
+    while longest > 1:
+        half = size >> 1
+        probe = base + half
+        base = np.where(before(pool.take(probe, mode="clip"), needles), probe, base)
+        size -= half
+        longest -= longest >> 1
+    last = size > 0
+    base[last] += before(pool[base[last]], needles[last])
+    return base
 
 
 def segmented_inverse_cdf(

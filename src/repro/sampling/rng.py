@@ -56,9 +56,8 @@ def spawn_seeds(rng: np.random.Generator, count: int) -> list[int]:
 
     The transferable form of :func:`spawn_rngs`: plain ints cross process
     boundaries for free, and ``default_rng(seed)`` on the far side yields the
-    exact generator ``spawn_rngs`` would have built here — the engine's
-    executors rely on that for bit-identical sampling under serial, threaded
-    and process execution.  Consumes ``count`` draws from ``rng``.
+    exact generator ``spawn_rngs`` would have built here.  Consumes ``count``
+    draws from ``rng``.
     """
     if count < 0:
         raise ValueError("count must be non-negative")

@@ -11,16 +11,14 @@ the partial results:
   lives in exactly one shard, so per-shard results partition ``q ∩ X``;
 * **reporting** merges by concatenation, with shard-local ids mapped back to
   engine-global ids;
-* **sampling** stays *exactly* i.i.d.: for each query the engine first draws
-  how many of its ``s`` samples fall into each shard from a multinomial over
-  the per-shard overlap counts (overlap *weights* for weighted engines), then
-  delegates those draws to each shard's vectorised ``sample_many`` and
-  shuffles the merged row.  Conditioning on shard membership, a uniform
-  (weight-proportional) draw within the shard is uniform
-  (weight-proportional) over all of ``q ∩ X`` — the same two-stage argument
-  that makes the paper's record-level alias sampling exact (Theorem 3 /
-  Corollary 5), lifted one level up.  See ``docs/ARCHITECTURE.md`` for the
-  full derivation.
+* **sampling** stays *exactly* i.i.d.: every draw is one uniform, scaled
+  to a rank over the query's whole overlap (counts, or overlap *weights*
+  for weighted engines).  Ranks order ``q ∩ X`` shard by shard, then
+  record by record, then member by member, so the shard whose cumulative
+  mass range holds a rank answers that draw at the local rank, and its
+  ``FlatAIT`` finds the record and the member the same way — the paper's
+  record-then-member argument (Theorem 3 / Corollary 5) applied at every
+  level.  See ``docs/ARCHITECTURE.md`` for the full derivation.
 
 Writes (:meth:`ShardedEngine.insert` / :meth:`ShardedEngine.delete`) are
 routed to the owning shard's buffered delta log and folded into the shard's
@@ -51,10 +49,10 @@ import numpy as np
 
 from ..core.dataset import IntervalDataset
 from ..core.errors import EmptyResultError, InvalidIntervalError, StructureStateError
-from ..core.flat import FlatAIT
+from ..core.flat import FlatAIT, draw_ranks
 from ..core.interval import Interval, validate_endpoints
 from ..core.query import QueryLike, validate_sample_size
-from ..sampling.rng import RandomState, resolve_rng, spawn_seeds
+from ..sampling.rng import RandomState, resolve_rng
 from .executor import resolve_executor
 from .shard import Shard
 from .shm import run_inline
@@ -572,16 +570,16 @@ class ShardedEngine:
     ) -> list[np.ndarray]:
         """Draw ``sample_size`` i.i.d. samples per query across all shards.
 
-        Stage 1 allocates each query's draws over the shards with one
-        batched multinomial over per-shard overlap counts (weights for
-        weighted engines); stage 2 delegates to each shard's vectorised
-        ``sample_many`` (over base and overlay, see
-        :func:`repro.service.shm._draw_overlaid`) and keeps the first
-        ``allocated`` draws of every row (rows are exchangeable, so a prefix
-        is itself an i.i.d. sample);
-        stage 3 merges and shuffles each query's row so the output carries no
-        shard-grouping information.  The composite per-draw law is exactly
-        ``1/|q ∩ X|`` (``w(x)/W`` when weighted) — see ``docs/ARCHITECTURE.md``.
+        Every draw is one uniform from ``random_state``, scaled to a rank
+        over the query's whole overlap (:func:`~repro.core.flat.draw_ranks`:
+        an integer position for counts, a point in the total weight for
+        weighted engines).  Ranks order the overlap shard by shard, so the
+        shard whose cumulative mass range holds a rank answers that draw, at
+        the rank minus the range start (:func:`repro.service.shm._op_sample`,
+        over base and overlay).  A uniform rank is a uniform (weight-
+        proportional) draw, so every cell is exactly ``1/|q ∩ X|``
+        (``w(x)/W`` when weighted) and independent of the others — see
+        ``docs/ARCHITECTURE.md``.
         """
         if on_empty not in ("empty", "raise"):
             raise ValueError(f"on_empty must be 'empty' or 'raise', got {on_empty!r}")
@@ -590,17 +588,17 @@ class ShardedEngine:
         self.refresh()
         rng = resolve_rng(random_state)
         nq = int(ql.shape[0])
-        num_shards = len(self._shards)
 
+        op = "total_weight" if self._weighted else "count"
+        mass = np.stack(self._scatter(op, {"ql": ql, "qr": qr}), axis=1)
         if self._weighted:
-            masses = self._scatter("total_weight", {"ql": ql, "qr": qr})
-        else:
-            masses = [
-                row.astype(_F8) for row in self._scatter("count", {"ql": ql, "qr": qr})
-            ]
-        mass = np.stack(masses) if nq else np.zeros((num_shards, 0), dtype=_F8)
-        totals = mass.sum(axis=0)
-        answerable = totals > 0
+            # A shard whose overlap weighs nothing can come out a rounding
+            # error below zero; it owns no rank.
+            np.maximum(mass, 0.0, out=mass)
+        # Per-query cumulative shard masses (queries x shards + 1).
+        cum = np.zeros((nq, mass.shape[1] + 1), dtype=mass.dtype)
+        np.cumsum(mass, axis=1, out=cum[:, 1:])
+        answerable = cum[:, -1] > 0
         if on_empty == "raise" and not answerable.all():
             bad = int(np.flatnonzero(~answerable)[0])
             raise EmptyResultError(f"query [{ql[bad]}, {qr[bad]}] matched no intervals")
@@ -610,36 +608,13 @@ class ShardedEngine:
             return [empty.copy() for _ in range(nq)]
 
         live = np.flatnonzero(answerable)
-        n_live = live.shape[0]
-        # Stage 1: one multinomial row per live query over its shard masses.
-        pvals = (mass[:, live] / totals[live]).T  # (n_live, K)
-        alloc = rng.multinomial(sample_size, pvals)  # (n_live, K)
-
-        # Independent per-shard seeds, derived *before* dispatch, make the
-        # result deterministic under any executor (no shared-stream races):
-        # each shard task builds its own generator from its seed, and plain
-        # ints cross the process boundary for free.  The per-shard draw
-        # itself lives in repro.service.shm._op_sample (power-of-two
-        # allocation bucketing, base/overlay split, global-id mapping).
-        seeds = spawn_seeds(rng, num_shards)
-        per_shard = self._scatter(
-            "sample",
-            {"ql": ql[live], "qr": qr[live], "alloc": alloc, "seeds": seeds},
-        )
-
-        # Stage 3: merge per-shard prefixes into one (n_live, s) matrix ...
-        merged = np.empty((n_live, sample_size), dtype=_ID)
-        cursor = np.zeros(n_live, dtype=_ID)
-        for selected, counts, rows in per_shard:
-            for row_ids, query_row in zip(rows, selected):
-                take = int(counts[query_row])
-                start = int(cursor[query_row])
-                merged[query_row, start : start + take] = row_ids[:take]
-                cursor[query_row] = start + take
-        # ... and shuffle each row: the multinomial groups draws by shard, and
-        # a uniform per-row permutation restores the exchangeable i.i.d. law
-        # (same argument as FlatAIT.sample_many's record-grouping shuffle).
-        rng.permuted(merged, axis=1, out=merged)
+        cum = cum[live]
+        ranks = draw_ranks(rng.random((live.shape[0], sample_size)), cum[:, -1])
+        seeds = rng.integers(0, 2**63 - 1, size=live.shape[0], dtype=_ID)
+        payload = {"ql": ql[live], "qr": qr[live], "ranks": ranks, "cum": cum, "seeds": seeds}
+        merged = np.empty(ranks.shape, dtype=_ID)
+        for k, ids in enumerate(self._scatter("sample", payload)):
+            merged[(ranks >= cum[:, k, None]) & (ranks < cum[:, k + 1, None])] = ids
 
         out: list[np.ndarray] = [empty] * nq
         for row, query_index in enumerate(live):

@@ -13,20 +13,20 @@ correctness one.  There are two places:
 * **workers** — :class:`ProcessExecutor`: long-lived worker *processes*
   that attach each shard's snapshot arrays once via
   ``multiprocessing.shared_memory`` and then receive only compact per-batch
-  task descriptors (op name + query arrays + per-shard RNG seeds).  A
-  worker-bound batch is cut into shard x query-block tiles round-robined
-  over all workers (the query scatter).  Under the default
+  task descriptors (op name + the per-query payload rows their tiles
+  cover).  A worker-bound batch is cut into shard x query-block tiles
+  round-robined over all workers (the query scatter).  Under the default
   ``scatter="auto"`` a ``ProcessExecutor`` still answers a batch inline
   unless it is a large enough ``sample`` batch for the worker round trip to
   pay off.  See :mod:`repro.service.shm` for the segment layout and worker
   protocol, and ``docs/ARCHITECTURE.md`` for the measurements behind the
   ``auto`` rule.
 
-Determinism note: the engine never shares one RNG across shard tasks — it
-derives one integer seed per shard up front
-(:func:`repro.sampling.rng.spawn_seeds`) and each shard task builds its own
-generator from it, so sampling results are bit-identical in both places,
-across process boundaries included.
+Determinism note: no shard task draws from a random stream.  The engine
+draws every sample's uniform up front and ships ranks (plus one integer
+seed per query for tombstone redraws, see :mod:`repro.service.shm`), so
+each query's answer is a function of its own payload rows and sampling
+results are bit-identical in both places, under any tiling.
 """
 
 from __future__ import annotations
@@ -40,11 +40,11 @@ from typing import Optional
 
 from ..core.errors import WorkerTimeoutError
 from .shm import (
-    SEED_BLOCK,
     merge_block_results,
     publish_overlay,
     publish_shard,
     run_inline,
+    slice_payload,
     worker_main,
 )
 
@@ -120,10 +120,9 @@ class ProcessExecutor:
       (``block_size`` queries; default one block per worker) and the
       resulting shard x block tiles are round-robined over the workers, each
       executing the op over a payload slice.  Results are reassembled in
-      submission order and are bit-identical to the inline loop:
-      counting/reporting tiles are independent by construction, and sampling
-      tiles are cut on the canonical :data:`repro.service.shm.SEED_BLOCK`
-      boundaries its per-(shard, block) seed schedule is defined on.
+      submission order and are bit-identical to the inline loop: every op
+      answers a query from that query's payload rows alone, so tiles are
+      independent by construction.
     * ``inline`` — the batch runs in the owner process, the
       :func:`~repro.service.shm.run_inline` loop the engine runs without a
       ``ProcessExecutor``.  No worker, no publish.
@@ -159,8 +158,7 @@ class ProcessExecutor:
         ``"query"`` or ``"auto"`` (see above).
     block_size:
         Query-block width for the query scatter; defaults to an even split
-        of the batch across workers.  Sampling rounds it up to a multiple of
-        :data:`repro.service.shm.SEED_BLOCK` to keep draws bit-identical.
+        of the batch across workers.
     """
 
     kind = "process"
@@ -320,40 +318,34 @@ class ProcessExecutor:
         """Shard x query-block tiles, round-robined over the workers.
 
         The block width defaults to an even split of the batch across
-        workers; sampling rounds it up to the canonical ``SEED_BLOCK``
-        multiple so every seed-block lands whole inside one tile (the
-        bit-identity requirement of the blocked draw schedule).  Per-shard
-        tile results are reassembled in ascending tile order, which restores
-        exactly the whole-batch result.
+        workers.  Each worker receives only the payload rows its tiles
+        cover, with the tiles re-based onto them.  Per-shard tile results
+        are reassembled in ascending tile order, which restores exactly the
+        whole-batch result.
         """
         width = len(self._workers)
         block = self._block_size or -(-nq // width)
-        if op == "sample":
-            block = -(-block // SEED_BLOCK) * SEED_BLOCK
-        tiles = [
-            (shard_index, start, min(start + block, nq))
-            for shard_index in range(len(keys))
-            for start in range(0, nq, block)
-        ]
-        per_worker: list[list[tuple]] = [[] for _ in range(width)]
-        for position, tile in enumerate(tiles):
-            per_worker[position % width].append(tile)
-        messages = {
-            w: ("op", op, payload, [(keys[k], start, stop) for k, start, stop in mine])
-            for w, mine in enumerate(per_worker)
-            if mine
-        }
+        starts = range(0, nq, block)
+        tiles = [(k, start, min(start + block, nq)) for k in range(len(keys)) for start in starts]
+        per_worker = [range(w, len(tiles), width) for w in range(width)]
+        messages = {}
+        for w, mine in enumerate(per_worker):
+            if mine:
+                low = min(tiles[i][1] for i in mine)
+                high = max(tiles[i][2] for i in mine)
+                rebased = [(keys[tiles[i][0]], tiles[i][1] - low, tiles[i][2] - low) for i in mine]
+                messages[w] = ("op", op, slice_payload(payload, low, high), rebased)
         for w, message in messages.items():
             self._send(self._workers[w], message)
 
-        parts: list[list] = [[] for _ in keys]
+        results: list = [None] * len(tiles)
         for w, message in messages.items():
-            rows = self._await(self._workers[w], resend=message)
-            for (k, start, _stop), result in zip(per_worker[w], rows):
-                parts[k].append((start, result))
+            for i, result in zip(per_worker[w], self._await(self._workers[w], resend=message)):
+                results[i] = result
+        count = len(starts)
         return [
-            merge_block_results(op, sorted(shard_parts, key=lambda pair: pair[0]))
-            for shard_parts in parts
+            merge_block_results(op, results[k * count : (k + 1) * count])
+            for k in range(len(keys))
         ]
 
     # -- internals ------------------------------------------------------- #

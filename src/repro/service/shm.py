@@ -27,21 +27,22 @@ This module provides both sides of that bridge:
   never mutate anything: writes, overlay rebuilds and compactions stay on
   the owner process.
 
-The op payloads are compact per-batch task descriptors — query endpoint
-arrays, per-shard draw allocations, per-shard RNG *seeds* (plain ints, see
-:func:`repro.sampling.rng.spawn_seeds`) — never engines or closures.
+The op payloads are compact per-batch task descriptors — plain arrays with
+one entry (or row) per query, never engines or closures.  A ``sample``
+payload carries, besides the query endpoints, each draw's *rank* (the
+engine draws one uniform per sample and scales it by the query's overlap
+mass), each query's cumulative per-shard masses and one integer seed per
+query.  Every shard op is then a deterministic function of its queries and
+ranks: a shard keeps the cells whose rank falls in its mass range and maps
+each to the interval at that rank (see :func:`_op_sample`).
 
 Query-parallel tiles.  An ``op`` message addresses work as ``(key, start,
 stop)`` tiles: a contiguous query block of one shard (the query scatter, see
 :class:`~repro.service.executor.ProcessExecutor`).  :func:`slice_payload`
 cuts a tile's payload out of the batch payload, and :func:`merge_block_results`
 reassembles per-tile results into the exact value the whole-batch op would
-have returned.  Sampling stays bit-identical under any tiling because
-:func:`_op_sample` never draws from one batch-wide stream: every canonical
-:data:`SEED_BLOCK`-query block derives its own generator from the shard seed
-(``SeedSequence(seed, spawn_key=(block,))``), so a block's draws depend only
-on that block's queries — executors merely have to cut tiles on
-:data:`SEED_BLOCK` boundaries.
+have returned.  Since every op's answer for a query depends only on that
+query's payload rows, any tiling reproduces the whole batch bit for bit.
 """
 
 from __future__ import annotations
@@ -68,20 +69,10 @@ __all__ = [
     "attach_overlay",
     "worker_main",
     "SHARD_OPS",
-    "SEED_BLOCK",
 ]
 
 _ID = np.int64
 _F8 = np.float64
-
-#: Canonical sampling seed-block width, in queries.  ``_op_sample`` derives
-#: one child generator per (shard, block of SEED_BLOCK consecutive batch
-#: positions) instead of one stream per shard, so the draws for a block are a
-#: pure function of that block's queries.  Any query tiling whose cuts land
-#: on multiples of SEED_BLOCK therefore reproduces the whole-batch draws bit
-#: for bit.  Changing this value changes which i.i.d. sample a given seed
-#: yields (still exactly i.i.d. — just a different, equally valid draw).
-SEED_BLOCK = 16
 
 #: Rounds of redrawing tombstoned base draws before a sample op finishes the
 #: remaining draws by report-and-filter.  Rejection only runs while at most
@@ -93,8 +84,6 @@ MAX_REJECTION_ROUNDS = 32
 #: Segment alignment for array starts — one cache line, and a multiple of
 #: every dtype itemsize in the schema.
 _ALIGN = 64
-
-_EMPTY = np.empty(0, dtype=_ID)
 
 
 def _members(sorted_values: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -283,152 +272,128 @@ def _op_report(view: ShardView, payload: dict) -> list[np.ndarray]:
     return rows
 
 
-def _block_rng(seed, block_id: int) -> np.random.Generator:
-    """The canonical generator for one (shard seed, seed-block) pair.
+def _redraw_uniforms(seeds: np.ndarray, draws: np.ndarray, round_: int) -> np.ndarray:
+    """Uniforms in ``[0, 1)``: a SplitMix64 hash of (row seed, draw index, round).
 
-    ``SeedSequence(seed, spawn_key=(block,))`` is exactly the stream the
-    ``block``-th spawned child of ``SeedSequence(seed)`` would get — derived
-    directly so block ``b`` costs O(1) instead of spawning ``b`` children.
+    Counter-based, so a redraw depends only on its own row's seed and the
+    draw's column, never on which other rows share the call: any tiling of a
+    batch reproduces it.  Used only for tombstone redraws, which are rare.
     """
-    return np.random.default_rng(
-        np.random.SeedSequence(int(seed), spawn_key=(int(block_id),))
-    )
+    with np.errstate(over="ignore"):
+        counter = (draws.astype(np.uint64) << np.uint64(32)) + np.uint64(round_ + 1)
+        z = seeds.astype(np.uint64) + counter * np.uint64(0x9E3779B97F4A7C15)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        z ^= z >> np.uint64(31)
+    return (z >> np.uint64(11)).astype(_F8) * 2.0**-53
 
 
-def _draw_rows(
-    snapshot: FlatAIT, ql: np.ndarray, qr: np.ndarray, need: np.ndarray, rng
-) -> list[np.ndarray]:
-    """``need[i] > 0`` i.i.d. draws (snapshot-local ids) for every query ``i``.
+def _touched(query_of: np.ndarray, nq: int) -> tuple[np.ndarray, np.ndarray]:
+    """The queries some draw belongs to, and every query's position among them."""
+    hit = np.zeros(nq, dtype=bool)
+    hit[query_of] = True
+    return np.flatnonzero(hit), np.cumsum(hit) - 1
 
-    The flat sampler draws one fixed count per call, so queries are bucketed
-    by the power-of-two ceiling of their need: each bucket draws its own max
-    (over-draw bounded at 2x) instead of every query drawing the overall max,
-    and each row keeps its first ``need[i]`` draws (rows are exchangeable, so
-    a prefix is itself an i.i.d. sample).
+
+def _locate(index: FlatAIT, ql: np.ndarray, qr: np.ndarray, query_of, ranks) -> np.ndarray:
+    """``index``-local ids at ``ranks``, traversing only the queries drawn from."""
+    queries, slot = _touched(query_of, ql.shape[0])
+    records = index.collect_records_batch(ql[queries], qr[queries])
+    return index._ids_at_ranks(records, queries.shape[0], slot[query_of], ranks)
+
+
+def _sample_overlaid(view, ql, qr, query_of, ranks, seeds, draws) -> np.ndarray:
+    """Global ids at the shard-local ``ranks`` of a shard with an overlay.
+
+    A query's live overlap is its live base part followed by its delta part,
+    so a rank below ``live`` is a base draw and the rest go to the delta at
+    ``rank - live``.  A base draw of a query without tombstones reads the
+    base at its rank.  Otherwise the base part is not contiguous in rank
+    order, so the draw is placed by rejection: each round takes a hashed
+    uniform (:func:`_redraw_uniforms`) over the whole base overlap and
+    keeps it unless it hits a tombstone — uniform over the live part.  When
+    tombstones are more than half of a query's base overlap (or the
+    rejection rounds run out), the draw takes the live base ids by
+    report-and-filter and reads them at its rank, so the work stays
+    bounded.  A rank past the shard's current mass — a payload built before
+    later deletes — is clamped to its last member; a query with nothing
+    left gets ``-1``.
     """
-    rows: list[np.ndarray] = [_EMPTY] * need.shape[0]
-    levels = np.ceil(np.log2(need)).astype(_ID)
-    for level in np.unique(levels):
-        members = np.flatnonzero(levels == level)
-        cap = int(need[members].max())
-        drawn = snapshot._sample_many(ql[members], qr[members], cap, rng)
-        for member, row in zip(members, drawn):
-            rows[int(member)] = row[: need[member]]
-    return rows
-
-
-def _draw_overlaid(
-    view: ShardView,
-    ql: np.ndarray,
-    qr: np.ndarray,
-    need: np.ndarray,
-    base_all: np.ndarray,
-    tombs: np.ndarray,
-    delta: np.ndarray,
-    rng,
-) -> list[np.ndarray]:
-    """``need[i]`` i.i.d. global ids per query, uniform over base + overlay.
-
-    A draw uniform over the shard's live overlap falls in the live base with
-    probability ``live / (live + delta)``, so one binomial per query splits
-    its allocation between the two — the engine's per-shard multinomial
-    applied one level down.  Base draws that hit a tombstone are rejected
-    and redrawn: a uniform draw over the base overlap conditioned on "not
-    tombstoned" is uniform over its live part.  When tombstones are more
-    than half of a query's base overlap (or the rejection rounds run out),
-    the base part is drawn by report-and-filter instead, so the work stays
-    bounded.  A query whose shard has no live overlap left — an allocation
-    computed before later deletes — gets a short row instead of spinning.
-    """
-    overlay = view.overlay
+    overlay, snapshot = view.overlay, view.snapshot
+    base_all = snapshot._count_many(ql, qr)
+    tombs = overlay.tomb_count(ql, qr)
     live = base_all - tombs
-    total = live + delta
-    need = np.where(total > 0, need, 0)
-    p_base = np.divide(live, total, out=np.zeros(need.shape[0], dtype=_F8), where=total > 0)
-    from_base = rng.binomial(need, p_base)
-    from_delta = need - from_base
+    mass = (live + overlay.delta_count(ql, qr))[query_of]
+    ranks = np.minimum(ranks, mass - 1)
+    out = np.full(ranks.shape[0], -1, dtype=_ID)
+    split = live[query_of]
+    to_delta = np.flatnonzero((mass > 0) & (ranks >= split))
+    if to_delta.shape[0]:
+        at = ranks[to_delta] - split[to_delta]
+        out[to_delta] = overlay.delta_map[_locate(overlay.delta, ql, qr, query_of[to_delta], at)]
 
-    parts: list[list[np.ndarray]] = [[] for _ in range(need.shape[0])]
-    missing = from_base.copy()
-    active = np.flatnonzero((missing > 0) & (2 * tombs <= base_all))
-    for _ in range(MAX_REJECTION_ROUNDS):
-        if active.shape[0] == 0:
+    to_base = (mass > 0) & (ranks < split)
+    tombed = tombs[query_of] > 0
+    rejecting = to_base & tombed & (2 * tombs <= base_all)[query_of]
+    direct = np.flatnonzero(to_base & ~tombed)
+    pending = np.flatnonzero(rejecting)
+    # One base traversal serves the direct reads and every rejection round.
+    rows, slot = _touched(query_of[to_base & (rejecting | ~tombed)], ql.shape[0])
+    records = snapshot.collect_records_batch(ql[rows], qr[rows])
+
+    def read_base(picked: np.ndarray, at: np.ndarray) -> np.ndarray:
+        return snapshot._ids_at_ranks(records, rows.shape[0], slot[query_of[picked]], at)
+
+    if direct.shape[0]:
+        out[direct] = view.global_map[read_base(direct, ranks[direct])]
+    for round_ in range(MAX_REJECTION_ROUNDS):
+        if pending.shape[0] == 0:
             break
-        drawn = _draw_rows(view.snapshot, ql[active], qr[active], missing[active], rng)
-        for index, row in zip(active, drawn):
-            kept = row[~overlay.tombstoned(row)]
-            parts[index].append(kept)
-            missing[index] -= kept.shape[0]
-        active = active[missing[active] > 0]
-    rest = np.flatnonzero(missing > 0)
+        span = base_all[query_of[pending]]
+        uniforms = _redraw_uniforms(seeds[query_of[pending]], draws[pending], round_)
+        picks = np.minimum((uniforms * span).astype(_ID), span - 1)
+        local = read_base(pending, picks)
+        dead = overlay.tombstoned(local)
+        out[pending[~dead]] = view.global_map[local[~dead]]
+        pending = pending[dead]
+
+    filtered = np.flatnonzero(to_base & tombed & ~rejecting)
+    rest = np.concatenate((filtered, pending))
     if rest.shape[0]:
-        for index, ids in zip(rest, view.snapshot._report_many(ql[rest], qr[rest])):
-            ids = ids[~overlay.tombstoned(ids)]
-            if ids.shape[0]:
-                parts[index].append(ids[rng.integers(0, ids.shape[0], size=missing[index])])
-
-    rows = [view.to_global(np.concatenate(part)) if part else _EMPTY for part in parts]
-    wanted = np.flatnonzero(from_delta > 0)
-    if wanted.shape[0]:
-        drawn = _draw_rows(overlay.delta, ql[wanted], qr[wanted], from_delta[wanted], rng)
-        for index, row in zip(wanted, drawn):
-            rows[index] = np.concatenate((rows[index], overlay.delta_map[row]))
-    return rows
+        queries, slot = _touched(query_of[rest], ql.shape[0])
+        chunks = _drop_tombstoned(snapshot._report_many(ql[queries], qr[queries]), overlay)
+        lengths = np.fromiter((chunk.shape[0] for chunk in chunks), dtype=_ID, count=len(chunks))
+        starts = np.cumsum(lengths) - lengths
+        at = slot[query_of[rest]]
+        picks = np.minimum(ranks[rest], lengths[at] - 1)
+        out[rest] = view.to_global(np.concatenate(chunks)[starts[at] + picks])
+    return out
 
 
-def _op_sample(view: ShardView, payload: dict):
-    """Stage 2 of the engine's two-stage sampler, for one shard.
+def _op_sample(view: ShardView, payload: dict) -> np.ndarray:
+    """The ids at this shard's ranks, in row-major order of the cells it owns.
 
-    ``payload`` carries the *live* query endpoints, the stage-1 multinomial
-    allocation matrix ``alloc`` (queries x shards), one integer RNG seed per
-    shard, and optionally ``offset`` — the batch-global position of this
-    payload's first query (0 for a whole batch; the tile start under the
-    query-parallel scatter).  This shard reads its own column and seed.
-
-    The draw schedule is *seed-blocked*: queries are grouped by their
-    canonical :data:`SEED_BLOCK`-wide batch-position block, and every block
-    draws from its own generator (:func:`_block_rng`) — from the base alone
-    (:func:`_draw_rows`) or, when the shard has an overlay, from base and
-    overlay (:func:`_draw_overlaid`).  Returns ``(selected, counts, rows)``
-    with rows already mapped to global ids.
+    ``payload`` carries the live query endpoints ``ql``/``qr``, the draw
+    ranks ``ranks`` (queries x draws; integer positions in the query's
+    overlap, or points in its total weight for weighted engines), each
+    row's cumulative shard masses ``cum`` (queries x shards + 1) and one
+    integer ``seeds`` entry per row.  This shard owns the cells whose rank
+    lies in ``[cum[:, k], cum[:, k + 1])`` for its id ``k``; it subtracts
+    the start to get shard-local ranks and maps each to a global id — from
+    the base alone, or from base and overlay (:func:`_sample_overlaid`).
     """
-    counts = payload["alloc"][:, view.shard_id]
-    selected = np.flatnonzero(counts > 0)
-    if selected.shape[0] == 0:
-        return selected, counts, []
-    ql, qr = payload["ql"][selected], payload["qr"][selected]
-    offset = int(payload.get("offset", 0))
-    seed = payload["seeds"][view.shard_id]
-    caps = counts[selected]
-    blocks = (offset + selected) // SEED_BLOCK
-    overlay = view.overlay
-    if overlay is not None:
-        base_all = view.snapshot._count_many(ql, qr)
-        tombs = overlay.tomb_count(ql, qr)
-        delta = overlay.delta_count(ql, qr)
-    rows: list[np.ndarray] = [_EMPTY] * selected.shape[0]
-    for block_id in np.unique(blocks):
-        rng = _block_rng(seed, block_id)
-        members = np.flatnonzero(blocks == block_id)
-        if overlay is None:
-            drawn = [
-                view.to_global(row)
-                for row in _draw_rows(view.snapshot, ql[members], qr[members], caps[members], rng)
-            ]
-        else:
-            drawn = _draw_overlaid(
-                view,
-                ql[members],
-                qr[members],
-                caps[members],
-                base_all[members],
-                tombs[members],
-                delta[members],
-                rng,
-            )
-        for member, row in zip(members, drawn):
-            rows[int(member)] = row
-    return selected, counts, rows
+    ranks, cum = payload["ranks"], payload["cum"]
+    k = view.shard_id
+    owned = (ranks >= cum[:, k, None]) & (ranks < cum[:, k + 1, None])
+    rows, draws = np.nonzero(owned)
+    local = (ranks - cum[:, k, None])[owned]
+    ql, qr = payload["ql"], payload["qr"]
+    if view.overlay is not None:
+        return _sample_overlaid(view, ql, qr, rows, local, payload["seeds"], draws)
+    ids = _locate(view.snapshot, ql, qr, rows, local)
+    found = ids >= 0
+    ids[found] = view.global_map[ids[found]]
+    return ids
 
 
 #: Op name -> implementation.  Names, not functions, cross the process
@@ -455,49 +420,28 @@ def run_inline(shards, op: str, payload: dict) -> list:
 # ---------------------------------------------------------------------- #
 # query-parallel tiling: payload slicing + result reassembly
 # ---------------------------------------------------------------------- #
-def slice_payload(op: str, payload: dict, start: int, stop: int) -> dict:
+def slice_payload(payload: dict, start: int, stop: int) -> dict:
     """Cut the payload for queries ``[start, stop)`` out of a batch payload.
 
-    ``ql``/``qr`` are sliced for every op; ``sample`` additionally slices the
-    allocation rows, keeps the per-shard seed list whole (the seed schedule
-    is shard-wide), and advances ``offset`` so :func:`_op_sample` still sees
-    batch-global positions for its seed-block ids.  Slices are views, not
-    copies — a tile ships no more bytes than its own queries.
+    Every payload entry is a per-query array, so every op slices every entry
+    the same way.  Slices are views, not copies.
     """
-    sliced = {"ql": payload["ql"][start:stop], "qr": payload["qr"][start:stop]}
-    if op == "sample":
-        sliced["alloc"] = payload["alloc"][start:stop]
-        sliced["seeds"] = payload["seeds"]
-        sliced["offset"] = int(payload.get("offset", 0)) + int(start)
-    return sliced
+    return {key: value[start:stop] for key, value in payload.items()}
 
 
 def merge_block_results(op: str, parts: list):
     """Reassemble per-tile op results into the whole-batch result.
 
-    ``parts`` is a non-empty list of ``(start, result)`` pairs whose tiles
-    partition ``[0, nq)``, sorted by ``start``.  The merged value is exactly
-    (bit for bit) what the op would have returned over the whole batch:
-    count/total_weight concatenate their per-query vectors, report
-    concatenates its per-query row lists, and sample re-bases each tile's
-    ``selected`` positions by the tile start and concatenates the per-query
-    count columns and row lists.
+    ``parts`` holds the tiles' results in query order, the tiles partitioning
+    the batch.  ``report`` returns one id row per query, so its tiles' row
+    lists are joined; every other op returns one array in query order (a
+    ``sample`` tile's cells are row-major), so its tiles' arrays are
+    concatenated.  Either way the value is, bit for bit, what the op returns
+    over the whole batch.
     """
     if op == "report":
-        rows: list[np.ndarray] = []
-        for _, part in parts:
-            rows.extend(part)
-        return rows
-    if op == "sample":
-        selected = np.concatenate(
-            [part[0] + int(start) for start, part in parts]
-        )
-        counts = np.concatenate([part[1] for _, part in parts])
-        rows = []
-        for _, part in parts:
-            rows.extend(part[2])
-        return selected, counts, rows
-    return np.concatenate([part for _, part in parts])
+        return [row for part in parts for row in part]
+    return np.concatenate(parts)
 
 
 # ---------------------------------------------------------------------- #
@@ -750,7 +694,7 @@ def worker_main(tasks, results) -> None:
                 elif kind == "op":
                     _, op, payload, tiles = message
                     out = [
-                        run_shard_op(op, views[key], slice_payload(op, payload, start, stop))
+                        run_shard_op(op, views[key], slice_payload(payload, start, stop))
                         for key, start, stop in tiles
                     ]
                     results.put(("ok", out))

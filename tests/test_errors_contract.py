@@ -17,6 +17,7 @@ from repro import (
     AIT,
     EmptyDatasetError,
     EmptyResultError,
+    FlatAIT,
     GatewayClosedError,
     GatewayOverloadError,
     Interval,
@@ -157,11 +158,17 @@ class TestIntervalValidation:
             ([0.0], [1.0], [1.0, 2.0], InvalidWeightError, r"same length as the endpoints"),
             ([0.0], [1.0], [-1.0], InvalidWeightError, r"finite and non-negative"),
             ([0.0], [1.0], [float("inf")], InvalidWeightError, r"finite and non-negative"),
+            ([0.0] * 4, [1.0] * 4, [1e308] * 4, InvalidWeightError, r"finite sum"),
         ],
     )
     def test_dataset_construction(self, lefts, rights, weights, exc_type, match):
         with pytest.raises(exc_type, match=match):
             IntervalDataset(lefts, rights, weights=weights)
+
+    def test_flat_columns_reject_an_overflowing_weight_total(self):
+        # Each weight is finite; their float64 sum is not.
+        with pytest.raises(InvalidWeightError, match=r"finite sum, got a sum of inf over 4"):
+            FlatAIT.from_arrays([0.0] * 4, [1.0] * 4, weights=[1e308] * 4)
 
     def test_empty_dataset_domain(self):
         with pytest.raises(EmptyDatasetError, match=r"domain\(\) of an empty dataset"):

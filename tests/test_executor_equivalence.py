@@ -176,8 +176,7 @@ def test_query_scatter_bit_identical(dataset, queries, num_shards, block_size):
     """The query-parallel scatter matches serial for every tiling of the batch.
 
     ``block_size=None`` is the even-split default; 1 and 7 force tile cuts at
-    every position and at deliberately seed-block-misaligned strides (the
-    executor must round sampling tiles up to SEED_BLOCK multiples itself).
+    every position and at an odd stride, with no rounding of the tiles.
     """
     serial = _make_engine(dataset, num_shards, "serial")
     try:
@@ -438,3 +437,70 @@ def test_sample_draws_match_across_seeds(dataset):
     finally:
         _close(serial)
         _close(process)
+
+
+def _captured_sample_payload(engine, queries, seed):
+    """The ``sample`` payload ``engine.sample_many`` hands to its shards."""
+    captured = []
+    scatter = engine._scatter
+
+    def spy(op, payload):
+        if op == "sample":
+            captured.append(payload)
+        return scatter(op, payload)
+
+    engine._scatter = spy
+    try:
+        engine.sample_many(queries, 16, random_state=np.random.default_rng(seed))
+    finally:
+        del engine._scatter
+    (payload,) = captured
+    return payload
+
+
+def _overlaid_engine(dataset, queries):
+    """Two shards with overlays: inserts, and deletes that tombstone 30% and
+    70% of two queries' base overlap (the rejection and report paths)."""
+    engine = ShardedEngine(dataset, num_shards=2)
+    trial = np.random.default_rng(44)
+    for query, share in ((queries[0], 0.3), (queries[9], 0.7)):
+        overlap = engine.report(query)
+        engine.delete_many(trial.choice(overlap, int(share * overlap.shape[0]), replace=False))
+    lo, hi = dataset.domain()
+    lefts = trial.uniform(lo, hi, 20)
+    engine.insert_many(lefts, lefts + (hi - lo) / 50.0)
+    engine.refresh()
+    return engine
+
+
+@pytest.mark.parametrize("kind", ("base", "weighted", "overlaid"))
+def test_shm_sample_tiles_concatenate_to_the_whole_batch(dataset, weighted, queries, kind):
+    """Any cut of a sample payload into query tiles reproduces the whole batch.
+
+    Runs the shard op in-process over :func:`slice_payload` cuts of 1, 7 and
+    13 queries: concatenating the tiles' results must equal the whole-batch
+    result on every shard, including an overlaid shard whose tombstones
+    force hashed redraws.
+    """
+    from repro.service.shm import ShardView, run_shard_op, slice_payload
+
+    if kind == "weighted":
+        engine = ShardedEngine(weighted, num_shards=3)
+    elif kind == "overlaid":
+        engine = _overlaid_engine(dataset, queries)
+        assert all(shard.overlay is not None for shard in engine.shards)
+    else:
+        engine = ShardedEngine(dataset, num_shards=3)
+    with engine:
+        payload = _captured_sample_payload(engine, queries, seed=29)
+        nq = payload["ql"].shape[0]
+        for shard in engine.shards:
+            view = ShardView.of_shard(shard)
+            whole = run_shard_op("sample", view, payload)
+            assert (whole >= 0).all()
+            for cut in (1, 7, 13):
+                tiles = [
+                    run_shard_op("sample", view, slice_payload(payload, start, start + cut))
+                    for start in range(0, nq, cut)
+                ]
+                assert np.array_equal(np.concatenate(tiles), whole)

@@ -15,12 +15,14 @@ loop it stands in for, at three granularities:
   n ∈ {0, 1, 2, 63, 1000} (0 = empty guards, 1-2 = degenerate trees,
   63 = one full level-synchronous descent, 1000 = realistic fan-out),
   weighted and unweighted;
-* pinned bytes — SHA-256 digests of the count, report, total-weight and
-  fixed-seed sample bytes of ``FlatAIT`` and ``ShardedEngine`` (K ∈ {1, 4}).
-  A change that alters any answer, or the order in which sampling consumes
-  the caller's generator, changes every user's reproducible draws and
-  fails here.  The digests depend on numpy's ``Generator`` streams; they
-  were recorded with numpy 2.4.
+* pinned bytes — SHA-256 digests of ``FlatAIT`` and ``ShardedEngine``
+  (K ∈ {1, 4}) answers, in two kinds: an *answers* digest of the count,
+  report and total-weight bytes, and a *sample* digest of fixed-seed draws.
+  A change that alters any answer fails the first.  A change to how
+  sampling turns the caller's generator into draws changes every user's
+  reproducible draws and fails the second, so it can be re-pinned on its
+  own without touching the answers.  The sample digests depend on numpy's
+  ``Generator`` streams; they were recorded with numpy 2.4.
 """
 
 from __future__ import annotations
@@ -59,13 +61,18 @@ def make_queries(count: int = 48, seed: int = 11) -> np.ndarray:
     return np.column_stack([ql, qr])
 
 
-def digest(index, queries: np.ndarray, weighted: bool) -> str:
+def answers_digest(index, queries: np.ndarray, weighted: bool) -> str:
     h = hashlib.sha256()
     h.update(np.asarray(index.count_many(queries)).tobytes())
     for chunk in index.report_many(queries):
         h.update(np.asarray(chunk).tobytes() + b"|")
     if weighted:
         h.update(np.asarray(index.total_weight_many(queries)).tobytes())
+    return h.hexdigest()[:16]
+
+
+def sample_digest(index, queries: np.ndarray) -> str:
+    h = hashlib.sha256()
     for chunk in index.sample_many(queries, 17, random_state=np.random.default_rng(99)):
         h.update(np.asarray(chunk).tobytes() + b"|")
     return h.hexdigest()[:16]
@@ -198,40 +205,77 @@ class TestFlatEquivalence:
 # --------------------------------------------------------------------------- #
 # pinned answer bytes
 # --------------------------------------------------------------------------- #
-FLAT_DIGESTS = {
-    (0, False): "cd83e74f65e8054d",
-    (0, True): "f92658854ccfade4",
-    (1, False): "be365947f3b6fdb0",
-    (1, True): "bdfe66349bc92d16",
-    (2, False): "9c2d9b19b86cdf69",
-    (2, True): "c17493e0567592bb",
-    (63, False): "108d43c78a6367af",
-    (63, True): "55cd2636fb296632",
-    (1000, False): "4776bccc0704198b",
-    (1000, True): "25bb8e70762b8aac",
+FLAT_ANSWER_DIGESTS = {
+    (0, False): "1d727dbfecde8f1d",
+    (0, True): "ea321eac22084c72",
+    (1, False): "7f9ae60c60a63256",
+    (1, True): "d0dc7ca3f3db1e90",
+    (2, False): "2f0abdb7d4350074",
+    (2, True): "18e9b67ec0c80f0c",
+    (63, False): "f34701748bd7ce41",
+    (63, True): "852b2ef8667764c2",
+    (1000, False): "dbc257044012abb5",
+    (1000, True): "d22e25ecffeb53ea",
 }
 
-ENGINE_DIGESTS = {
-    (1, False): "233d4584950b583a",
-    (1, True): "2b71c8abc68258fc",
-    (4, False): "4f573964e7240981",
-    (4, True): "c026b1c1dcea761c",
+FLAT_SAMPLE_DIGESTS = {
+    (0, False): "5acbd8048d53d1aa",
+    (0, True): "5acbd8048d53d1aa",
+    (1, False): "fb7916ccb27bb7c2",
+    (1, True): "fb7916ccb27bb7c2",
+    (2, False): "3c4397703dff33a7",
+    (2, True): "3c4397703dff33a7",
+    (63, False): "85f77d48cf87a630",
+    (63, True): "de3d02cb2fa75aa4",
+    (1000, False): "2652ea779d1a62d7",
+    (1000, True): "fc89bc8ec6a6caab",
+}
+
+ENGINE_ANSWER_DIGESTS = {
+    (1, False): "84534589523dfcd6",
+    (1, True): "e07271ae1d51e7c6",
+    (4, False): "fe16fd537c2f1091",
+    (4, True): "732dca813f684fa0",
+}
+
+ENGINE_SAMPLE_DIGESTS = {
+    (1, False): "7c7e761ebd31c691",
+    (1, True): "ea5b0ccfc5b07335",
+    (4, False): "2934ea3dc79c4eda",
+    (4, True): "47aa1a6e8819fc70",
 }
 
 
+def make_flat(n: int, weighted: bool) -> FlatAIT:
+    lefts, rights, weights = make_endpoints(n, weighted)
+    return FlatAIT.from_arrays(lefts, rights, weights=weights)
+
+
+def make_engine(shards: int, weighted: bool) -> ShardedEngine:
+    lefts, rights, weights = make_endpoints(1000, weighted)
+    return ShardedEngine(IntervalDataset(lefts, rights, weights), num_shards=shards)
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
 class TestPinnedBytes:
-    @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
     @pytest.mark.parametrize("n", SIZES)
     def test_flat_answer_bytes_are_pinned(self, n, weighted):
-        lefts, rights, weights = make_endpoints(n, weighted)
-        flat = FlatAIT.from_arrays(lefts, rights, weights=weights)
-        assert digest(flat, make_queries(), weighted) == FLAT_DIGESTS[n, weighted]
+        got = answers_digest(make_flat(n, weighted), make_queries(), weighted)
+        assert got == FLAT_ANSWER_DIGESTS[n, weighted]
 
-    @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+    @pytest.mark.parametrize("n", SIZES)
+    def test_flat_sample_bytes_are_pinned(self, n, weighted):
+        got = sample_digest(make_flat(n, weighted), make_queries())
+        assert got == FLAT_SAMPLE_DIGESTS[n, weighted]
+
     @pytest.mark.parametrize("shards", [1, 4])
     def test_engine_answer_bytes_are_pinned(self, shards, weighted):
-        lefts, rights, weights = make_endpoints(1000, weighted)
-        dataset = IntervalDataset(lefts, rights, weights)
-        with ShardedEngine(dataset, num_shards=shards) as engine:
-            got = digest(engine, make_queries(count=32), weighted)
-        assert got == ENGINE_DIGESTS[shards, weighted]
+        with make_engine(shards, weighted) as engine:
+            got = answers_digest(engine, make_queries(count=32), weighted)
+        assert got == ENGINE_ANSWER_DIGESTS[shards, weighted]
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_engine_sample_bytes_are_pinned(self, shards, weighted):
+        with make_engine(shards, weighted) as engine:
+            got = sample_digest(engine, make_queries(count=32))
+        assert got == ENGINE_SAMPLE_DIGESTS[shards, weighted]

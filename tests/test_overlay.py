@@ -350,28 +350,51 @@ def test_rejection_cap_falls_back_to_report_and_filter(monkeypatch):
     assert not fit.rejects_uniformity(alpha=1e-4)
 
 
-def test_stale_sample_allocation_terminates():
-    """A payload allocated before further deletes returns, never spins.
+@pytest.mark.parametrize("column", [0, -1], ids=["first", "last"])
+def test_redrawn_cells_keep_the_uniform_law_per_position(column):
+    """One output position alone is uniform on the rejection path.
 
-    This is what replaying captured executor payloads after a run does: the
-    allocation may ask a shard for draws it can no longer answer.
+    No shuffle mixes a row, so a redraw schedule that favoured some
+    positions would show up here as a biased column.
+    """
+    engine, oracle, query, tomb_share = _tombstoned_query_shard(0.3, seed=11)
+    assert 0.2 < tomb_share <= 0.5
+    population = oracle.overlapping(query)
+    rows = engine.sample_many([query] * 4000, 8, random_state=9)
+    draws = np.array([row[column] for row in rows])
+    assert np.isin(draws, population).all()
+    fit = chi_square_uniformity(draws.tolist(), population.tolist())
+    assert not fit.rejects_uniformity(alpha=1e-4)
+
+
+def test_stale_sample_allocation_terminates():
+    """A payload built before further deletes returns, never spins or raises.
+
+    This is what replaying captured executor payloads after a run does: its
+    ranks may point past what the shard still holds.  Every cell still gets
+    a live id while any is left, and ``-1`` once none is.
     """
     engine, oracle, rng = _single_shard()
     query = (500.0, 520.0)
     overlap = oracle.overlapping(query)
+    mass = overlap.shape[0]
+    ranks = np.random.default_rng(17).integers(0, mass, size=(2, 40))
     payload = {
         "ql": np.array([query[0], query[0]]),
         "qr": np.array([query[1], query[1]]),
-        "alloc": np.array([[40], [40]]),
-        "seeds": [17],
+        "ranks": ranks,
+        "cum": np.array([[0, mass], [0, mass]]),
+        "seeds": np.array([17, 18]),
     }
-    half = overlap.shape[0] // 2
+    half = mass // 2
     for victims in (overlap[: half // 2], overlap[: half + 1], overlap):
         engine.delete_many(victims)
         engine.refresh()
         view = ShardView.of_shard(engine.shards[0])
-        selected, counts, rows = run_shard_op("sample", view, payload)
+        ids = run_shard_op("sample", view, payload)
         live = set(oracle.overlapping(query).tolist()) - set(victims.tolist())
-        for row in rows:
-            assert set(row.tolist()) <= live
-            assert row.shape[0] == (40 if live else 0)
+        assert ids.shape == (80,)
+        if live:
+            assert set(ids.tolist()) <= live
+        else:
+            assert (ids == -1).all()

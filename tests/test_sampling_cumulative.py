@@ -100,7 +100,8 @@ class TestSegmentedPrimitives:
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_segmented_searchsorted_matches_per_segment_searchsorted(self, side):
         rng = np.random.default_rng(3)
-        lengths = np.array([0, 1, 5, 0, 17, 2, 64, 0, 3])
+        # The trailing empty run starts past the end of the pool.
+        lengths = np.array([0, 1, 5, 0, 17, 2, 64, 0, 3, 0])
         # Integer-valued runs: needles hit exact ties as well as gaps.
         pool = np.concatenate([np.sort(rng.integers(0, 20, n)).astype(float) for n in lengths])
         starts, ends = _run_bounds(lengths)
