@@ -12,7 +12,8 @@ Two measurements:
   ``from_tree`` flatten — the legacy pipeline) vs *columnar*
   (``FlatAIT.from_arrays`` straight from the endpoint arrays, no Python node
   tree).  Runs on every paper-analogue dataset at every ``--sizes`` point;
-  the two engines are verified bit-identical per cell (``arrays_equal``).
+  the two engines are verified bit-identical per cell (``arrays_equal``),
+  and ``bytes_per_interval`` records ``FlatAIT.nbytes()`` per interval.
   The headline acceptance number is the *max* speedup at the largest size —
   the tree route pays Python-level work per node, so datasets building many
   nodes (taxi) gain the most;
@@ -98,6 +99,7 @@ def bench_full_build(dataset_name: str, n: int, repeats: int) -> dict:
         "columnar_seconds": round(columnar_seconds, 4),
         "speedup": round(speedup, 2),
         "arrays_equal": bool(equal),
+        "bytes_per_interval": round(columnar_flat.nbytes() / n, 2),
     }
 
 
@@ -141,6 +143,7 @@ def validate_payload(payload: dict) -> None:
             "columnar_seconds",
             "speedup",
             "arrays_equal",
+            "bytes_per_interval",
         } <= set(row)
     for row in results["weighted_build"]:
         assert {"n", "tree_seconds", "columnar_seconds", "speedup"} <= set(row)

@@ -8,11 +8,13 @@ Usage::
 For each dataset size the script sweeps shard counts K and batch sizes
 with the serial (inline) loop and the :class:`~repro.service.ProcessExecutor`
 under both scatter strategies — ``scatter="query"`` (shard x query-block
-tiles over all workers) and ``scatter="auto"`` (the default: inline in the
-owner process unless the batch is a ``sample`` batch of at least 64
-queries) — times ``count_many`` and ``sample_many`` on the same workload,
-and records queries/second per (n, operation, shards, executor, scatter,
-batch) plus two derived columns:
+tiles over all workers) and ``scatter="auto"`` (the default) — times
+``count_many`` and ``sample_many`` on the same workload, and records
+queries/second per (n, operation, shards, executor, scatter, batch): the
+median ``qps`` and its quartiles ``qps_p25`` / ``qps_p75``.  The placements
+of one (K, batch, operation) cell are timed round-robin, in turns whose
+order rotates every round, so drift in machine load hits them alike.  Two
+derived columns follow:
 
 * ``vs_serial_k1``      — throughput relative to the serial K=1 engine at
   the same batch size;
@@ -79,6 +81,8 @@ def bench_one(
                 "scatter": row["scatter"],
                 "batch": row["batch"],
                 "qps": round(row["qps"], 1),
+                "qps_p25": round(row["qps_p25"], 1),
+                "qps_p75": round(row["qps_p75"], 1),
                 "vs_serial_k1": round(row["vs_serial_k1"], 3),
                 "results_identical": bool(row["identical"]),
             }
@@ -117,7 +121,9 @@ def main(argv: list[str] | None = None) -> int:
         default=list(PARALLEL_BATCH_SWEEP),
         help="queries per count_many / sample_many call",
     )
-    parser.add_argument("--repeats", type=int, default=3, help="best-of-N timing repetitions")
+    parser.add_argument(
+        "--repeats", type=int, default=7, help="minimum timed rounds per placement and cell"
+    )
     args = parser.parse_args(argv)
 
     results = []

@@ -110,6 +110,7 @@ SCHEMAS: dict[str, dict] = {
                 "columnar_seconds",
                 "speedup",
                 "arrays_equal",
+                "bytes_per_interval",
             },
             "weighted_build": {"n", "tree_seconds", "columnar_seconds", "speedup"},
         },
@@ -149,6 +150,8 @@ SCHEMAS: dict[str, dict] = {
                 "scatter",
                 "batch",
                 "qps",
+                "qps_p25",
+                "qps_p75",
                 "vs_serial_k1",
                 "results_identical",
             },

@@ -442,8 +442,7 @@ class AIT(SamplingIndex):
             graph into being just to size it.
 
         Flat snapshots are measured separately via
-        :meth:`FlatAIT.nbytes`, which symmetrically exposes an
-        ``include_rank_keys`` knob for its derived acceleration arrays.
+        :meth:`FlatAIT.nbytes`, which counts every array a snapshot holds.
         """
         if materialise:
             self._ensure_tree()

@@ -12,20 +12,27 @@ use to beat pointer trees in practice):
 
 * per node: ``centers``, ``left_child`` / ``right_child`` indices (-1 = none),
   and offset/length slices into the list pools;
+* the root's two sorted endpoint columns and one ``root_ids`` table: the
+  interval ids in by-left order, then in by-right order;
 * four concatenated *list pools* — the per-node stab lists (sorted by left and
-  by right endpoint) and subtree lists (idem) laid back to back, values and
-  interval ids side by side;
+  by right endpoint) and subtree lists (idem) laid back to back — holding one
+  int64 *position key* per entry (:meth:`FlatAIT._rank_search`);
 * for weighted trees, pools of per-node inclusive weight prefix sums aligned
   with each list pool.
+
+Every node's list is a subsequence of the root's sorted order, so an entry
+is fully described by its node and its position ``p`` in the root column:
+its key is ``node * M + p`` (``p`` offset by ``n`` for by-right lists), its
+id is ``root_ids[key % M]`` and its endpoint is the root column at ``p``.
 
 On top of that layout it offers **batch** query APIs — :meth:`count_many`,
 :meth:`report_many`, :meth:`sample_many`, :meth:`total_weight_many` — that
 advance *all* queries through the tree level-synchronously: one round
 classifies every live query against its current node's center (the three
 cases of Algorithm 1) with pure array ops, resolves all binary searches of
-the round with two global ``np.searchsorted`` calls over precomputed rank
-keys (see :meth:`FlatAIT._build_rank_keys`), emits node records as flat
-arrays, and descends.  The per-query Python interpreter work drops from
+the round with one global ``np.searchsorted`` per search site over the
+position keys (see :meth:`FlatAIT._rank_search`), emits node records as
+flat arrays, and descends.  The per-query Python interpreter work drops from
 ``O(height)`` to ``O(1)``, which is worth an order of magnitude on realistic
 batch sizes.
 
@@ -53,7 +60,12 @@ from ..sampling.cumulative import (
     segmented_searchsorted,
 )
 from ..sampling.rng import RandomState, resolve_rng
-from .errors import EmptyResultError, InvalidIntervalError, InvalidWeightError
+from .errors import (
+    EmptyResultError,
+    InvalidIntervalError,
+    InvalidWeightError,
+    StructureStateError,
+)
 from .query import QueryLike, coerce_query, coerce_query_batch, validate_sample_size
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -63,8 +75,10 @@ __all__ = ["FlatAIT", "draw_ranks", "validate_columns"]
 
 _ID = np.int64
 _F8 = np.float64
+#: Keys turned into ids per step by :meth:`FlatAIT._keys_to_ids`.
+_ID_BLOCK = 1 << 14
 
-#: Pool order used for the concatenated id / weight-prefix super-pools.
+#: Pool order used for the concatenated key / weight-prefix super-pools.
 #: Indices match :class:`~repro.core.records.ListKind`:
 #: 0 = stab by left, 1 = stab by right, 2 = subtree by right, 3 = subtree by left.
 _KIND_COUNT = 4
@@ -74,8 +88,8 @@ class _RecordBatch:
     """Node records for a whole query batch, as flat parallel arrays.
 
     ``query`` holds the query ordinal of each record; ``glo``/``ghi`` the
-    inclusive global index range into the concatenated id super-pool
-    (:attr:`FlatAIT._all_ids`); ``gbase`` the start of the owning node
+    inclusive global index range into the concatenated key super-pool
+    (:attr:`FlatAIT._all_keys`); ``gbase`` the start of the owning node
     segment inside that super-pool (needed to read per-node weight prefixes);
     ``weight`` the record's total sampling weight.  Records of one query are
     stored consecutively, in scalar traversal order.
@@ -144,6 +158,27 @@ def segmented_cumsum(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         idx = starts[rows][:, None] + np.arange(int(length), dtype=_ID)[None, :]
         out[idx] = np.cumsum(values[idx], axis=1)
     return out
+
+
+def _key_modulus(n: int) -> int:
+    """The key modulus ``M`` for ``n`` intervals: a power of two above ``2n``.
+
+    Ranks run over ``[0, 2n]`` (by-right positions are offset by ``n``), so
+    ``node * M + rank`` never reaches the next node's keys, and ``key % M``
+    is ``key & (M - 1)``.
+    """
+    return 1 << (2 * n).bit_length()
+
+
+def _pool_bounds(stab_len: np.ndarray, sub_len: np.ndarray) -> np.ndarray:
+    """Where each list kind's pool starts in the super-pool, and where the last ends."""
+    stab, sub = int(stab_len.sum()), int(sub_len.sum())
+    return np.array([0, stab, 2 * stab, 2 * stab + sub, 2 * stab + 2 * sub], dtype=_ID)
+
+
+def _node_keys(lengths: np.ndarray, m: int) -> np.ndarray:
+    """``node * m`` for every list entry, given each node's list length."""
+    return np.repeat(np.arange(lengths.shape[0], dtype=_ID) * m, lengths)
 
 
 def draw_ranks(uniforms: np.ndarray, mass: np.ndarray) -> np.ndarray:
@@ -228,11 +263,12 @@ class FlatAIT:
     [2, 1]
     """
 
-    #: Snapshot array schema: ``(public name, attribute)`` for the 13 core
-    #: arrays.  Shared by the persistence layer (:mod:`repro.persist.snapshot`)
-    #: and the shared-memory publisher (:mod:`repro.service.shm`), so every
-    #: serialisation of a snapshot enumerates exactly the same fields.
-    #: ``all_weight_prefix`` is ``None`` for unweighted snapshots.
+    #: Snapshot array schema: ``(public name, attribute)`` for the 12 arrays,
+    #: in constructor order.  Shared by the persistence layer
+    #: (:mod:`repro.persist.snapshot`) and the shared-memory publisher
+    #: (:mod:`repro.service.shm`), so every serialisation of a snapshot
+    #: enumerates exactly the same fields.  ``all_weight_prefix`` is ``None``
+    #: for unweighted snapshots.
     CORE_FIELDS = (
         ("centers", "_centers"),
         ("left_child", "_left_child"),
@@ -241,21 +277,11 @@ class FlatAIT:
         ("stab_len", "_stab_len"),
         ("sub_off", "_sub_off"),
         ("sub_len", "_sub_len"),
-        ("stab_lefts", "_stab_lefts"),
-        ("stab_rights", "_stab_rights"),
-        ("sub_lefts", "_sub_lefts"),
-        ("sub_rights", "_sub_rights"),
-        ("all_ids", "_all_ids"),
+        ("sorted_lefts", "_sorted_lefts"),
+        ("sorted_rights", "_sorted_rights"),
+        ("root_ids", "_root_ids"),
+        ("all_keys", "_all_keys"),
         ("all_weight_prefix", "_all_weight_prefix"),
-    )
-    #: The 4 derived rank-key pools (:meth:`_build_rank_keys`).  Optional in
-    #: any serialised form: :meth:`from_buffers` adopts them when present and
-    #: recomputes them otherwise.
-    RANK_KEY_FIELDS = (
-        ("rank_stab_lefts", "_stab_lefts_key"),
-        ("rank_stab_rights", "_stab_rights_key"),
-        ("rank_sub_lefts", "_sub_lefts_key"),
-        ("rank_sub_rights", "_sub_rights_key"),
     )
 
     def __init__(
@@ -267,11 +293,10 @@ class FlatAIT:
         stab_len: np.ndarray,
         sub_off: np.ndarray,
         sub_len: np.ndarray,
-        stab_lefts: np.ndarray,
-        stab_rights: np.ndarray,
-        sub_lefts: np.ndarray,
-        sub_rights: np.ndarray,
-        all_ids: np.ndarray,
+        sorted_lefts: np.ndarray,
+        sorted_rights: np.ndarray,
+        root_ids: np.ndarray,
+        all_keys: np.ndarray,
         all_weight_prefix: Optional[np.ndarray],
         weighted: bool,
     ) -> None:
@@ -282,130 +307,119 @@ class FlatAIT:
         self._stab_len = stab_len
         self._sub_off = sub_off
         self._sub_len = sub_len
-        self._stab_lefts = stab_lefts
-        self._stab_rights = stab_rights
-        self._sub_lefts = sub_lefts
-        self._sub_rights = sub_rights
-        # Id super-pool: the four list pools concatenated in ListKind order
+        # The root's sorted endpoint columns, and the ids in both orders
+        # (by-left positions first, by-right positions after them).
+        self._sorted_lefts = sorted_lefts
+        self._sorted_rights = sorted_rights
+        self._root_ids = root_ids
+        # Key super-pool: the four list pools concatenated in ListKind order
         # (stab-by-left, stab-by-right, subtree-by-right, subtree-by-left),
         # so a (kind, pool index) pair maps to one flat index.
-        self._all_ids = all_ids
+        self._all_keys = all_keys
         self._all_weight_prefix = all_weight_prefix
         self._weighted = bool(weighted)
-        stab_total = int(stab_lefts.shape[0])
-        sub_total = int(sub_lefts.shape[0])
-        self._kind_base = np.array(
-            [0, stab_total, 2 * stab_total, 2 * stab_total + sub_total], dtype=_ID
-        )
-        self._build_rank_keys()
+        self._rank_m = _key_modulus(int(sorted_lefts.shape[0]))
+        self._kind_base = kb = _pool_bounds(stab_len, sub_len)
+        self._kind_keys = tuple(all_keys[kb[k] : kb[k + 1]] for k in range(4))
 
-    def _build_rank_keys(self) -> None:
-        """Precompute rank keys turning per-segment binary searches into two
-        global ``np.searchsorted`` calls.
+    @classmethod
+    def from_id_pools(
+        cls, structure, sorted_lefts, sorted_rights, all_ids, all_weight_prefix, weighted
+    ) -> "FlatAIT":
+        """Build a snapshot from list pools of interval ids.
 
-        Every value in every list pool is an endpoint of an active interval,
-        and the root's subtree lists are exactly the globally sorted endpoint
-        columns — so they serve as free rank dictionaries.  Each pool element
-        gets the integer key ``node * M + rank(value)``; keys are globally
-        nondecreasing (pools are laid out in node order and sorted within a
-        node), so the insertion point of a query endpoint inside *any* node's
-        segment is ``searchsorted(keys, node * M + rank(endpoint))`` — no
-        per-lane binary-search loop, just two C-level searches per batch.
-
-        The ranks themselves need no binary search either: every pool value
-        is some active interval's endpoint, so its first-occurrence rank in
-        the root column can be scattered once per interval id and gathered
-        per pool element — O(pool) gathers instead of O(pool log n) searches,
-        which measurably shortens snapshot construction at millions of list
-        entries.
+        ``structure`` holds the seven node arrays in :attr:`CORE_FIELDS`
+        order, ``all_ids`` the ids of every list entry in key super-pool
+        order; the root's subtree lists (the first entries of the two
+        subtree pools) give the root order.  Each id becomes its position in
+        that order, through a scatter table when the ids are dense and one
+        ``searchsorted`` over the sorted ids when they are sparse.  Raises
+        :class:`StructureStateError` when a node's list is not a subsequence
+        of the root order: its keys would not increase.
         """
-        n_active = int(self._sub_len[0]) if self.node_count else 0
-        self._sorted_lefts = self._sub_lefts[:n_active]
-        self._sorted_rights = self._sub_rights[:n_active]
-        self._rank_m = n_active + 1
-        if n_active == 0:
-            empty = np.empty(0, dtype=_ID)
-            self._stab_lefts_key = empty
-            self._stab_rights_key = empty
-            self._sub_lefts_key = empty
-            self._sub_rights_key = empty
-            return
+        stab_len, sub_len = structure[4], structure[6]
+        n = int(sorted_lefts.shape[0])
+        kb = _pool_bounds(stab_len, sub_len)
+        root_ids = np.concatenate(
+            (all_ids[kb[3] : kb[3] + n], all_ids[kb[2] : kb[2] + n])
+        ).astype(_ID, copy=False)
+        if n and int(root_ids.max()) < max(16 * n, 1 << 20):
+            # Dense id space (every internal caller: ids are column rows).
+            size = int(root_ids.max()) + 1
 
-        def first_occurrence_ranks(sorted_values: np.ndarray) -> np.ndarray:
-            # rank(v) == searchsorted(sorted_values, v, 'left') for members.
-            first = np.empty(n_active, dtype=bool)
-            first[0] = True
-            np.not_equal(sorted_values[1:], sorted_values[:-1], out=first[1:])
-            return np.maximum.accumulate(
-                np.where(first, np.arange(n_active, dtype=_ID), 0)
-            )
-
-        kb = self._kind_base
-        root_by_right = self._all_ids[kb[2] : kb[2] + n_active]
-        root_by_left = self._all_ids[kb[3] : kb[3] + n_active]
-        size = int(max(root_by_left.max(), root_by_right.max())) + 1
-        if size <= max(16 * n_active, 1 << 20):
-            # Dense id space (every internal caller: ids are column rows):
-            # one scatter per dictionary, O(1) lookups.
-            rank_left_of = np.empty(size, dtype=_ID)
-            rank_right_of = np.empty(size, dtype=_ID)
-            rank_left_of[root_by_left] = first_occurrence_ranks(self._sorted_lefts)
-            rank_right_of[root_by_right] = first_occurrence_ranks(self._sorted_rights)
+            def slot(ids):
+                return ids
         else:
-            # Sparse id space (from_arrays with caller-supplied huge ids): an
-            # id-sized scatter table would be absurd, so compact the ids and
-            # look ranks up through one searchsorted per pool instead.
-            unique_ids = np.sort(root_by_left)
-            rank_left_of = np.empty(n_active, dtype=_ID)
-            rank_right_of = np.empty(n_active, dtype=_ID)
-            rank_left_of[np.searchsorted(unique_ids, root_by_left)] = (
-                first_occurrence_ranks(self._sorted_lefts)
-            )
-            rank_right_of[np.searchsorted(unique_ids, root_by_right)] = (
-                first_occurrence_ranks(self._sorted_rights)
-            )
+            # Sparse id space: compact the ids instead of an id-sized table.
+            size, unique_ids = n, np.sort(root_ids[:n])
 
-            class _CompactLookup:
-                __slots__ = ("table",)
+            def slot(ids):
+                return np.searchsorted(unique_ids, ids)
+        position_of = []
+        for ids in (root_ids[:n], root_ids[n:]):
+            table = np.empty(size, dtype=_ID)
+            table[slot(ids)] = np.arange(n, dtype=_ID)
+            position_of.append(table)
+        m = _key_modulus(n)
+        all_keys = np.empty(all_ids.shape[0], dtype=_ID)
+        for kind in range(4):
+            by_right = int(kind in (1, 2))
+            keys = _node_keys(stab_len if kind < 2 else sub_len, m) + n * by_right
+            keys += position_of[by_right][slot(all_ids[kb[kind] : kb[kind + 1]])]
+            if not (keys[1:] > keys[:-1]).all():
+                raise StructureStateError(
+                    "a node list is not a subsequence of the root's sort order"
+                )
+            all_keys[kb[kind] : kb[kind + 1]] = keys
+        return cls(
+            *structure,
+            sorted_lefts,
+            sorted_rights,
+            root_ids,
+            all_keys,
+            all_weight_prefix,
+            weighted,
+        )
 
-                def __init__(self, table: np.ndarray) -> None:
-                    self.table = table
+    def _rank_search(self, kind: int, nodes: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+        """Insertion points of root ranks inside the given nodes' lists of one kind.
 
-                def __getitem__(self, id_segment: np.ndarray) -> np.ndarray:
-                    return self.table[np.searchsorted(unique_ids, id_segment)]
-
-            rank_left_of = _CompactLookup(rank_left_of)
-            rank_right_of = _CompactLookup(rank_right_of)
-
-        def node_base(lengths: np.ndarray) -> np.ndarray:
-            node_of = np.repeat(np.arange(lengths.shape[0], dtype=_ID), lengths)
-            node_of *= self._rank_m
-            return node_of
-
-        stab_base = node_base(self._stab_len)
-        sub_base = node_base(self._sub_len)
-        self._stab_lefts_key = stab_base + rank_left_of[self._all_ids[kb[0] : kb[1]]]
-        self._stab_rights_key = stab_base + rank_right_of[self._all_ids[kb[1] : kb[2]]]
-        self._sub_rights_key = sub_base + rank_right_of[self._all_ids[kb[2] : kb[3]]]
-        self._sub_lefts_key = sub_base + rank_left_of[self._all_ids[kb[3] :]]
-
-    def _rank_search(
-        self,
-        key_pool: np.ndarray,
-        sorted_values: np.ndarray,
-        nodes: np.ndarray,
-        needles: np.ndarray,
-        side: str,
-    ) -> np.ndarray:
-        """Insertion points of ``needles`` inside the given nodes' segments.
-
-        Equivalent to a per-node ``searchsorted`` over each node's sorted
-        run, resolved through the precomputed rank keys: rank each needle
-        against the global ``sorted_values`` column, then search ``key_pool``
-        for ``node * M + rank``.  Returns *global* pool indices.
+        ``ranks`` are ``searchsorted`` ranks of needles in the root's sorted
+        column of the list's endpoint, offset by ``n`` for by-right lists
+        like the keys (:meth:`_query_ranks`).  A list entry's key is
+        ``node * M + p`` for its position ``p`` in the same column, and a
+        node's entries appear in root order, so searching the kind's key
+        pool for ``node * M + rank`` finds exactly the per-node
+        ``searchsorted`` of the needle: one global search for every node.
+        Returns indices into the kind's pool.
         """
-        rank = np.searchsorted(sorted_values, needles, side=side)
-        return np.searchsorted(key_pool, nodes * self._rank_m + rank, side="left")
+        return np.searchsorted(self._kind_keys[kind], nodes * self._rank_m + ranks, side="left")
+
+    def _query_ranks(self, ql, qr):
+        """Per query, the ranks of ``q.r`` for by-left lists and ``q.l`` for by-right ones.
+
+        Every search of a descent places ``q.r`` in a by-left list (entries
+        with ``left <= q.r``) or ``q.l`` in a by-right list (entries with
+        ``right < q.l``), so two root searches per query serve every node.
+        """
+        not_right, left_of = self._endpoint_ranks(ql, qr)
+        return not_right, left_of + self._sorted_lefts.shape[0]
+
+    def _ids_at(self, positions: np.ndarray) -> np.ndarray:
+        """Interval ids of the key super-pool entries at ``positions``."""
+        return self._keys_to_ids(self._all_keys[positions])
+
+    def _keys_to_ids(self, keys: np.ndarray) -> np.ndarray:
+        """Overwrite a writable array of position keys with their interval ids.
+
+        Block by block, so no temporary as large as ``keys`` is allocated:
+        a fresh large buffer pays a page fault per page on first touch.
+        """
+        mask = self._rank_m - 1
+        for start in range(0, keys.shape[0], _ID_BLOCK):
+            block = keys[start : start + _ID_BLOCK]
+            block[:] = self._root_ids[block & mask]
+        return keys
 
     def _endpoint_ranks(
         self, ql: np.ndarray, qr: np.ndarray
@@ -451,10 +465,6 @@ class FlatAIT:
                 return np.empty(0, dtype=dtype)
             return np.concatenate(arrays).astype(dtype, copy=False)
 
-        stab_lefts = _cat([n.stab_lefts for n in nodes], _F8)
-        stab_rights = _cat([n.stab_rights for n in nodes], _F8)
-        sub_lefts = _cat([n.subtree_lefts for n in nodes], _F8)
-        sub_rights = _cat([n.subtree_rights for n in nodes], _F8)
         all_ids = _cat(
             [n.stab_ids_by_left for n in nodes]
             + [n.stab_ids_by_right for n in nodes]
@@ -471,7 +481,7 @@ class FlatAIT:
                 + [n.subtree_weight_by_left for n in nodes],
                 _F8,
             )
-        return cls(
+        structure = (
             centers,
             left_child,
             right_child,
@@ -479,10 +489,11 @@ class FlatAIT:
             stab_len,
             sub_off.astype(_ID, copy=False),
             sub_len,
-            stab_lefts,
-            stab_rights,
-            sub_lefts,
-            sub_rights,
+        )
+        return cls.from_id_pools(
+            structure,
+            _cat([n.subtree_lefts for n in nodes[:1]], _F8),
+            _cat([n.subtree_rights for n in nodes[:1]], _F8),
             all_ids,
             all_weight_prefix,
             weighted,
@@ -550,9 +561,9 @@ class FlatAIT:
                 raise InvalidIntervalError(
                     f"from_arrays got {ids.shape[0]} ids for {n} intervals"
                 )
-            # Duplicate or negative ids would silently corrupt the rank-key
-            # dictionaries (they are scattered per id in _build_rank_keys);
-            # reject them like every other malformed input.
+            # Ids name intervals, and from_id_pools maps each id to one root
+            # position: reject duplicate or negative ids like every other
+            # malformed input.
             if n and int(ids.min()) < 0:
                 raise InvalidIntervalError("from_arrays ids must be non-negative")
             if n and int(np.unique(ids).shape[0]) != n:
@@ -570,8 +581,7 @@ class FlatAIT:
                 np.empty(0, dtype=_ID),
                 np.empty(0, dtype=_F8),
                 np.empty(0, dtype=_F8),
-                np.empty(0, dtype=_F8),
-                np.empty(0, dtype=_F8),
+                np.empty(0, dtype=_ID),
                 np.empty(0, dtype=_ID),
                 np.empty(0, dtype=_F8) if weighted else None,
                 weighted,
@@ -585,8 +595,8 @@ class FlatAIT:
         # are 32-bit where possible — these are the hot per-level arrays, and
         # halving their width measurably cuts the whole build.
         pos_dtype = np.int32 if n < 2**31 - 1 else _ID
-        cur_l = np.argsort(lefts, kind="stable").astype(pos_dtype, copy=False)
-        cur_r = np.argsort(rights, kind="stable").astype(pos_dtype, copy=False)
+        order_l = cur_l = np.argsort(lefts, kind="stable").astype(pos_dtype, copy=False)
+        order_r = cur_r = np.argsort(rights, kind="stable").astype(pos_dtype, copy=False)
         seg_len = np.array([n], dtype=_ID)
 
         cls_buf = np.empty(n, dtype=np.int8)
@@ -800,17 +810,23 @@ class FlatAIT:
         sub_pos_l = all_sub_l[sub_idx]
         sub_pos_r = all_sub_r[sub_idx]
 
-        if n == int(ids.shape[0]) and ids[0] == 0 and ids[-1] == n - 1 and np.array_equal(
-            ids, np.arange(n, dtype=_ID)
-        ):
-            # Identity id map (the common full-build case): positions ARE the
-            # ids, so skip four pool-sized random gathers.
-            id_pools = (stab_pos_l, stab_pos_r, sub_pos_r, sub_pos_l)
-            all_ids = np.concatenate(id_pools).astype(_ID, copy=False)
-        else:
-            all_ids = np.concatenate(
-                (ids[stab_pos_l], ids[stab_pos_r], ids[sub_pos_r], ids[sub_pos_l])
+        # Position keys: each entry's node times M plus its position in the
+        # root's sorted column (by-right positions follow the n by-left ones).
+        m = _key_modulus(n)
+        by_left = np.empty(n, dtype=_ID)
+        by_left[order_l] = np.arange(n, dtype=_ID)
+        by_right = np.empty(n, dtype=_ID)
+        by_right[order_r] = np.arange(n, 2 * n, dtype=_ID)
+        stab_keys = _node_keys(stab_len, m)
+        sub_keys = _node_keys(sub_len, m)
+        all_keys = np.concatenate(
+            (
+                stab_keys + by_left[stab_pos_l],
+                stab_keys + by_right[stab_pos_r],
+                sub_keys + by_right[sub_pos_r],
+                sub_keys + by_left[sub_pos_l],
             )
+        )
         all_weight_prefix = None
         if weighted:
             all_weight_prefix = np.concatenate(
@@ -829,11 +845,10 @@ class FlatAIT:
             stab_len,
             sub_off,
             sub_len,
-            lefts[stab_pos_l],
-            rights[stab_pos_r],
-            lefts[sub_pos_l],
-            rights[sub_pos_r],
-            all_ids,
+            lefts[order_l],
+            rights[order_r],
+            np.concatenate((ids[order_l], ids[order_r])),
+            all_keys,
             all_weight_prefix,
             weighted,
         )
@@ -841,14 +856,13 @@ class FlatAIT:
     def to_buffers(self) -> dict[str, np.ndarray]:
         """Every array of this snapshot as a flat ``{name: array}`` mapping.
 
-        The inverse of :meth:`from_buffers`: core arrays plus the derived
-        rank-key pools, keyed by the :attr:`CORE_FIELDS` /
-        :attr:`RANK_KEY_FIELDS` names.  ``None`` entries (the weight prefix
-        of an unweighted snapshot) are omitted.  The arrays are the live
-        ones, not copies — callers serialising them must copy.
+        The inverse of :meth:`from_buffers`, keyed by the
+        :attr:`CORE_FIELDS` names.  ``None`` entries (the weight prefix of
+        an unweighted snapshot) are omitted.  The arrays are the live ones,
+        not copies — callers serialising them must copy.
         """
         out: dict[str, np.ndarray] = {}
-        for name, attr in self.CORE_FIELDS + self.RANK_KEY_FIELDS:
+        for name, attr in self.CORE_FIELDS:
             array = getattr(self, attr)
             if array is not None:
                 out[name] = array
@@ -858,42 +872,18 @@ class FlatAIT:
     def from_buffers(cls, arrays: dict, weighted: bool) -> "FlatAIT":
         """Reassemble a snapshot around existing buffers without copying.
 
-        ``arrays`` maps :attr:`CORE_FIELDS` names (plus, optionally,
-        :attr:`RANK_KEY_FIELDS` names) to arrays — typically views into a
-        memory-mapped snapshot file or a ``multiprocessing.shared_memory``
-        segment.  Bypasses ``__init__`` so saved rank-key pools are adopted
-        instead of recomputed: recomputation would touch every page of the
-        backing store, defeating lazy attach.  Derived scalars and views
-        (``_kind_base``, the root-sorted endpoint views, ``_rank_m``) are
-        cheap and rebuilt in place.  The returned snapshot aliases the given
-        buffers: they must outlive it and stay unmodified.
+        ``arrays`` maps :attr:`CORE_FIELDS` names to arrays — typically
+        views into a memory-mapped snapshot file or a
+        ``multiprocessing.shared_memory`` segment.  Only the per-node list
+        lengths are read (to find the four pools in the key super-pool), so
+        attaching touches no list page.  The returned snapshot aliases the
+        given buffers: they must outlive it and stay unmodified.
         """
-        flat = cls.__new__(cls)
-        for name, attr in cls.CORE_FIELDS:
-            setattr(flat, attr, arrays.get(name))
-        if flat._all_weight_prefix is None and weighted:
+        if arrays.get("all_weight_prefix") is None and weighted:
             raise InvalidWeightError(
                 "weighted snapshot buffers are missing the all_weight_prefix array"
             )
-        flat._weighted = bool(weighted)
-        stab_total = int(flat._stab_lefts.shape[0])
-        sub_total = int(flat._sub_lefts.shape[0])
-        flat._kind_base = np.array(
-            [0, stab_total, 2 * stab_total, 2 * stab_total + sub_total], dtype=_ID
-        )
-        have_keys = all(
-            arrays.get(name) is not None for name, _ in cls.RANK_KEY_FIELDS
-        )
-        if have_keys:
-            for name, attr in cls.RANK_KEY_FIELDS:
-                setattr(flat, attr, arrays[name])
-            n_active = int(flat._sub_len[0]) if flat._centers.shape[0] else 0
-            flat._sorted_lefts = flat._sub_lefts[:n_active]
-            flat._sorted_rights = flat._sub_rights[:n_active]
-            flat._rank_m = n_active + 1
-        else:
-            flat._build_rank_keys()
-        return flat
+        return cls(*(arrays.get(name) for name, _ in cls.CORE_FIELDS), weighted)
 
     @staticmethod
     def _walk_preorder(tree: "AIT") -> list:
@@ -918,43 +908,20 @@ class FlatAIT:
         """Number of serialised tree nodes."""
         return int(self._centers.shape[0])
 
-    def arrays_equal(self, other: "FlatAIT", include_rank_keys: bool = True) -> bool:
+    def arrays_equal(self, other: "FlatAIT") -> bool:
         """True when every array of both snapshots is bit-identical.
 
         The shared equality oracle for the two build routes
-        (:meth:`from_tree` / :meth:`from_arrays`): structure arrays, all
-        list pools, weight prefixes, and (by default) the derived rank-key
-        pools.  Used by the equivalence tests, the ``build_throughput``
-        experiment and ``scripts/bench_build.py`` so "equal" means one
-        thing everywhere.
+        (:meth:`from_tree` / :meth:`from_arrays`): every
+        :attr:`CORE_FIELDS` array, dtype included.  Used by the equivalence
+        tests, the ``build_throughput`` experiment and
+        ``scripts/bench_build.py`` so "equal" means one thing everywhere.
         """
-        names = [
-            "_centers",
-            "_left_child",
-            "_right_child",
-            "_stab_off",
-            "_stab_len",
-            "_sub_off",
-            "_sub_len",
-            "_stab_lefts",
-            "_stab_rights",
-            "_sub_lefts",
-            "_sub_rights",
-            "_all_ids",
-            "_all_weight_prefix",
-        ]
-        if include_rank_keys:
-            names += [
-                "_stab_lefts_key",
-                "_stab_rights_key",
-                "_sub_lefts_key",
-                "_sub_rights_key",
-            ]
         if self._weighted != other._weighted:
             return False
-        for name in names:
-            mine = getattr(self, name)
-            theirs = getattr(other, name)
+        for _, attr in self.CORE_FIELDS:
+            mine = getattr(self, attr)
+            theirs = getattr(other, attr)
             if (mine is None) != (theirs is None):
                 return False
             if mine is None:
@@ -968,38 +935,9 @@ class FlatAIT:
         """True when the snapshot carries weight prefix pools (AWIT)."""
         return self._weighted
 
-    def nbytes(self, include_rank_keys: bool = True) -> int:
-        """Memory footprint of the flat arrays in bytes.
-
-        ``include_rank_keys=False`` excludes the four precomputed rank-key
-        pools (:meth:`_build_rank_keys`) — derived acceleration structures
-        that could be recomputed from the list pools — leaving only the
-        serialised index itself.  The default counts everything the snapshot
-        actually holds in memory, which is what capacity planning needs.
-        """
-        arrays = [
-            self._centers,
-            self._left_child,
-            self._right_child,
-            self._stab_off,
-            self._stab_len,
-            self._sub_off,
-            self._sub_len,
-            self._stab_lefts,
-            self._stab_rights,
-            self._sub_lefts,
-            self._sub_rights,
-            self._all_ids,
-            self._all_weight_prefix,
-        ]
-        if include_rank_keys:
-            arrays += [
-                self._stab_lefts_key,
-                self._stab_rights_key,
-                self._sub_lefts_key,
-                self._sub_rights_key,
-            ]
-        return sum(int(arr.nbytes) for arr in arrays if arr is not None)
+    def nbytes(self) -> int:
+        """Memory footprint of the snapshot in bytes: every :attr:`CORE_FIELDS` array."""
+        return sum(int(array.nbytes) for array in self.to_buffers().values())
 
     # ------------------------------------------------------------------ #
     # persistence
@@ -1007,8 +945,7 @@ class FlatAIT:
     def save(self, path, fsync: bool = True) -> None:
         """Write this snapshot to a checksummed, page-aligned container file.
 
-        The file stores every array (including the derived rank-key pools,
-        so :meth:`load` never has to recompute them) behind a
+        The file stores every :attr:`CORE_FIELDS` array behind a
         self-describing header: magic, format version, dtype/shape table
         and one checksum per array.  The write is atomic — assembled in a
         ``.tmp`` sibling and renamed over ``path``.  See
@@ -1055,10 +992,11 @@ class FlatAIT:
 
         Each round advances all still-live queries one level: classify
         against the current centers (case 1 / 2 / 3), resolve every binary
-        search of the round via the precomputed rank keys
-        (:meth:`_rank_search` — two global ``np.searchsorted`` calls per
-        search site), emit the resulting records, and step to the child
-        (case 3 terminates a query after emitting up to three records).
+        search of the round via the position keys (:meth:`_rank_search` —
+        one global ``np.searchsorted`` per search site, on ranks computed
+        once per query by :meth:`_query_ranks`), emit the resulting records,
+        and step to the child (case 3 terminates a query after emitting up
+        to three records).
 
         The records come back grouped by query ordinal, and within one query
         in scalar traversal order (the order of :meth:`collect_ranges`):
@@ -1080,6 +1018,7 @@ class FlatAIT:
             qidx = np.arange(nq, dtype=_ID)
             node = np.zeros(nq, dtype=_ID)
             live_l, live_r = ql, qr
+            rank_r, rank_l = self._query_ranks(ql, qr)
             while qidx.shape[0]:
                 center = self._centers[node]
                 c1 = live_r < center
@@ -1089,9 +1028,7 @@ class FlatAIT:
                 if c1.any():
                     n1 = node[c1]
                     off = self._stab_off[n1]
-                    ins = self._rank_search(
-                        self._stab_lefts_key, self._sorted_lefts, n1, live_r[c1], "right"
-                    )
+                    ins = self._rank_search(0, n1, rank_r[c1])
                     hi = ins - 1
                     ok = hi >= off
                     emit(qidx[c1][ok], 0, off[ok], hi[ok], off[ok])
@@ -1100,9 +1037,7 @@ class FlatAIT:
                     n2 = node[c2]
                     off = self._stab_off[n2]
                     end = off + self._stab_len[n2]
-                    ins = self._rank_search(
-                        self._stab_rights_key, self._sorted_rights, n2, live_l[c2], "left"
-                    )
+                    ins = self._rank_search(1, n2, rank_l[c2])
                     ok = ins < end
                     emit(qidx[c2][ok], 1, ins[ok], end[ok] - 1, off[ok])
 
@@ -1121,13 +1056,7 @@ class FlatAIT:
                         child = lc[has]
                         off = self._sub_off[child]
                         end = off + self._sub_len[child]
-                        ins = self._rank_search(
-                            self._sub_rights_key,
-                            self._sorted_rights,
-                            child,
-                            live_l[c3][has],
-                            "left",
-                        )
+                        ins = self._rank_search(2, child, rank_l[c3][has])
                         ok = ins < end
                         emit(q3[has][ok], 2, ins[ok], end[ok] - 1, off[ok])
                     # Right child: subtree list by left endpoint vs q.r.
@@ -1136,13 +1065,7 @@ class FlatAIT:
                     if has.any():
                         child = rc[has]
                         off = self._sub_off[child]
-                        ins = self._rank_search(
-                            self._sub_lefts_key,
-                            self._sorted_lefts,
-                            child,
-                            live_r[c3][has],
-                            "right",
-                        )
+                        ins = self._rank_search(3, child, rank_r[c3][has])
                         hi = ins - 1
                         ok = hi >= off
                         emit(q3[has][ok], 3, off[ok], hi[ok], off[ok])
@@ -1154,6 +1077,8 @@ class FlatAIT:
                 node = nxt[alive]
                 live_l = live_l[alive]
                 live_r = live_r[alive]
+                rank_l = rank_l[alive]
+                rank_r = rank_r[alive]
 
         if not chunks:
             empty = np.empty(0, dtype=_ID)
@@ -1253,10 +1178,11 @@ class FlatAIT:
             pos = 0
             for i in range(len(records)):
                 end = int(ends[i])
-                flat[pos:end] = self._all_ids[glo[i] : ghi[i] + 1]
+                flat[pos:end] = self._all_keys[glo[i] : ghi[i] + 1]
                 pos = end
+            self._keys_to_ids(flat)
         else:
-            flat = self._all_ids[_ranges_to_indices(records.glo, counts)]
+            flat = self._ids_at(_ranges_to_indices(records.glo, counts))
         bounds = np.cumsum(per_query)[:-1]
         return [chunk for chunk in np.split(flat, bounds)]
 
@@ -1384,8 +1310,8 @@ class FlatAIT:
                 base=records.gbase[rec],
             )
         if found is None:
-            return self._all_ids[positions]
-        ids[found] = self._all_ids[positions]
+            return self._ids_at(positions)
+        ids[found] = self._ids_at(positions)
         return ids
 
     # ------------------------------------------------------------------ #
@@ -1395,7 +1321,7 @@ class FlatAIT:
         """Scalar record collection over the flat arrays.
 
         Returns ``(glo, ghi, gbase, weight)`` arrays — one entry per record,
-        indices into the id super-pool — without touching any node objects.
+        indices into the key super-pool — without touching any node objects.
         """
         ql, qr = coerce_query(query)
         glo: list[int] = []
@@ -1405,22 +1331,23 @@ class FlatAIT:
             z = np.empty(0, dtype=_ID)
             return z, z, z, np.empty(0, dtype=_F8)
         kb = self._kind_base
+        rank_r, rank_l = self._query_ranks(ql, qr)
         node = 0
         while node >= 0:
             center = self._centers[node]
             off = int(self._stab_off[node])
             ln = int(self._stab_len[node])
             if qr < center:
-                hi = int(np.searchsorted(self._stab_lefts[off : off + ln], qr, side="right")) - 1
-                if hi >= 0:
+                ins = int(self._rank_search(0, node, rank_r))
+                if ins > off:
                     glo.append(kb[0] + off)
-                    ghi.append(kb[0] + off + hi)
+                    ghi.append(kb[0] + ins - 1)
                     gbase.append(kb[0] + off)
                 node = int(self._left_child[node])
             elif center < ql:
-                lo = int(np.searchsorted(self._stab_rights[off : off + ln], ql, side="left"))
-                if lo < ln:
-                    glo.append(kb[1] + off + lo)
+                ins = int(self._rank_search(1, node, rank_l))
+                if ins < off + ln:
+                    glo.append(kb[1] + ins)
                     ghi.append(kb[1] + off + ln - 1)
                     gbase.append(kb[1] + off)
                 node = int(self._right_child[node])
@@ -1432,25 +1359,18 @@ class FlatAIT:
                 child = int(self._left_child[node])
                 if child >= 0:
                     soff = int(self._sub_off[child])
-                    sln = int(self._sub_len[child])
-                    lo = int(
-                        np.searchsorted(self._sub_rights[soff : soff + sln], ql, side="left")
-                    )
-                    if lo < sln:
-                        glo.append(kb[2] + soff + lo)
-                        ghi.append(kb[2] + soff + sln - 1)
+                    ins = int(self._rank_search(2, child, rank_l))
+                    if ins < soff + int(self._sub_len[child]):
+                        glo.append(kb[2] + ins)
+                        ghi.append(kb[2] + soff + int(self._sub_len[child]) - 1)
                         gbase.append(kb[2] + soff)
                 child = int(self._right_child[node])
                 if child >= 0:
                     soff = int(self._sub_off[child])
-                    sln = int(self._sub_len[child])
-                    hi = (
-                        int(np.searchsorted(self._sub_lefts[soff : soff + sln], qr, side="right"))
-                        - 1
-                    )
-                    if hi >= 0:
+                    ins = int(self._rank_search(3, child, rank_r))
+                    if ins > soff:
                         glo.append(kb[3] + soff)
-                        ghi.append(kb[3] + soff + hi)
+                        ghi.append(kb[3] + ins - 1)
                         gbase.append(kb[3] + soff)
                 break
         glo_arr = np.asarray(glo, dtype=_ID)
@@ -1478,7 +1398,7 @@ class FlatAIT:
         glo, ghi, _, _ = self.collect_ranges(query)
         if glo.shape[0] == 0:
             return np.empty(0, dtype=_ID)
-        return self._all_ids[_ranges_to_indices(glo, ghi - glo + 1)]
+        return self._ids_at(_ranges_to_indices(glo, ghi - glo + 1))
 
     def sample(
         self,
@@ -1530,4 +1450,4 @@ class FlatAIT:
         else:
             lengths = (ghi - glo + 1)[chosen]
             positions = rec_glo + rng.integers(0, lengths)
-        return self._all_ids[positions]
+        return self._ids_at(positions)

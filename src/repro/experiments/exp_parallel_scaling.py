@@ -8,7 +8,9 @@ counts K and batch sizes with the serial (inline) loop and the
 default, which answers a batch in the owner process unless it is a
 ``sample`` batch of at least
 :data:`~repro.service.executor.AUTO_QUERY_THRESHOLD` queries), measures
-``count_many`` and ``sample_many`` throughput, and — the part that gates —
+``count_many`` and ``sample_many`` throughput — every placement of one
+(K, batch, operation) cell timed round-robin, reported as the median and
+quartiles of its rounds — and — the part that gates —
 asserts that every process-executor answer is **bit-identical** to the
 serial executor's at the same K and batch (``identical`` column; exact
 array equality on counts and on sample draws under a fixed seed).
@@ -30,11 +32,13 @@ tolerance) while ``identical`` is a hard 1.0 invariant.
 
 from __future__ import annotations
 
+import time
+from functools import partial
+
 import numpy as np
 
 from ..service import ProcessExecutor, ShardedEngine
 from .config import ExperimentConfig
-from .exp_service_throughput import measure_qps
 from .harness import build_dataset, build_workload
 from .report import ExperimentResult
 
@@ -43,9 +47,10 @@ __all__ = [
     "PARALLEL_SHARD_SWEEP",
     "PARALLEL_BATCH_SWEEP",
     "PARALLEL_SCATTERS",
-    "measure_engine",
+    "answers",
     "results_identical",
     "sweep",
+    "time_round_robin",
 ]
 
 #: Shard counts swept by the parallel-scaling experiment.
@@ -64,33 +69,40 @@ PARALLEL_SCATTERS: tuple[str, ...] = ("query", "auto")
 #: Fixed seed for the sample_many bit-identity check (same seed, same draws).
 SAMPLE_SEED = 12345
 
-#: Best-of-N repetitions grow for small batches until a measurement covers
+#: Timed rounds grow for small batches until each placement's rounds cover
 #: about this many queries, so a one-query batch is not timed once.
-_QUERIES_PER_MEASUREMENT = 1024
+_QUERIES_PER_MEASUREMENT = 4096
 
 
-def measure_engine(engine, query_array, sample_size: int, repeats: int):
-    """(count_qps, sample_qps, count_rows, sample_draws) for one engine.
+def answers(engine, query_array, sample_size: int):
+    """``(counts, draws)`` of one engine: the bit-identity evidence.
 
-    The first call of each operation runs un-timed: for the process executor
-    it absorbs the one-off worker spawn + segment publish cost, so the timed
-    passes measure steady-state scatter throughput (the quantity that should
-    scale), not process start-up.
+    For a process executor the first calls also absorb the one-off worker
+    spawn and segment publish, so the timed rounds measure steady state.
     """
-    query_count = int(query_array.shape[0])
     counts = engine.count_many(query_array)
-    count_qps = measure_qps(lambda: engine.count_many(query_array), query_count, repeats)
     draws = engine.sample_many(
         query_array, sample_size, random_state=np.random.default_rng(SAMPLE_SEED)
     )
-    sample_qps = measure_qps(
-        lambda: engine.sample_many(
-            query_array, sample_size, random_state=np.random.default_rng(SAMPLE_SEED)
-        ),
-        query_count,
-        repeats,
-    )
-    return count_qps, sample_qps, counts, draws
+    return counts, draws
+
+
+def time_round_robin(calls: dict, rounds: int) -> dict:
+    """Seconds per call of every entry of ``calls``, ``rounds`` times each.
+
+    The calls take turns within each round, and the turn order rotates
+    from round to round, so a change in machine load during the sweep hits
+    every placement alike instead of whichever ran in that stretch.
+    """
+    keys = list(calls)
+    times: dict = {key: [] for key in keys}
+    for round_ in range(rounds):
+        shift = round_ % len(keys)
+        for key in keys[shift:] + keys[:shift]:
+            start = time.perf_counter()
+            calls[key]()
+            times[key].append(time.perf_counter() - start)
+    return times
 
 
 def results_identical(reference, candidate) -> bool:
@@ -114,52 +126,68 @@ def sweep(
 ) -> list[dict]:
     """Time serial and every process scatter per (K, batch); check bit-identity.
 
-    Returns one dict per (shards, executor, scatter, batch, operation) with
-    ``qps``, ``vs_serial_k1`` (relative to the serial K = first swept count
-    at the same batch size) and ``identical`` (bit-identity against the
-    serial engine at the same K and batch; always True on serial rows).
-    One process executor serves every batch size of its (K, scatter), so
-    its workers spawn at most once.
+    At each K the serial engine and one engine per scatter stay open side
+    by side, and each (batch, operation) cell times them round-robin
+    (:func:`time_round_robin`) for at least ``repeats`` rounds.  Returns one
+    dict per (shards, executor, scatter, batch, operation) with the median
+    ``qps`` and its quartiles ``qps_p25`` / ``qps_p75``, ``vs_serial_k1``
+    (median relative to the serial K = first swept count at the same batch
+    size) and ``identical`` (bit-identity against the serial engine at the
+    same K and batch; always True on serial rows).
     """
     workloads = {batch: np.resize(query_array, (batch, 2)) for batch in batches}
     rows: list[dict] = []
     baselines: dict[tuple[str, int], float] = {}
     for shards in shard_counts:
-        references: dict[int, tuple] = {}
-        for scatter in (None,) + PARALLEL_SCATTERS:
-            executor = (
-                "serial"
-                if scatter is None
-                else ProcessExecutor(max_workers=max(shards, 2), scatter=scatter)
-            )
-            try:
-                with ShardedEngine(dataset, num_shards=shards, executor=executor) as engine:
-                    for batch, queries in workloads.items():
-                        best_of = max(repeats, _QUERIES_PER_MEASUREMENT // batch)
-                        count_qps, sample_qps, counts, draws = measure_engine(
-                            engine, queries, sample_size, best_of
+        executors = {
+            scatter: ProcessExecutor(max_workers=max(shards, 2), scatter=scatter)
+            for scatter in PARALLEL_SCATTERS
+        }
+        engines = {None: ShardedEngine(dataset, num_shards=shards)}
+        try:
+            for scatter, executor in executors.items():
+                engines[scatter] = ShardedEngine(dataset, num_shards=shards, executor=executor)
+            for batch, queries in workloads.items():
+                rounds = max(repeats, _QUERIES_PER_MEASUREMENT // batch)
+                evidence = {
+                    scatter: answers(engine, queries, sample_size)
+                    for scatter, engine in engines.items()
+                }
+                ops = {
+                    "count": lambda engine: engine.count_many(queries),
+                    "sample": lambda engine: engine.sample_many(
+                        queries, sample_size, random_state=np.random.default_rng(SAMPLE_SEED)
+                    ),
+                }
+                for operation, op in ops.items():
+                    times = time_round_robin(
+                        {scatter: partial(op, engine) for scatter, engine in engines.items()},
+                        rounds,
+                    )
+                    for scatter, seconds in times.items():
+                        p25, median, p75 = np.percentile(batch / np.asarray(seconds), [25, 50, 75])
+                        base = baselines.setdefault((operation, batch), median)
+                        rows.append(
+                            {
+                                "operation": operation,
+                                "shards": shards,
+                                "executor": "serial" if scatter is None else "process",
+                                "scatter": scatter,
+                                "batch": batch,
+                                "qps": float(median),
+                                "qps_p25": float(p25),
+                                "qps_p75": float(p75),
+                                "vs_serial_k1": median / base if base > 0 else float("inf"),
+                                "identical": results_identical(
+                                    evidence[None], evidence[scatter]
+                                ),
+                            }
                         )
-                        if scatter is None:
-                            references[batch] = (counts, draws)
-                        identical = results_identical(references[batch], (counts, draws))
-                        for operation, qps in (("count", count_qps), ("sample", sample_qps)):
-                            baselines.setdefault((operation, batch), qps)
-                            base = baselines[(operation, batch)]
-                            rows.append(
-                                {
-                                    "operation": operation,
-                                    "shards": shards,
-                                    "executor": "serial" if scatter is None else "process",
-                                    "scatter": scatter,
-                                    "batch": batch,
-                                    "qps": qps,
-                                    "vs_serial_k1": qps / base if base > 0 else float("inf"),
-                                    "identical": identical,
-                                }
-                            )
-            finally:
-                if scatter is not None:
-                    executor.shutdown()
+        finally:
+            for engine in engines.values():
+                engine.close()
+            for executor in executors.values():
+                executor.shutdown()
     return rows
 
 
@@ -176,10 +204,13 @@ def run(config: ExperimentConfig) -> ExperimentResult:
             "scatter",
             "batch",
             "qps",
+            "qps_p25",
+            "qps_p75",
             "vs_serial_k1",
             "identical",
         ],
         notes=(
+            "qps = median over round-robin rounds, with quartiles.  "
             "identical = bit-identity of the row's answers vs the serial "
             "executor at the same K and batch (hard invariant).  "
             "vs_serial_k1 = throughput relative to the serial K=1 engine at "

@@ -2,14 +2,14 @@
 
 Besides regenerating the table, the run asserts the repo's memory-accounting
 invariants: ``AIT.memory_bytes`` must expose the capacity-vs-live column
-split exactly, and ``FlatAIT.nbytes`` the rank-key split — so the numbers
+split exactly, and ``FlatAIT.nbytes`` one key per list entry — so the numbers
 reported here (and by ``ShardedEngine.nbytes``) are mutually consistent
 rather than ad-hoc sums.
 """
 
 from __future__ import annotations
 
-from ..core import AIT
+from ..core import AIT, FlatAIT
 from .config import ExperimentConfig
 from .grid import run_grid
 from .harness import NON_WEIGHTED_ALGORITHMS, build_dataset
@@ -33,8 +33,9 @@ def _assert_accounting_invariants(config: ExperimentConfig) -> None:
     * capacity vs live: ``memory_bytes(include_capacity=True)`` exceeds the
       live-only figure by exactly the columnar slack — three float64 columns
       of ``column_capacity - len(columns)`` rows;
-    * rank keys: ``FlatAIT.nbytes(include_rank_keys=False)`` drops exactly
-      the four derived key pools, nothing else.
+    * list pools: ``FlatAIT.nbytes()`` is the node arrays, the root's two
+      sorted endpoint columns and two id columns (32 B per interval) and one
+      8-byte position key per list entry — nothing else.
     """
     dataset = build_dataset(config, config.datasets[0])
     tree = AIT(dataset, build_backend="tree")
@@ -48,19 +49,10 @@ def _assert_accounting_invariants(config: ExperimentConfig) -> None:
         "memory_bytes capacity/live split must equal the columnar slack exactly"
     )
     flat = tree.flat()
-    with_keys = flat.nbytes(include_rank_keys=True)
-    without_keys = flat.nbytes(include_rank_keys=False)
-    key_bytes = sum(
-        int(arr.nbytes)
-        for arr in (
-            flat._stab_lefts_key,
-            flat._stab_rights_key,
-            flat._sub_lefts_key,
-            flat._sub_rights_key,
-        )
-    )
-    assert with_keys - without_keys == key_bytes, (
-        "nbytes rank-key split must equal the four key pools exactly"
+    entries = 2 * int(flat._stab_len.sum() + flat._sub_len.sum())
+    node_bytes = sum(int(getattr(flat, attr).nbytes) for _, attr in FlatAIT.CORE_FIELDS[:7])
+    assert flat.nbytes() == node_bytes + 4 * 8 * (len(dataset) + 1) + 8 * entries, (
+        "nbytes must be the node arrays, the root columns and ids, and one key per entry"
     )
 
 

@@ -49,6 +49,7 @@ from ..core.flat import FlatAIT, validate_columns
 from .checksum import CHECKSUM_ALGORITHM
 from .snapshot import (
     FORMAT_VERSION,
+    READABLE_VERSIONS,
     flat_from_arrays,
     flat_to_arrays,
     fsync_directory,
@@ -319,7 +320,7 @@ def _read_manifest(directory: str, epoch: int) -> dict:
             manifest = json.load(handle)
     except ValueError as exc:
         raise SnapshotCorruptError(f"{path}: manifest is not valid JSON") from exc
-    if manifest.get("format_version") != FORMAT_VERSION:
+    if manifest.get("format_version") not in READABLE_VERSIONS:
         raise SnapshotCorruptError(
             f"{path}: unsupported manifest format version "
             f"{manifest.get('format_version')!r}"

@@ -33,9 +33,11 @@ previous snapshot.
 On top of the generic container this module also knows how to persist a
 :class:`~repro.core.flat.FlatAIT`: :func:`save_flat` / :func:`load_flat`
 (the implementations behind ``FlatAIT.save`` / ``FlatAIT.load``) store the
-13 core arrays plus the 4 derived rank-key pools — saving the derived pools
-costs ~25% more disk but lets ``load`` skip the rank-key rebuild that would
-otherwise page the whole file in eagerly.
+arrays of ``FlatAIT.CORE_FIELDS``, which ``load`` adopts as they are.
+
+Format 2 stores one position key per list entry.  Format 1 stored an
+endpoint, an id and a rank key per entry; its files still load:
+:func:`flat_from_arrays` converts their list pools to position keys.
 """
 
 from __future__ import annotations
@@ -48,13 +50,14 @@ from typing import Optional
 
 import numpy as np
 
-from ..core.errors import SnapshotCorruptError
+from ..core.errors import SnapshotCorruptError, StructureStateError
 from ..core.flat import FlatAIT
 from .checksum import CHECKSUM_ALGORITHM, checksum, resolve_checksum
 
 __all__ = [
     "MAGIC",
     "FORMAT_VERSION",
+    "READABLE_VERSIONS",
     "PAGE_SIZE",
     "save_arrays",
     "load_arrays",
@@ -66,18 +69,13 @@ __all__ = [
 ]
 
 MAGIC = b"RPRSNAP1"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+#: Every format version this module reads (see :func:`flat_from_arrays`).
+READABLE_VERSIONS = (1, 2)
 PAGE_SIZE = 4096
 
 _ID = np.int64
 _PREAMBLE = struct.Struct("<8sII")  # magic, header length, header crc32
-
-#: FlatAIT persistence schema: (array name in file, attribute on the object).
-#: Owned by the snapshot class itself so every serialised form (disk files
-#: here, shared-memory segments in :mod:`repro.service.shm`) enumerates the
-#: same fields.  ``all_weight_prefix`` is absent when unweighted.
-_FLAT_CORE_FIELDS = list(FlatAIT.CORE_FIELDS)
-_FLAT_RANK_FIELDS = list(FlatAIT.RANK_KEY_FIELDS)
 
 
 def _align(offset: int) -> int:
@@ -174,7 +172,7 @@ def read_header(path) -> tuple[dict, int]:
     except ValueError as exc:
         raise SnapshotCorruptError(f"{path}: header is not valid JSON") from exc
     version = header.get("format_version")
-    if version != FORMAT_VERSION:
+    if version not in READABLE_VERSIONS:
         raise SnapshotCorruptError(
             f"{path}: unsupported snapshot format version {version!r}"
         )
@@ -234,31 +232,41 @@ def load_arrays(path, mmap: bool = True, verify: bool = True) -> tuple[dict, dic
 # FlatAIT persistence
 # ---------------------------------------------------------------------- #
 def flat_to_arrays(flat: FlatAIT, prefix: str = "") -> dict:
-    """The persistable array table of a snapshot (core + derived rank keys)."""
-    out: dict[str, np.ndarray] = {}
-    for file_name, attr in _FLAT_CORE_FIELDS + _FLAT_RANK_FIELDS:
-        out[prefix + file_name] = getattr(flat, attr)
-    return out
+    """The persistable array table of a snapshot (``FlatAIT.CORE_FIELDS``)."""
+    return {prefix + name: getattr(flat, attr) for name, attr in FlatAIT.CORE_FIELDS}
 
 
 def flat_from_arrays(arrays: dict, weighted: bool, prefix: str = "") -> FlatAIT:
     """Reassemble a :class:`FlatAIT` from loaded (possibly mmap-backed) arrays.
 
-    Thin file-schema wrapper over :meth:`FlatAIT.from_buffers` (which adopts
-    saved rank-key pools instead of recomputing them — recomputation would
-    touch every page of an mmap-backed file, defeating lazy load): strips the
+    Thin file-schema wrapper over :meth:`FlatAIT.from_buffers`: strips the
     name ``prefix`` and maps a malformed weighted snapshot onto the
-    persistence error contract.
+    persistence error contract.  A format-1 table (it has an ``all_ids``
+    pool) is converted instead: its root subtree pools are the sorted
+    endpoint columns, and :meth:`FlatAIT.from_id_pools` turns its id pools
+    into position keys.
     """
-    named = {
-        name: arrays.get(prefix + name)
-        for name, _ in _FLAT_CORE_FIELDS + _FLAT_RANK_FIELDS
-    }
-    if named["all_weight_prefix"] is None and weighted:
+    if arrays.get(prefix + "all_weight_prefix") is None and weighted:
         raise SnapshotCorruptError(
             "weighted snapshot is missing its all_weight_prefix array"
         )
-    return FlatAIT.from_buffers(named, weighted)
+    if arrays.get(prefix + "all_ids") is None:
+        named = {name: arrays.get(prefix + name) for name, _ in FlatAIT.CORE_FIELDS}
+        return FlatAIT.from_buffers(named, weighted)
+    # Format 1 shares the seven node arrays that lead CORE_FIELDS.
+    structure = tuple(arrays[prefix + name] for name, _ in FlatAIT.CORE_FIELDS[:7])
+    n = int(structure[6][0]) if structure[0].shape[0] else 0
+    try:
+        return FlatAIT.from_id_pools(
+            structure,
+            arrays[prefix + "sub_lefts"][:n],
+            arrays[prefix + "sub_rights"][:n],
+            arrays[prefix + "all_ids"],
+            arrays.get(prefix + "all_weight_prefix"),
+            weighted,
+        )
+    except StructureStateError as exc:
+        raise SnapshotCorruptError(f"format-1 snapshot: {exc}") from exc
 
 
 def save_flat(flat: FlatAIT, path, fsync: bool = True, opener=open) -> None:

@@ -15,9 +15,10 @@ This module provides both sides of that bridge:
   bit-identical by construction; only where the view's arrays live differs.
 * :func:`publish_shard` / :func:`attach_segment` — one
   ``multiprocessing.shared_memory`` segment per (shard, base): the base
-  snapshot's arrays (:meth:`FlatAIT.to_buffers`, derived rank keys included
-  so workers never recompute) plus the global id map, copied once behind a
-  JSON-able manifest of (name, dtype, shape, offset) entries.  Workers
+  snapshot's arrays (:meth:`FlatAIT.to_buffers`: node arrays, root
+  columns and one position key per list entry) plus the global id map,
+  copied once behind a JSON-able manifest of (name, dtype, shape, offset)
+  entries.  Workers
   rebuild zero-copy views with :meth:`FlatAIT.from_buffers`.
   :func:`publish_overlay` / :func:`attach_overlay` do the same for the small
   per-version overlay, so a write republishes kilobytes, not the base.
@@ -517,9 +518,8 @@ def _pack(arrays: dict) -> tuple[shared_memory.SharedMemory, list[dict]]:
 def publish_shard(shard) -> ShardSegment:
     """Copy one shard's base snapshot + id map into a fresh shared-memory segment.
 
-    The segment packs every array of :meth:`FlatAIT.to_buffers` (core arrays
-    *and* the derived rank-key pools — attaching must not recompute them)
-    plus the shard's ``global_map``, each aligned to ``_ALIGN`` bytes, behind
+    The segment packs every array of :meth:`FlatAIT.to_buffers` plus the
+    shard's ``global_map``, each aligned to ``_ALIGN`` bytes, behind
     a picklable manifest.  One segment per (shard, base): the caller
     republishes when a compaction replaced the base and unlinks the
     superseded segment.  The overlay travels separately
@@ -599,8 +599,8 @@ def attach_segment(manifest: dict) -> ShardView:
 
     Every array is an ``np.ndarray`` view straight into the mapped segment
     (read-only — snapshot state is immutable by construction), assembled
-    into a :class:`FlatAIT` via :meth:`FlatAIT.from_buffers` so the saved
-    rank-key pools are adopted, not recomputed.  The returned view holds the
+    into a :class:`FlatAIT` via :meth:`FlatAIT.from_buffers`, which reads
+    no list page.  The returned view holds the
     ``SharedMemory`` object so the mapping outlives the attach scope; its
     overlay starts empty (see :func:`attach_overlay`).
     """

@@ -2,8 +2,7 @@
 
 The columnar builder commits to a strong contract: for any interval set, its
 output is **bit-identical** to flattening a freshly built node tree over the
-same data — every structure array, every list pool, every weight prefix,
-every derived rank key.  These tests pin that contract across dataset shapes
+same data — every structure array, every list pool, every weight prefix.  These tests pin that contract across dataset shapes
 (duplicates, point intervals, weighted columns, degenerate sizes), then
 verify the wiring: the ``build_backend`` knob on AIT / AWIT, lazy node-tree
 materialisation, the handoff from a treeless snapshot to ``from_tree`` after
@@ -20,7 +19,7 @@ from repro.core.errors import InvalidIntervalError, InvalidWeightError
 from repro.core.flat import segmented_cumsum
 from repro.service import Shard, ShardedEngine
 
-#: Every array a FlatAIT holds, including derived rank keys.
+#: Every array a FlatAIT holds.
 SNAPSHOT_ARRAYS = (
     "_centers",
     "_left_child",
@@ -29,16 +28,11 @@ SNAPSHOT_ARRAYS = (
     "_stab_len",
     "_sub_off",
     "_sub_len",
-    "_stab_lefts",
-    "_stab_rights",
-    "_sub_lefts",
-    "_sub_rights",
-    "_all_ids",
+    "_sorted_lefts",
+    "_sorted_rights",
+    "_root_ids",
+    "_all_keys",
     "_all_weight_prefix",
-    "_stab_lefts_key",
-    "_stab_rights_key",
-    "_sub_lefts_key",
-    "_sub_rights_key",
 )
 
 

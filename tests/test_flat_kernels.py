@@ -1,9 +1,10 @@
 """FlatAIT's vectorised kernels against the plain loops they replace.
 
-``FlatAIT`` answers a batch with one numpy kernel path: rank keys turn every
-per-node binary search into two global ``np.searchsorted`` calls, a closed
-form over the root's sorted endpoint columns replaces the record-based
-count, and one level-synchronous descent collects every query's records.
+``FlatAIT`` answers a batch with one numpy kernel path: position keys turn
+every per-node binary search into one global ``np.searchsorted`` on a root
+rank, a closed form over the root's sorted endpoint columns replaces the
+record-based count, and one level-synchronous descent collects every
+query's records.
 This suite pins each kernel to the straightforward per-node or per-query
 loop it stands in for, at three granularities:
 
@@ -81,19 +82,28 @@ def sample_digest(index, queries: np.ndarray) -> str:
 # --------------------------------------------------------------------------- #
 # unit kernels
 # --------------------------------------------------------------------------- #
-#: (value pool, rank-key pool, node offsets, node lengths, sorted root column)
+#: (kind in key super-pool order, node offsets, node lengths, sorted root column)
 POOLS = {
-    "stab_lefts": ("_stab_lefts", "_stab_lefts_key", "_stab_off", "_stab_len", "_sorted_lefts"),
-    "stab_rights": (
-        "_stab_rights",
-        "_stab_rights_key",
-        "_stab_off",
-        "_stab_len",
-        "_sorted_rights",
-    ),
-    "sub_lefts": ("_sub_lefts", "_sub_lefts_key", "_sub_off", "_sub_len", "_sorted_lefts"),
-    "sub_rights": ("_sub_rights", "_sub_rights_key", "_sub_off", "_sub_len", "_sorted_rights"),
+    "stab_lefts": (0, "_stab_off", "_stab_len", "_sorted_lefts"),
+    "stab_rights": (1, "_stab_off", "_stab_len", "_sorted_rights"),
+    "sub_rights": (2, "_sub_off", "_sub_len", "_sorted_rights"),
+    "sub_lefts": (3, "_sub_off", "_sub_len", "_sorted_lefts"),
 }
+
+
+def pool_values(flat: FlatAIT, pool: str) -> np.ndarray:
+    """The endpoint of every entry of one list pool, read off its position key."""
+    kind, _, _, column = POOLS[pool]
+    kb = flat._kind_base
+    positions = flat._all_keys[kb[kind] : kb[kind + 1]] % flat._rank_m
+    if kind in (1, 2):
+        positions = positions - flat._sorted_lefts.shape[0]
+    return getattr(flat, column)[positions]
+
+
+def id_pools(flat: FlatAIT) -> np.ndarray:
+    """The interval id of every entry of the key super-pool."""
+    return flat._root_ids[flat._all_keys % flat._rank_m]
 
 
 class TestUnitKernels:
@@ -102,8 +112,8 @@ class TestUnitKernels:
     def test_rank_search_matches_per_node_searchsorted(self, pool, side):
         lefts, rights = make_tied_endpoints(400)
         flat = FlatAIT.from_arrays(lefts, rights)
-        values_attr, key_attr, off_attr, len_attr, sorted_attr = POOLS[pool]
-        values = getattr(flat, values_attr)
+        kind, off_attr, len_attr, column = POOLS[pool]
+        values = pool_values(flat, pool)
         offsets = getattr(flat, off_attr)
         lengths = getattr(flat, len_attr)
         rng = np.random.default_rng(17)
@@ -111,9 +121,12 @@ class TestUnitKernels:
         # Half the needles are pool values, so exact ties exercise ``side``.
         needles = rng.uniform(-5.0, 235.0, 300)
         needles[::2] = rng.choice(values, 150)
-        got = flat._rank_search(
-            getattr(flat, key_attr), getattr(flat, sorted_attr), nodes, needles, side
-        )
+        # Keys carry root positions (offset by n in by-right pools), so a
+        # needle is searched by its rank in the pool's root column.
+        ranks = np.searchsorted(getattr(flat, column), needles, side=side)
+        if kind in (1, 2):
+            ranks += flat._sorted_lefts.shape[0]
+        got = flat._rank_search(kind, nodes, ranks)
         want = [
             int(offsets[node])
             + int(
@@ -126,14 +139,20 @@ class TestUnitKernels:
         assert got.tolist() == want
 
     def test_sparse_id_space_gives_the_same_rank_keys(self):
-        # Caller ids far beyond the dense scatter-table limit take the
-        # compacted-lookup branch; ranks depend only on endpoint values.
+        # Keys are positions, so caller ids cannot change them; rebuilding
+        # from id pools with ids far beyond the dense scatter-table limit
+        # takes the compacted-lookup branch and must give the same keys.
         lefts, rights = make_tied_endpoints(300)
         dense = FlatAIT.from_arrays(lefts, rights)
         sparse_ids = np.arange(300, dtype=np.int64) * 1_000_003 + 10**12
         sparse = FlatAIT.from_arrays(lefts, rights, ids=sparse_ids)
-        for _, key_attr, _, _, _ in POOLS.values():
-            assert np.array_equal(getattr(dense, key_attr), getattr(sparse, key_attr))
+        assert np.array_equal(dense._all_keys, sparse._all_keys)
+        structure = tuple(getattr(sparse, attr) for _, attr in FlatAIT.CORE_FIELDS[:7])
+        for flat in (dense, sparse):
+            rebuilt = FlatAIT.from_id_pools(
+                structure, flat._sorted_lefts, flat._sorted_rights, id_pools(flat), None, False
+            )
+            assert rebuilt.arrays_equal(flat)
         queries = make_queries(count=40, seed=3) / 5.0
         assert np.array_equal(dense.count_many(queries), sparse.count_many(queries))
         for d, s in zip(dense.report_many(queries), sparse.report_many(queries)):

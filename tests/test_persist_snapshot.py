@@ -110,7 +110,7 @@ class TestFlatSaveLoad:
         flat.save(path)
         for mmap in (False, True):
             loaded = FlatAIT.load(path, mmap=mmap)
-            assert flat.arrays_equal(loaded, include_rank_keys=True)
+            assert flat.arrays_equal(loaded)
             assert loaded.node_count == flat.node_count
 
     def test_loaded_flat_answers_queries(self, tmp_path, flat, make_random_dataset):
@@ -132,7 +132,7 @@ class TestFlatSaveLoad:
         path = tmp_path / "awit.snap"
         flat.save(path)
         loaded = FlatAIT.load(path)
-        assert flat.arrays_equal(loaded, include_rank_keys=True)
+        assert flat.arrays_equal(loaded)
         assert loaded.is_weighted
 
     def test_corrupt_flat_snapshot_raises(self, tmp_path, flat):

@@ -27,11 +27,10 @@ def assert_flat_equal(actual: FlatAIT, expected: FlatAIT) -> None:
     assert np.array_equal(actual._stab_len, expected._stab_len)
     assert np.array_equal(actual._sub_off, expected._sub_off)
     assert np.array_equal(actual._sub_len, expected._sub_len)
-    assert np.array_equal(actual._stab_lefts, expected._stab_lefts)
-    assert np.array_equal(actual._stab_rights, expected._stab_rights)
-    assert np.array_equal(actual._sub_lefts, expected._sub_lefts)
-    assert np.array_equal(actual._sub_rights, expected._sub_rights)
-    assert np.array_equal(actual._all_ids, expected._all_ids)
+    assert np.array_equal(actual._sorted_lefts, expected._sorted_lefts)
+    assert np.array_equal(actual._sorted_rights, expected._sorted_rights)
+    assert np.array_equal(actual._root_ids, expected._root_ids)
+    assert np.array_equal(actual._all_keys, expected._all_keys)
     if expected._all_weight_prefix is None:
         assert actual._all_weight_prefix is None
     else:
