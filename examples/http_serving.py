@@ -8,9 +8,9 @@ they are separate services speaking JSON over HTTP.  The
 * every gateway operation is a POST endpoint (``/count``, ``/sample``,
   ``/insert``, ...), with ``/healthz`` / ``/readyz`` / ``/stats`` for the
   load balancer and the operator;
-* an :class:`repro.service.AdmissionController` bounds the in-flight
-  window — when a traffic spike exceeds it, excess requests get a *fast*
-  ``429`` + ``Retry-After`` instead of queueing without bound;
+* the gateway's bounded queue (``max_queue_depth``) caps the requests
+  waiting for the engine — when a traffic spike fills it, excess requests
+  get a *fast* ``429`` + ``Retry-After`` instead of queueing without bound;
 * every request carries a deadline; on expiry the client gets ``504`` and
   the queued work is cancelled rather than silently completing later;
 * ``close()`` drains gracefully: in-flight requests finish, the write-ahead
@@ -27,13 +27,7 @@ import threading
 import numpy as np
 
 from repro import IntervalDataset
-from repro.service import (
-    AdmissionController,
-    HttpFrontend,
-    RequestGateway,
-    ShardedEngine,
-    http_request,
-)
+from repro.service import HttpFrontend, RequestGateway, ShardedEngine, http_request
 
 DAY = 86_400.0
 USERS = 20_000
@@ -55,12 +49,8 @@ def main() -> None:
 
     engine = ShardedEngine(sessions, num_shards=2)
     engine.refresh()
-    gateway = RequestGateway(engine)
-    frontend = HttpFrontend(
-        gateway,
-        admission=AdmissionController(max_pending=64, retry_after_s=0.25),
-        default_deadline_ms=2_000.0,
-    )
+    gateway = RequestGateway(engine, max_queue_depth=64)
+    frontend = HttpFrontend(gateway, default_deadline_ms=2_000.0)
     host, port = frontend.start_in_thread()
     print(f"listening on http://{host}:{port}  (state: {frontend.state})")
 

@@ -6,8 +6,8 @@ Usage::
     PYTHONPATH=src python scripts/bench_serving.py [--out BENCH_serving.json]
 
 The script stands up the full serving stack — ShardedEngine behind a
-RequestGateway behind an :class:`~repro.service.HttpFrontend` with admission
-control — and measures the resilience properties the front end commits to:
+RequestGateway (bounded intake queue) behind an
+:class:`~repro.service.HttpFrontend` — and measures the resilience properties the front end commits to:
 
 * **load** — a closed-loop burst calibrates the server's capacity, then an
   **open-loop** generator (fixed arrival schedule, independent of server
@@ -48,7 +48,7 @@ from repro import ShardedEngine, __version__  # noqa: E402
 from repro.datasets import generate_paper_dataset, generate_queries  # noqa: E402
 from repro.experiments.exp_serving_slo import (  # noqa: E402
     ENGINE_SHARDS,
-    MAX_PENDING,
+    MAX_QUEUE_DEPTH,
     OFFERED_MULTIPLIERS,
     calibrate_capacity,
     measure_drain,
@@ -62,7 +62,7 @@ def bench_load(
     duration_s: float,
     sample_size: int,
     multipliers: list[float],
-    max_pending: int,
+    max_queue_depth: int,
     deadline_ms: float,
 ) -> list[dict]:
     dataset = generate_paper_dataset("btc", n=n, random_state=1)
@@ -72,7 +72,7 @@ def bench_load(
     rows: list[dict] = []
     with ShardedEngine(dataset, num_shards=ENGINE_SHARDS) as engine:
         engine.refresh()
-        frontend = serve_frontend(engine, max_pending, deadline_ms)
+        frontend = serve_frontend(engine, max_queue_depth, deadline_ms)
         try:
             host, port = frontend.address
             probe = (float(queries[0, 0]), float(queries[0, 1]))
@@ -172,7 +172,10 @@ def main(argv: list[str] | None = None) -> int:
         help="offered-load multiples of calibrated capacity (past saturation)",
     )
     parser.add_argument(
-        "--max-pending", type=int, default=MAX_PENDING, help="admission pending cap"
+        "--max-queue-depth",
+        type=int,
+        default=MAX_QUEUE_DEPTH,
+        help="gateway intake bound (requests queued before 429s)",
     )
     parser.add_argument(
         "--deadline-ms", type=float, default=2_000.0, help="per-request deadline"
@@ -188,7 +191,7 @@ def main(argv: list[str] | None = None) -> int:
         args.duration,
         args.samples,
         args.multipliers,
-        args.max_pending,
+        args.max_queue_depth,
         args.deadline_ms,
     )
     print()
@@ -202,7 +205,7 @@ def main(argv: list[str] | None = None) -> int:
             "duration_s": args.duration,
             "sample_size": args.samples,
             "multipliers": args.multipliers,
-            "max_pending": args.max_pending,
+            "max_queue_depth": args.max_queue_depth,
             "deadline_ms": args.deadline_ms,
             "writers": args.writers,
             "min_acks": args.min_acks,

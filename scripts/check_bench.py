@@ -38,7 +38,7 @@ measure a *design property* rather than the hardware:
   (operation, scatter) — parallel speedup is a property of the runner's
   core count, recorded in ``config.cpu_count``;
 * ``BENCH_serving.json``    — the hard invariants that every request shed by
-  the HTTP front end's admission controller receives an explicit 429-class
+  the gateway's bounded intake queue receives an explicit 429-class
   response (never a hang or a reset) and that a graceful drain under fire —
   concurrent writers plus a SIGKILLed shard worker — loses no acknowledged
   write and refuses post-close traffic, plus the advisory shed rate past
@@ -60,8 +60,9 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: Required payload shape per benchmark family (keyed by committed basename).
-#: ``sections`` maps section name -> required row fields; a ``None`` section
-#: key means ``results`` is a flat list of rows.
+#: ``rows`` maps section name -> required row fields; a ``None`` section
+#: key means ``results`` is a flat list of rows.  An optional ``config`` set
+#: names keys the run's ``config`` must record.
 SCHEMAS: dict[str, dict] = {
     "BENCH_throughput.json": {
         "top": {"config", "results"},
@@ -159,6 +160,7 @@ SCHEMAS: dict[str, dict] = {
     },
     "BENCH_serving.json": {
         "top": {"config", "results"},
+        "config": {"max_queue_depth"},
         "rows": {
             "load": {
                 "n",
@@ -217,6 +219,10 @@ def validate_file(path: Path) -> list[str]:
             f"{path.name}: top-level keys {sorted(payload)} != {sorted(schema['top'])}"
         )
         return failures
+
+    missing = schema.get("config", set()) - set(payload["config"])
+    if missing:
+        failures.append(f"{path.name}[config]: missing keys {sorted(missing)}")
 
     for section, required in schema["rows"].items():
         rows = payload["results"] if section is None else payload["results"].get(section)
@@ -326,8 +332,8 @@ def _serving_indicators(payload: dict) -> dict[str, float]:
         )
         else 0.0,
     }
-    # Advisory (wide-tolerance compare): the admission controller must
-    # actually shed past saturation.  The exact rate depends on how far the
+    # Advisory (wide-tolerance compare): the gateway queue must actually
+    # shed past saturation.  The exact rate depends on how far the
     # open-loop sweep lands past this runner's capacity, so it gates only
     # against an order-of-magnitude collapse (e.g. shedding silently
     # disabled while the offered load still exceeds capacity).

@@ -7,7 +7,7 @@ Usage::
     PYTHONPATH=src python scripts/check_docs.py doctests    # docstring examples
     PYTHONPATH=src python scripts/check_docs.py links       # docs/*.md + README links
     PYTHONPATH=src python scripts/check_docs.py snippets    # ```python blocks execute
-    PYTHONPATH=src python scripts/check_docs.py knobs       # TUNING.md knobs resolve
+    PYTHONPATH=src python scripts/check_docs.py knobs       # TUNING.md rows <-> knob parameters
     PYTHONPATH=src python scripts/check_docs.py experiments # REPRODUCING index in sync
 
 Five checks keep the documentation subsystem from rotting:
@@ -26,7 +26,9 @@ Five checks keep the documentation subsystem from rotting:
   keyword parameter of the public constructors/entry points, or a registered
   value name (executor / scatter / fsync registries).  A
   renamed or removed knob fails here instead of leaving the tuning guide
-  describing settings that no longer exist;
+  describing settings that no longer exist; and every keyword parameter of
+  those entry points (bar the wiring in :data:`NON_KNOBS`) must have a row,
+  so a new knob cannot ship undocumented;
 * **experiments** — the experiments index block in ``docs/REPRODUCING.md``
   (between the ``experiments-index`` markers) must equal
   ``render_experiments_index()`` from
@@ -147,26 +149,20 @@ def run_snippets(docs: tuple[str, ...] = DOC_FILES) -> list[str]:
 _KNOB_ROW = re.compile(r"^\|\s*`([A-Za-z_][A-Za-z0-9_]*)[^`]*`")
 
 
-def _resolvable_knobs() -> set[str]:
-    """Every name a TUNING.md knob row may legitimately lead with.
+#: Keyword parameters of the knob-bearing entry points that are not tuning
+#: knobs: the objects being wired together, paths and injected test clocks.
+NON_KNOBS = frozenset({"dataset", "directory", "engine", "gateway", "breaker", "clock"})
 
-    Keyword parameters of the public constructors / entry points that carry
-    tuning knobs, plus every registered value name (executor kinds, scatter
-    modes, fsync policies) so rows may also be keyed by a
-    concrete setting.
-    """
+
+def _knob_parameters() -> set[str]:
+    """Keyword parameters of the public entry points that carry tuning knobs."""
     import inspect
 
-    from repro.persist import FSYNC_POLICIES
     from repro.service import (
-        EXECUTOR_NAMES,
-        SCATTER_NAMES,
-        AdmissionController,
         CircuitBreaker,
         HttpFrontend,
         ProcessExecutor,
         RequestGateway,
-        RetryPolicy,
         ShardedEngine,
     )
 
@@ -178,12 +174,24 @@ def _resolvable_knobs() -> set[str]:
         ProcessExecutor.__init__,
         RequestGateway.__init__,
         HttpFrontend.__init__,
-        AdmissionController.__init__,
         CircuitBreaker.__init__,
-        RetryPolicy.__init__,
     ):
         names.update(inspect.signature(target).parameters)
     names.discard("self")
+    return names
+
+
+def _resolvable_knobs() -> set[str]:
+    """Every name a TUNING.md knob row may legitimately lead with.
+
+    The knob parameters (:func:`_knob_parameters`) plus every registered
+    value name (executor kinds, scatter modes, fsync policies) so rows may
+    also be keyed by a concrete setting.
+    """
+    from repro.persist import FSYNC_POLICIES
+    from repro.service import EXECUTOR_NAMES, SCATTER_NAMES
+
+    names = _knob_parameters()
     names.update(EXECUTOR_NAMES)
     names.update(SCATTER_NAMES)
     names.update(FSYNC_POLICIES)
@@ -191,30 +199,36 @@ def _resolvable_knobs() -> set[str]:
 
 
 def check_knobs() -> list[str]:
-    """Verify every knob row in docs/TUNING.md resolves against the code."""
+    """Verify docs/TUNING.md's knob rows and the code's knob parameters match.
+
+    Both ways: every row must name a real parameter or registered value,
+    and every knob parameter (outside :data:`NON_KNOBS`) must have a row.
+    """
     path = REPO_ROOT / "docs" / "TUNING.md"
     if not path.exists():
         return ["docs/TUNING.md: missing (the tuning guide is a documented deliverable)"]
     known = _resolvable_knobs()
     failures: list[str] = []
-    checked = 0
+    rows: set[str] = set()
     for line in path.read_text().splitlines():
         match = _KNOB_ROW.match(line)
         if match is None:
             continue
-        checked += 1
         token = match.group(1)
+        rows.add(token)
         if token not in known:
             failures.append(
                 f"docs/TUNING.md: knob `{token}` does not resolve against the code "
                 "(not a public tuning parameter or registered value name)"
             )
-    if checked == 0:
+    if not rows:
         failures.append("docs/TUNING.md: no knob table rows found (backticked first column)")
+    for name in sorted(_knob_parameters() - NON_KNOBS - rows):
+        failures.append(f"docs/TUNING.md: knob parameter `{name}` has no row")
     if failures:
-        print(f"knobs FAILED: docs/TUNING.md ({len(failures)}/{checked} rows unresolved)")
+        print(f"knobs FAILED: docs/TUNING.md ({len(failures)} problems)")
     else:
-        print(f"knobs ok: docs/TUNING.md ({checked} knob rows resolve)")
+        print(f"knobs ok: docs/TUNING.md ({len(rows)} knob rows, every knob parameter covered)")
     return failures
 
 

@@ -42,13 +42,15 @@ from .core import (
     StructureStateError,
     UnsupportedOperationError,
     WALCorruptError,
+    WorkerCrashError,
+    WorkerFailureError,
     WorkerTimeoutError,
 )
 from .persist import DeltaLog
 from .sampling import AliasTable, CumulativeSampler
 from .service import RequestGateway, ShardedEngine
 
-__version__ = "1.14.0"
+__version__ = "1.15.0"
 
 __all__ = [
     "AIT",
@@ -77,6 +79,8 @@ __all__ = [
     "UnsupportedOperationError",
     "GatewayClosedError",
     "GatewayOverloadError",
+    "WorkerCrashError",
+    "WorkerFailureError",
     "WorkerTimeoutError",
     "PersistenceError",
     "SnapshotCorruptError",

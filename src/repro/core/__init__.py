@@ -20,6 +20,8 @@ from .errors import (
     StructureStateError,
     UnsupportedOperationError,
     WALCorruptError,
+    WorkerCrashError,
+    WorkerFailureError,
     WorkerTimeoutError,
 )
 from .interval import Interval
@@ -52,6 +54,8 @@ __all__ = [
     "UnsupportedOperationError",
     "GatewayClosedError",
     "GatewayOverloadError",
+    "WorkerCrashError",
+    "WorkerFailureError",
     "WorkerTimeoutError",
     "PersistenceError",
     "SnapshotCorruptError",

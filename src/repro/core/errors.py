@@ -18,7 +18,9 @@ __all__ = [
     "UnsupportedOperationError",
     "GatewayClosedError",
     "GatewayOverloadError",
+    "WorkerFailureError",
     "WorkerTimeoutError",
+    "WorkerCrashError",
     "PersistenceError",
     "SnapshotCorruptError",
     "WALCorruptError",
@@ -78,14 +80,34 @@ class GatewayOverloadError(StructureStateError):
     """
 
 
-class WorkerTimeoutError(ReproError, TimeoutError):
+class WorkerFailureError(ReproError):
+    """A process-executor worker failed under a request that was itself fine.
+
+    The common base of :class:`WorkerTimeoutError` and
+    :class:`WorkerCrashError`: the substrate failed, not the op.  The HTTP
+    front end feeds exactly these errors to its circuit breaker.  An
+    exception raised by the op itself on a worker is not one of them: it
+    surfaces as it would inline.
+    """
+
+
+class WorkerTimeoutError(WorkerFailureError, TimeoutError):
     """A process-executor worker failed to answer within ``op_timeout`` seconds.
 
     Raised by :class:`~repro.service.executor.ProcessExecutor` when a
-    dispatched shard op times out; the executor declares the worker dead,
-    respawns it, and replays in-flight work before raising.  Subclasses the
-    builtin :class:`TimeoutError`, so pre-existing ``except TimeoutError``
-    handlers keep working.
+    dispatched shard op times out; the executor kills the hung worker
+    (the next batch respawns it and replays its segments) before raising.
+    Subclasses the builtin :class:`TimeoutError`, so pre-existing
+    ``except TimeoutError`` handlers keep working.
+    """
+
+
+class WorkerCrashError(WorkerFailureError, RuntimeError):
+    """A process-executor worker kept dying past the executor's respawn cap.
+
+    Raised by :class:`~repro.service.executor.ProcessExecutor` once a worker
+    has died more times in a row than it respawns (each respawn resends the
+    interrupted message).  Subclasses the builtin :class:`RuntimeError`.
     """
 
 

@@ -14,8 +14,8 @@ Three segments:
   capacity (requests/second at 100% utilisation) on this machine;
 * **load** — open-loop sweeps at fixed multiples of that capacity (past
   saturation by construction).  For each offered load we record the shed
-  rate and client-side latency percentiles.  The admission controller must
-  convert the excess into fast, explicit 429 responses — the hard gate is
+  rate and client-side latency percentiles.  The gateway's bounded queue
+  must convert the excess into fast, explicit 429 responses — the hard gate is
   that *every* request gets an explicit HTTP answer (no hangs, no resets)
   and every non-2xx answer is an expected overload/deadline status;
 * **drain** — concurrent writers insert through the HTTP front end while a
@@ -42,7 +42,6 @@ import numpy as np
 
 from ..core.errors import GatewayClosedError
 from ..service import (
-    AdmissionController,
     HttpFrontend,
     ProcessExecutor,
     RequestGateway,
@@ -62,7 +61,7 @@ __all__ = [
     "serve_frontend",
     "OFFERED_MULTIPLIERS",
     "ENGINE_SHARDS",
-    "MAX_PENDING",
+    "MAX_QUEUE_DEPTH",
 ]
 
 #: Offered-load multiples of calibrated capacity (all past saturation).
@@ -71,9 +70,9 @@ OFFERED_MULTIPLIERS: tuple[float, ...] = (1.5, 3.0)
 #: Shards behind the engine (kept fixed; shard scaling is service_throughput's job).
 ENGINE_SHARDS = 2
 
-#: Admission-controller pending cap used by the experiment server.  Small on
-#: purpose: saturation should surface as fast 429s, not as a deep queue.
-MAX_PENDING = 32
+#: Gateway intake bound used by the experiment server.  Small on purpose:
+#: saturation should surface as fast 429s, not as a deep queue.
+MAX_QUEUE_DEPTH = 32
 
 #: Statuses an overloaded-but-healthy server may legitimately answer with.
 _EXPECTED_STATUSES = frozenset({200, 429, 503, 504})
@@ -347,16 +346,15 @@ def measure_drain(
     }
 
 
-def serve_frontend(engine, max_pending: int, deadline_ms: float) -> HttpFrontend:
+def serve_frontend(engine, max_queue_depth: int, deadline_ms: float) -> HttpFrontend:
     """Stand the serving stack up over ``engine``; returns a started front end.
 
     Shared with ``scripts/bench_serving.py`` so the committed baseline
     serves through exactly the stack the registered experiment measures.
     """
-    gateway = RequestGateway(engine)
+    gateway = RequestGateway(engine, max_queue_depth=max_queue_depth)
     frontend = HttpFrontend(
         gateway,
-        admission=AdmissionController(max_pending=max_pending, retry_after_s=0.1),
         default_deadline_ms=deadline_ms,
         max_deadline_ms=max(deadline_ms, 30_000.0),
     )
@@ -387,8 +385,8 @@ def run(config: ExperimentConfig) -> ExperimentResult:
             "An open-loop generator fires /sample requests at fixed multiples "
             f"({', '.join(f'{m:g}x' for m in OFFERED_MULTIPLIERS)}) of the "
             "closed-loop calibrated capacity against an HttpFrontend with "
-            f"max_pending={MAX_PENDING}.  Past saturation the admission "
-            "controller must shed with explicit 429s (all_shed_429).  The "
+            f"max_queue_depth={MAX_QUEUE_DEPTH}.  Past saturation the gateway "
+            "queue must shed with explicit 429s (all_shed_429).  The "
             "drain segment closes the server under concurrent writers and a "
             "SIGKILLed shard worker; acked writes must survive recovery."
         ),
@@ -402,7 +400,7 @@ def run(config: ExperimentConfig) -> ExperimentResult:
 
     with ShardedEngine(dataset, num_shards=ENGINE_SHARDS) as engine:
         engine.refresh()
-        frontend = serve_frontend(engine, MAX_PENDING, deadline_ms)
+        frontend = serve_frontend(engine, MAX_QUEUE_DEPTH, deadline_ms)
         try:
             host, port = frontend.address
             probe = (float(queries[0, 0]), float(queries[0, 1]))

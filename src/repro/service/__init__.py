@@ -11,23 +11,19 @@ traffic into micro-batches for the engine's batch API;
 and :class:`GatewayMetrics` telemetry (counters, batch-size histogram,
 latency percentiles).  On top of the gateway sits the wire tier: an
 :class:`HttpFrontend` (:mod:`repro.service.server`) serving JSON-over-HTTP
-with admission control, per-request deadlines, worker-failure retries, a
-:class:`CircuitBreaker` guarding a degraded read-only mode, and graceful
-drain (:mod:`repro.service.admission`).  A batch's shard ops run inline in
-the owner process or, through a :class:`ProcessExecutor`, on long-lived
-worker processes over shared-memory snapshots (see :mod:`repro.service.shm`).
+with per-request deadlines, a :class:`CircuitBreaker` guarding a degraded
+read-only mode (:mod:`repro.service.admission`), and graceful drain.  Each
+concern has one mechanism: the gateway's bounded queue
+(``max_queue_depth``) is the only intake bound, answered on the wire with
+429, and the :class:`ProcessExecutor`'s respawn-and-resend is the only
+retry.  A batch's shard ops run inline in the owner process or, through a
+:class:`ProcessExecutor`, on long-lived worker processes over
+shared-memory snapshots (see :mod:`repro.service.shm`).
 See ``docs/ARCHITECTURE.md`` for the layer map, the sampling-correctness
 argument, and the batch-boundary consistency argument.
 """
 
-from .admission import (
-    BREAKER_STATES,
-    AdmissionController,
-    CircuitBreaker,
-    Deadline,
-    RetryPolicy,
-    is_worker_failure,
-)
+from .admission import BREAKER_STATES, CircuitBreaker, Deadline
 from .engine import ShardedEngine
 from .executor import (
     EXECUTOR_NAMES,
@@ -47,12 +43,9 @@ __all__ = [
     "ShardView",
     "RequestGateway",
     "HttpFrontend",
-    "AdmissionController",
     "CircuitBreaker",
     "Deadline",
-    "RetryPolicy",
     "BREAKER_STATES",
-    "is_worker_failure",
     "http_request",
     "http_request_async",
     "GatewayMetrics",

@@ -1,38 +1,27 @@
-"""Resilience primitives for the serving front end: shed, retry, trip, expire.
+"""Resilience primitives for the serving front end: expire and trip.
 
-The HTTP front end (:mod:`repro.service.server`) composes four small,
-independently testable mechanisms, all pure bookkeeping with no I/O:
+The HTTP front end (:mod:`repro.service.server`) composes two small,
+independently testable mechanisms, both pure bookkeeping with no I/O:
 
-* :class:`AdmissionController` — bounded in-flight admission with
-  high/low-water hysteresis.  Above the high-water mark every new request
-  is shed *fast* (the caller gets a 429 + ``Retry-After`` in microseconds,
-  not a queue slot); shedding stays on until depth falls back below the
-  low-water mark, so a saturated server oscillates between "admit a
-  batch" and "shed a burst" instead of flapping per-request.
 * :class:`Deadline` — a monotonic-clock budget carried through a request's
-  whole lifetime: queue wait, dispatch, retries.  Every await and every
-  backoff sleep is clamped to ``remaining()``.
-* :class:`RetryPolicy` — jittered exponential backoff schedule for
-  requests that failed on a *dying worker* (see :func:`is_worker_failure`)
-  — the one failure class where the request itself is innocent and the
-  executor's respawn makes a retry likely to succeed.
+  whole lifetime: queue wait and dispatch.  The front end's wait on the
+  gateway is clamped to ``remaining()``.
 * :class:`CircuitBreaker` — consecutive-worker-failure trip switch.  Open
   means *degraded read-only mode*: writes are refused (durability must not
   ride on a worker storm) while reads keep flowing — each successful read
   is the health probe that closes the breaker again after its cooldown.
 
-Everything takes an injectable ``clock`` so the chaos tests can drive the
-state machines deterministically.
+The serving stack's other two concerns each live in one place elsewhere:
+intake is bounded by the gateway queue
+(``RequestGateway(max_queue_depth=...)``, a 429 on the wire), and a dead
+worker is retried only by the process executor, which respawns it and
+resends the interrupted tiles.
+
+Both take an injectable ``clock`` so the chaos tests can drive the state
+machines deterministically.
 
 Examples
 --------
->>> controller = AdmissionController(max_pending=2)
->>> controller.acquire(), controller.acquire(), controller.acquire()
-(True, True, False)
->>> controller.release(); controller.release()
->>> controller.acquire()
-True
-
 >>> breaker = CircuitBreaker(failure_threshold=2, cooldown_s=10.0, clock=lambda: 0.0)
 >>> breaker.record_failure(); breaker.record_failure()
 >>> breaker.state, breaker.allows_writes()
@@ -41,39 +30,18 @@ True
 
 from __future__ import annotations
 
-import random
 import threading
 import time
-from typing import Callable, Iterator, Optional
-
-from ..core.errors import WorkerTimeoutError
+from typing import Callable, Optional
 
 __all__ = [
-    "AdmissionController",
     "CircuitBreaker",
     "Deadline",
-    "RetryPolicy",
     "BREAKER_STATES",
-    "is_worker_failure",
 ]
 
 #: The circuit breaker's states, in trip order.
 BREAKER_STATES = ("closed", "open", "half_open")
-
-
-def is_worker_failure(exc: BaseException) -> bool:
-    """True when ``exc`` means "a process-executor worker died under me".
-
-    Two shapes escape the executor today: the typed
-    :class:`~repro.core.errors.WorkerTimeoutError` (op timeout) and the
-    respawn-cap ``RuntimeError`` whose message names the shard worker.
-    These are the only failures the front end retries and counts against
-    the circuit breaker — the request itself is well-formed; the substrate
-    failed under it.
-    """
-    if isinstance(exc, WorkerTimeoutError):
-        return True
-    return isinstance(exc, RuntimeError) and "shard worker" in str(exc)
 
 
 class Deadline:
@@ -104,151 +72,6 @@ class Deadline:
     def expired(self, now: Optional[float] = None) -> bool:
         """True once the budget is spent."""
         return self.remaining(now) <= 0.0
-
-
-class AdmissionController:
-    """Bounded in-flight admission with high/low-water shed hysteresis.
-
-    Parameters
-    ----------
-    max_pending:
-        Hard cap on concurrently admitted requests.
-    high_water:
-        Depth at which shedding *starts* (default: ``max_pending``).  The
-        controller sheds while latched even below the cap, which is what
-        makes overload answers fast: one comparison, no allocation.
-    low_water:
-        Depth at which shedding *stops* once latched (default: half the
-        high-water mark).  The gap is the hysteresis band that prevents
-        per-request flapping around the threshold.
-    retry_after_s:
-        Advisory client backoff, surfaced as the HTTP ``Retry-After``
-        header (rounded up to whole seconds on the wire).
-    """
-
-    __slots__ = ("_lock", "_max_pending", "_high", "_low", "_depth", "_shedding",
-                 "retry_after_s", "_admitted_total", "_shed_total")
-
-    def __init__(
-        self,
-        max_pending: int = 256,
-        high_water: Optional[int] = None,
-        low_water: Optional[int] = None,
-        retry_after_s: float = 0.5,
-    ) -> None:
-        if max_pending < 1:
-            raise ValueError(f"max_pending must be >= 1, got {max_pending}")
-        high = max_pending if high_water is None else int(high_water)
-        if not 1 <= high <= max_pending:
-            raise ValueError(f"high_water must be in [1, max_pending], got {high}")
-        low = high // 2 if low_water is None else int(low_water)
-        if not 0 <= low < high:
-            raise ValueError(f"low_water must be in [0, high_water), got {low}")
-        if retry_after_s <= 0:
-            raise ValueError(f"retry_after_s must be positive, got {retry_after_s}")
-        self._lock = threading.Lock()
-        self._max_pending = int(max_pending)
-        self._high = high
-        self._low = low
-        self._depth = 0
-        self._shedding = False
-        self.retry_after_s = float(retry_after_s)
-        self._admitted_total = 0
-        self._shed_total = 0
-
-    @property
-    def depth(self) -> int:
-        """Requests currently admitted and not yet released."""
-        return self._depth
-
-    @property
-    def shedding(self) -> bool:
-        """True while the shed latch is on (between high- and low-water)."""
-        return self._shedding
-
-    def acquire(self) -> bool:
-        """Try to admit one request; False means shed it (429) now."""
-        with self._lock:
-            if self._shedding:
-                if self._depth > self._low:
-                    self._shed_total += 1
-                    return False
-                self._shedding = False
-            if self._depth >= self._high:
-                self._shedding = True
-                self._shed_total += 1
-                return False
-            self._depth += 1
-            self._admitted_total += 1
-            return True
-
-    def release(self) -> None:
-        """Mark one admitted request finished (success or failure alike)."""
-        with self._lock:
-            if self._depth <= 0:
-                raise RuntimeError("release() without a matching acquire()")
-            self._depth -= 1
-
-    def stats(self) -> dict:
-        """JSON-ready counters for the front end's ``/stats`` endpoint."""
-        with self._lock:
-            return {
-                "depth": self._depth,
-                "max_pending": self._max_pending,
-                "high_water": self._high,
-                "low_water": self._low,
-                "shedding": self._shedding,
-                "admitted_total": self._admitted_total,
-                "shed_total": self._shed_total,
-            }
-
-
-class RetryPolicy:
-    """Jittered exponential backoff schedule for worker-failure retries.
-
-    ``delays()`` yields ``max_attempts - 1`` backoff sleeps (the first
-    attempt is free): attempt *i* retries after
-    ``min(max_backoff_s, base_backoff_s * 2**i)`` scaled by a uniform
-    jitter in ``[1 - jitter, 1]``.  Jitter decorrelates the retry storms
-    of concurrent callers who all saw the same worker die.
-
-    Examples
-    --------
-    >>> policy = RetryPolicy(max_attempts=4, base_backoff_s=0.1, jitter=0.0)
-    >>> [round(d, 2) for d in policy.delays()]
-    [0.1, 0.2, 0.4]
-    """
-
-    __slots__ = ("max_attempts", "base_backoff_s", "max_backoff_s", "jitter", "_rng")
-
-    def __init__(
-        self,
-        max_attempts: int = 3,
-        base_backoff_s: float = 0.02,
-        max_backoff_s: float = 0.5,
-        jitter: float = 0.5,
-        seed: Optional[int] = None,
-    ) -> None:
-        if max_attempts < 1:
-            raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
-        if base_backoff_s < 0 or max_backoff_s < base_backoff_s:
-            raise ValueError(
-                f"need 0 <= base_backoff_s <= max_backoff_s, "
-                f"got {base_backoff_s} / {max_backoff_s}"
-            )
-        if not 0.0 <= jitter <= 1.0:
-            raise ValueError(f"jitter must be in [0, 1], got {jitter}")
-        self.max_attempts = int(max_attempts)
-        self.base_backoff_s = float(base_backoff_s)
-        self.max_backoff_s = float(max_backoff_s)
-        self.jitter = float(jitter)
-        self._rng = random.Random(seed)
-
-    def delays(self) -> Iterator[float]:
-        """Yield the backoff sleep before each retry attempt."""
-        for attempt in range(self.max_attempts - 1):
-            base = min(self.max_backoff_s, self.base_backoff_s * (2.0**attempt))
-            yield base * (1.0 - self.jitter * self._rng.random())
 
 
 class CircuitBreaker:

@@ -209,6 +209,17 @@ class ShardedEngine:
         return None if self._executor is None else self._executor.placements
 
     @property
+    def resends(self) -> int:
+        """Messages the process executor resent to a respawned worker.
+
+        The :attr:`ProcessExecutor.resends
+        <repro.service.executor.ProcessExecutor.resends>` counter: the
+        serving stack's only retries.  0 without a process executor.
+        Exposed through :meth:`RequestGateway.stats`.
+        """
+        return 0 if self._executor is None else self._executor.resends
+
+    @property
     def size(self) -> int:
         """Number of active intervals, including writes still in delta logs."""
         return self._active

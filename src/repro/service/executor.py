@@ -38,7 +38,7 @@ import queue as queue_module
 import time
 from typing import Optional
 
-from ..core.errors import WorkerTimeoutError
+from ..core.errors import WorkerCrashError, WorkerTimeoutError
 from .shm import (
     merge_block_results,
     publish_overlay,
@@ -71,11 +71,16 @@ SCATTER_NAMES = ("query", "auto")
 #: ``batch`` rows of ``BENCH_parallel.json``.
 AUTO_QUERY_THRESHOLD = 64
 
+#: Respawns a worker gets in a row, each followed by a resend of the
+#: interrupted message, before the executor raises :class:`WorkerCrashError`.
+#: A reply resets the count.
+MAX_RESPAWNS = 3
+
 
 class _Worker:
     """Parent-side record of one worker process and its published shards."""
 
-    __slots__ = ("process", "tasks", "results", "manifests")
+    __slots__ = ("process", "tasks", "results", "manifests", "seq", "respawns")
 
     def __init__(self, process, tasks, results) -> None:
         self.process = process
@@ -84,6 +89,10 @@ class _Worker:
         #: key -> (base manifest, overlay manifest or None) *currently*
         #: served by this worker; replayed verbatim into a respawned worker.
         self.manifests: dict[str, tuple[dict, Optional[dict]]] = {}
+        #: Sequence number of the last message sent; replies echo it.
+        self.seq = 0
+        #: Respawns since this worker last replied.
+        self.respawns = 0
 
 
 class _Published:
@@ -142,8 +151,14 @@ class ProcessExecutor:
     A ``ProcessExecutor`` is engine-affine: share one instance across engines
     only sequentially, never concurrently.  Crashed workers are respawned
     transparently: the parent keeps every current segment and manifest, and a
-    replacement worker re-attaches before the interrupted tiles are retried
-    (ops are read-only, so retries are safe).
+    replacement worker re-attaches before the interrupted message is resent
+    with the same payload (ops are read-only and a ``sample`` payload carries
+    its pre-drawn ranks, so a resent read returns what the first attempt
+    would have).  This is the serving stack's only retry layer; the resends
+    are counted in :attr:`resends`.  A worker that dies more than
+    :data:`MAX_RESPAWNS` times in a row raises :class:`WorkerCrashError`; one
+    that does not reply within ``op_timeout`` is killed and raises
+    :class:`WorkerTimeoutError` (the next batch respawns it).
 
     Parameters
     ----------
@@ -189,6 +204,7 @@ class ProcessExecutor:
         #: key -> the shard's parent-held base and overlay segments.
         self._published: dict[str, _Published] = {}
         self._placements = {"inline": 0, "query": 0}
+        self._resends = 0
         self._closed = False
 
     def shutdown(self) -> None:
@@ -199,7 +215,7 @@ class ProcessExecutor:
         for worker in self._workers:
             if worker.process.is_alive():
                 try:
-                    worker.tasks.put(("stop",))
+                    worker.tasks.put((worker.seq + 1, "stop"))
                 except (OSError, ValueError):  # queue already torn down
                     pass
         for worker in self._workers:
@@ -243,6 +259,11 @@ class ProcessExecutor:
     def placements(self) -> dict[str, int]:
         """Batches answered per placement: ``inline`` and ``query``."""
         return dict(self._placements)
+
+    @property
+    def resends(self) -> int:
+        """Messages resent to a respawned worker after the first one died."""
+        return self._resends
 
     def worker_pids(self) -> list[int]:
         """PIDs of the worker processes (test / ops introspection)."""
@@ -335,12 +356,11 @@ class ProcessExecutor:
                 high = max(tiles[i][2] for i in mine)
                 rebased = [(keys[tiles[i][0]], tiles[i][1] - low, tiles[i][2] - low) for i in mine]
                 messages[w] = ("op", op, slice_payload(payload, low, high), rebased)
-        for w, message in messages.items():
-            self._send(self._workers[w], message)
+        sent = {w: self._send(self._workers[w], message) for w, message in messages.items()}
 
         results: list = [None] * len(tiles)
         for w, message in messages.items():
-            for i, result in zip(per_worker[w], self._await(self._workers[w], resend=message)):
+            for i, result in zip(per_worker[w], self._await(self._workers[w], sent[w], message)):
                 results[i] = result
         count = len(starts)
         return [
@@ -364,7 +384,20 @@ class ProcessExecutor:
         return _Worker(process, tasks, results)
 
     def _respawn(self, worker: _Worker) -> None:
-        """Replace a dead worker in place and replay its current manifests."""
+        """Replace a dead worker in place and queue its current manifests.
+
+        Raises :class:`WorkerCrashError` past :data:`MAX_RESPAWNS` respawns
+        without a reply, and resets the count so a later batch tries again.
+        """
+        worker.respawns += 1
+        if worker.respawns > MAX_RESPAWNS:
+            worker.respawns = 0
+            raise WorkerCrashError(
+                f"shard worker died {MAX_RESPAWNS + 1} times in a row; if this happened "
+                "at the first scatter, the usual cause is a __main__ module the spawned "
+                "interpreter cannot re-import (run under an `if __name__ == '__main__':` "
+                "guard, and not from stdin)"
+            )
         worker.process.join(timeout=1.0)
         worker.tasks.close()
         worker.results.close()
@@ -374,56 +407,59 @@ class ProcessExecutor:
             fresh.tasks,
             fresh.results,
         )
+        # Not awaited: the worker handles its queue in order, so these land
+        # before the next message, and their replies are older than its.
         for key, manifests in worker.manifests.items():
-            self._request(worker, ("publish", key) + manifests)
+            self._post(worker, ("publish", key) + manifests)
 
-    def _send(self, worker: _Worker, message: tuple) -> None:
+    def _post(self, worker: _Worker, message: tuple) -> int:
+        worker.seq += 1
+        worker.tasks.put((worker.seq,) + message)
+        return worker.seq
+
+    def _send(self, worker: _Worker, message: tuple) -> int:
+        """Send one message, respawning a dead worker first; return its sequence number."""
         if not worker.process.is_alive():
             self._respawn(worker)
-        worker.tasks.put(message)
+        return self._post(worker, message)
 
     def _request(self, worker: _Worker, message: tuple):
         """Send one message and wait for its reply (used for publishes)."""
-        self._send(worker, message)
-        return self._await(worker, resend=message)
+        return self._await(worker, self._send(worker, message), message)
 
-    def _await(self, worker: _Worker, resend: Optional[tuple] = None):
-        """Collect one reply; on worker death, respawn, replay, and retry.
+    def _await(self, worker: _Worker, seq: int, message: tuple):
+        """Collect the reply to message ``seq``; on worker death, respawn and resend.
 
+        Replies older than ``seq`` are dropped: they answer messages whose
+        wait was abandoned (a batch-mate raised first, or a timeout).
         Liveness-checked waiting, not sleeps: the queue is polled on a short
-        timeout purely so a crashed worker is noticed promptly; a successful
-        reply returns as soon as it arrives.  Respawns are capped — a worker
-        that cannot survive long enough to answer (e.g. an environment where
-        the spawned interpreter cannot re-import the program) surfaces as an
-        error instead of an endless crash/respawn loop.
+        timeout purely so a crashed worker is noticed promptly; a reply
+        returns as soon as it arrives.  A worker that stays alive but silent
+        past ``op_timeout`` is killed before :class:`WorkerTimeoutError` is
+        raised, so it cannot answer late into a later batch.
         """
         deadline = time.monotonic() + self._op_timeout
-        respawns = 0
         while True:
             try:
-                status, value = worker.results.get(timeout=0.1)
+                reply_seq, status, value = worker.results.get(timeout=0.1)
             except queue_module.Empty:
                 if not worker.process.is_alive():
-                    respawns += 1
-                    if resend is None or respawns > 3:
-                        raise RuntimeError(
-                            "shard worker died "
-                            + (f"{respawns} times in a row" if resend else "during publish replay")
-                            + "; if this happened at the first scatter, the usual cause "
-                            "is a __main__ module the spawned interpreter cannot "
-                            "re-import (run under an `if __name__ == '__main__':` "
-                            "guard, and not from stdin)"
-                        )
                     self._respawn(worker)
-                    worker.tasks.put(resend)
+                    self._resends += 1
+                    seq = self._send(worker, message)
                     deadline = time.monotonic() + self._op_timeout
-                    continue
-                if time.monotonic() > deadline:
+                elif time.monotonic() > deadline:
+                    pid = worker.process.pid
+                    worker.process.kill()
+                    worker.process.join(timeout=10.0)
                     raise WorkerTimeoutError(
-                        f"shard worker (pid {worker.process.pid}) did not reply "
+                        f"shard worker (pid {pid}) did not reply "
                         f"within {self._op_timeout:.0f}s"
                     )
                 continue
+            if reply_seq < seq:
+                continue
+            worker.respawns = 0
             if status == "error":
                 raise RuntimeError(f"shard worker failed:\n{value}")
             return value

@@ -111,11 +111,11 @@ class RequestGateway:
         Maximum requests per micro-batch.  ``1`` degenerates to scalar
         dispatch (useful as an experimental baseline).
     max_queue_depth:
-        Bounded-intake cap: when the dispatch queue already holds this many
-        requests, :meth:`submit` sheds the newcomer with
+        Bounded-intake cap, at least 1: when the dispatch queue already
+        holds this many requests, :meth:`submit` sheds the newcomer with
         :class:`~repro.core.errors.GatewayOverloadError` instead of growing
-        memory without bound.  ``None`` disables shedding (the pre-bounded
-        legacy behaviour).
+        memory without bound.  The serving stack's only intake bound; the
+        HTTP front end answers a shed request with 429.
     random_state:
         Seed/generator for ``sample`` dispatch.  One stream is used for all
         sampling batches, so results are reproducible given a deterministic
@@ -151,18 +151,18 @@ class RequestGateway:
         self,
         engine,
         max_batch_size: int = 64,
-        max_queue_depth: Optional[int] = 8192,
+        max_queue_depth: int = 256,
         random_state: RandomState = 0,
         metrics: Optional[GatewayMetrics] = None,
         start: bool = True,
     ) -> None:
         if max_batch_size < 1:
             raise ValueError(f"max_batch_size must be >= 1, got {max_batch_size}")
-        if max_queue_depth is not None and max_queue_depth < 1:
-            raise ValueError(f"max_queue_depth must be >= 1 or None, got {max_queue_depth}")
+        if max_queue_depth is None or max_queue_depth < 1:
+            raise ValueError(f"max_queue_depth must be an integer >= 1, got {max_queue_depth}")
         self._engine = engine
         self._max_batch_size = int(max_batch_size)
-        self._max_queue_depth = None if max_queue_depth is None else int(max_queue_depth)
+        self._max_queue_depth = int(max_queue_depth)
         self._rng = resolve_rng(random_state)
         self._metrics = metrics if metrics is not None else GatewayMetrics()
         self._queue: queue_module.Queue = queue_module.Queue()
@@ -184,7 +184,7 @@ class RequestGateway:
         return self._max_batch_size
 
     @property
-    def max_queue_depth(self) -> Optional[int]:
+    def max_queue_depth(self) -> int:
         """Intake bound; submits shed with ``GatewayOverloadError`` beyond it."""
         return self._max_queue_depth
 
@@ -211,7 +211,8 @@ class RequestGateway:
         (``executor: "serial" | "process"``, plus the process executor's
         ``scatter`` strategy and its ``placements`` counter — read batches
         answered ``inline`` and under the ``query`` scatter — both ``None``
-        for a serial engine).
+        for a serial engine — and ``resends``, the messages it resent to a
+        respawned worker, 0 for a serial engine).
         """
         out = self._metrics.snapshot()
         out["queue"] = {
@@ -224,6 +225,7 @@ class RequestGateway:
             "num_shards": getattr(engine, "num_shards", 1),
             "scatter": getattr(engine, "scatter", None),
             "placements": getattr(engine, "placements", None),
+            "resends": getattr(engine, "resends", 0),
         }
         return out
 
@@ -328,10 +330,7 @@ class RequestGateway:
         with self._close_lock:
             if self._closed:
                 raise GatewayClosedError("gateway is closed")
-            if (
-                self._max_queue_depth is not None
-                and self._queue.qsize() >= self._max_queue_depth
-            ):
+            if self._queue.qsize() >= self._max_queue_depth:
                 # Shed *before* enqueueing: the overloaded path must stay
                 # O(1) and allocation-free so the gateway answers "try again
                 # later" faster than it could ever answer the query.

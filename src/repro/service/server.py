@@ -2,8 +2,8 @@
 
 This is the repo's wire tier: a dependency-free HTTP/1.1 server
 (:func:`asyncio.start_server`, JSON bodies) that exposes the gateway's
-operations as endpoints and wraps them in the overload machinery from
-:mod:`repro.service.admission`:
+operations as endpoints and wraps them in the deadline and breaker
+machinery from :mod:`repro.service.admission`:
 
 * ``POST /count`` ``/total_weight`` ``/report`` ``/sample`` ``/insert``
   ``/delete`` ``/checkpoint`` — the gateway operations, one JSON object in,
@@ -11,33 +11,30 @@ operations as endpoints and wraps them in the overload machinery from
 * ``GET /healthz`` — liveness: 200 for as long as the process serves;
 * ``GET /readyz`` — readiness: 200 only while ``state == "ready"``; flips
   to 503 while degraded (circuit breaker open) or draining;
-* ``GET /stats`` — the gateway/admission/breaker telemetry in one JSON
-  document.
+* ``GET /stats`` — the front-end, breaker and gateway telemetry in one
+  JSON document.
 
 Resilience contract
 -------------------
-**Admission.** Every operation request first passes the
-:class:`~repro.service.admission.AdmissionController`; above the
-high-water mark it is shed immediately with **429** + ``Retry-After`` —
-the server answers "try later" in microseconds instead of queueing
-without bound.  A full gateway queue (:class:`GatewayOverloadError`)
-maps to the same 429.
+**Shedding.** The gateway's bounded intake queue
+(``RequestGateway(max_queue_depth=...)``) is the one intake bound: a parsed
+request that finds it full is shed with **429** + ``Retry-After: 1`` —
+the server answers "try later" at once instead of queueing without bound.
 
 **Deadlines.** Each request carries a time budget (body key
-``deadline_ms``, default/cap per the constructor) spanning queue wait,
-dispatch, and retries.  On expiry the gateway future is *cancelled* — an
-unstarted request never executes (no invisible late write) — and the
-caller gets **504**.
+``deadline_ms``, default/cap per the constructor) spanning queue wait and
+dispatch.  On expiry the gateway future is *cancelled* — an unstarted
+request never executes (no invisible late write) — and the caller gets
+**504**.
 
-**Retries.** A request that failed because a process-executor worker died
-under it (see :func:`~repro.service.admission.is_worker_failure`) is
-retried with jittered exponential backoff — reads only, within the
-deadline.
-
-**Circuit breaker.** Worker failures also feed the
-:class:`~repro.service.admission.CircuitBreaker`; once it trips the
-server enters *degraded read-only mode*: writes get **503** while reads
-keep flowing and double as recovery probes.
+**Worker failures.** The front end does not retry: the process executor
+already respawns a dead worker and resends the interrupted tiles with the
+same payload.  A :class:`~repro.core.errors.WorkerFailureError` (a worker
+that kept dying, or timed out) is answered with **500** and feeds the
+:class:`~repro.service.admission.CircuitBreaker`; once it trips the server
+enters *degraded read-only mode*: writes get **503** while reads keep
+flowing and double as recovery probes.  An exception raised by the op
+itself is a 500 that leaves the breaker alone, wherever the op ran.
 
 **Graceful shutdown.** ``stop()`` / ``close()`` refuse new connections,
 drain in-flight requests, then close the gateway — which flushes its
@@ -80,8 +77,9 @@ from ..core.errors import (
     GatewayOverloadError,
     InvalidIntervalError,
     InvalidQueryError,
+    WorkerFailureError,
 )
-from .admission import AdmissionController, CircuitBreaker, Deadline, RetryPolicy, is_worker_failure
+from .admission import CircuitBreaker, Deadline
 from .gateway import READ_OPS, RequestGateway
 
 __all__ = ["HttpFrontend", "http_request", "http_request_async"]
@@ -99,6 +97,9 @@ OP_ROUTES = {
 
 #: The front-end lifecycle states surfaced by ``/readyz`` and ``stats()``.
 FRONTEND_STATES = ("ready", "degraded", "draining", "closed")
+
+#: ``Retry-After`` seconds sent with a 429 and with a 503 from ``/readyz``.
+RETRY_AFTER_S = 1
 
 _MAX_BODY_BYTES = 1 << 20
 _MAX_HEADER_LINES = 100
@@ -178,12 +179,6 @@ class HttpFrontend:
     host, port:
         Bind address.  ``port=0`` picks a free ephemeral port (read it
         back from :attr:`address`).
-    admission:
-        The :class:`~repro.service.admission.AdmissionController`
-        enforcing the bounded in-flight window (a default one if None).
-    retry:
-        The :class:`~repro.service.admission.RetryPolicy` applied to
-        worker-failure read retries (a default one if None).
     breaker:
         The :class:`~repro.service.admission.CircuitBreaker` guarding the
         degraded read-only transition (a default one if None).
@@ -191,7 +186,7 @@ class HttpFrontend:
         Budget assigned to requests that do not carry ``deadline_ms``.
     max_deadline_ms:
         Upper clamp on client-supplied deadlines — a client cannot pin a
-        request (and its admission slot) for longer than this.
+        request (and its gateway queue slot) for longer than this.
     drain_timeout_s:
         How long ``stop()`` waits for in-flight requests before closing
         the gateway anyway.
@@ -202,8 +197,6 @@ class HttpFrontend:
         gateway: RequestGateway,
         host: str = "127.0.0.1",
         port: int = 0,
-        admission: Optional[AdmissionController] = None,
-        retry: Optional[RetryPolicy] = None,
         breaker: Optional[CircuitBreaker] = None,
         default_deadline_ms: float = 1000.0,
         max_deadline_ms: float = 30000.0,
@@ -220,8 +213,6 @@ class HttpFrontend:
         self._gateway = gateway
         self._host = host
         self._port = int(port)
-        self._admission = admission if admission is not None else AdmissionController()
-        self._retry = retry if retry is not None else RetryPolicy()
         self._breaker = breaker if breaker is not None else CircuitBreaker()
         self._default_deadline_s = float(default_deadline_ms) / 1e3
         self._max_deadline_s = float(max_deadline_ms) / 1e3
@@ -245,7 +236,6 @@ class HttpFrontend:
             "shed_429": 0,
             "deadline_504": 0,
             "degraded_503": 0,
-            "retries_total": 0,
             "worker_failures_total": 0,
         }
         self._counter_lock = threading.Lock()
@@ -404,16 +394,23 @@ class HttpFrontend:
         self.close()
 
     def stats(self) -> dict:
-        """One JSON document: frontend state + gateway/admission/breaker telemetry."""
+        """One JSON document: frontend state + breaker and gateway telemetry.
+
+        ``frontend.retries_total`` is the engine's executor resends (see
+        :attr:`ShardedEngine.resends
+        <repro.service.engine.ShardedEngine.resends>`), the stack's only
+        retries; 0 on a serial engine.
+        """
         with self._counter_lock:
             counters = dict(self._counters)
+        gateway = self._gateway.stats()
+        counters["retries_total"] = gateway["engine"]["resends"]
         return {
             "state": self.state,
             "inflight": self._inflight,
             "frontend": counters,
-            "admission": self._admission.stats(),
             "breaker": self._breaker.stats(),
-            "gateway": self._gateway.stats(),
+            "gateway": gateway,
         }
 
     def _count(self, key: str) -> None:
@@ -431,7 +428,7 @@ class HttpFrontend:
                 line = await reader.readline()
                 if not line:
                     break
-                # In flight from the request line on, not from admission: a
+                # In flight from the request line on, not from dispatch: a
                 # drain that starts while the headers or body are still
                 # arriving waits for this request and answers it (with 503)
                 # instead of closing the connection under it.
@@ -541,7 +538,7 @@ class HttpFrontend:
                         writer,
                         503,
                         {"status": state},
-                        retry_after_s=self._admission.retry_after_s,
+                        retry_after_s=RETRY_AFTER_S,
                         close=close,
                     )
             elif path == "/stats":
@@ -563,21 +560,7 @@ class HttpFrontend:
             await self._respond(writer, 503, {"error": "draining"}, close=True)
             return False
 
-        if not self._admission.acquire():
-            # The fast path out: one latch check, no parsing, no queueing.
-            self._count("shed_429")
-            await self._respond(
-                writer,
-                429,
-                {"error": "overloaded: admission queue past high-water mark"},
-                retry_after_s=self._admission.retry_after_s,
-                close=close,
-            )
-            return not close
-        try:
-            status, payload, retry_after = await self._execute_op(op, request)
-        finally:
-            self._admission.release()
+        status, payload, retry_after = await self._execute_op(op, request)
         await self._respond(writer, status, payload, retry_after_s=retry_after, close=close)
         return not close
 
@@ -627,7 +610,7 @@ class HttpFrontend:
         return args, kwargs, Deadline(deadline_s)
 
     async def _execute_op(self, op: str, request: dict) -> tuple[int, dict, Optional[float]]:
-        """Run one operation through admission/deadline/retry/breaker; no raising."""
+        """Run one operation through its deadline and the breaker; no raising."""
         try:
             args, kwargs, deadline = self._parse_op(op, request)
         except _BadRequest as exc:
@@ -641,41 +624,31 @@ class HttpFrontend:
                 self._breaker.cooldown_s,
             )
 
-        delays = self._retry.delays()
-        while True:
-            try:
-                result = await self._dispatch_once(op, args, kwargs, deadline)
-            except _DeadlineExceeded:
-                self._count("deadline_504")
-                return 504, {"error": f"{op} missed its deadline"}, None
-            except GatewayOverloadError as exc:
-                return 429, {"error": str(exc)}, self._admission.retry_after_s
-            except GatewayClosedError as exc:
-                return 503, {"error": str(exc)}, None
-            except (InvalidQueryError, InvalidIntervalError, ValueError, TypeError) as exc:
-                return 400, {"error": str(exc)}, None
-            except EmptyResultError as exc:
-                return 404, {"error": str(exc)}, None
-            except Exception as exc:  # noqa: BLE001 - mapped to a status code
-                if is_worker_failure(exc):
-                    self._count("worker_failures_total")
-                    self._breaker.record_failure()
-                    if op in READ_OPS:
-                        # Reads are safe to retry: the executor respawned the
-                        # worker, and no state changed.  Writes are not — a
-                        # failure after apply would double-apply on retry.
-                        delay = next(delays, None)
-                        if delay is not None and not deadline.expired():
-                            self._count("retries_total")
-                            await asyncio.sleep(min(delay, deadline.remaining()))
-                            continue
-                return 500, {"error": f"{type(exc).__name__}: {exc}"}, None
-            else:
-                if op in READ_OPS:
-                    self._breaker.record_success()
-                return 200, {"result": _jsonable(result)}, None
+        try:
+            result = await self._dispatch(op, args, kwargs, deadline)
+        except _DeadlineExceeded:
+            self._count("deadline_504")
+            return 504, {"error": f"{op} missed its deadline"}, None
+        except GatewayOverloadError as exc:
+            self._count("shed_429")
+            return 429, {"error": str(exc)}, RETRY_AFTER_S
+        except GatewayClosedError as exc:
+            return 503, {"error": str(exc)}, None
+        except (InvalidQueryError, InvalidIntervalError, ValueError, TypeError) as exc:
+            return 400, {"error": str(exc)}, None
+        except EmptyResultError as exc:
+            return 404, {"error": str(exc)}, None
+        except WorkerFailureError as exc:
+            self._count("worker_failures_total")
+            self._breaker.record_failure()
+            return 500, {"error": f"{type(exc).__name__}: {exc}"}, None
+        except Exception as exc:  # noqa: BLE001 - mapped to a status code
+            return 500, {"error": f"{type(exc).__name__}: {exc}"}, None
+        if op in READ_OPS:
+            self._breaker.record_success()
+        return 200, {"result": _jsonable(result)}, None
 
-    async def _dispatch_once(self, op: str, args: tuple, kwargs: dict, deadline: Deadline):
+    async def _dispatch(self, op: str, args: tuple, kwargs: dict, deadline: Deadline):
         remaining = deadline.remaining()
         if remaining <= 0:
             raise _DeadlineExceeded

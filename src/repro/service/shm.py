@@ -651,33 +651,36 @@ def _release_view(view: ShardView) -> None:
 def worker_main(tasks, results) -> None:
     """Long-lived worker loop for :class:`ProcessExecutor`.
 
-    Messages (FIFO per worker; the parent awaits one reply per request, so
-    replies never interleave):
+    Every message starts with a sequence number that the reply echoes, as
+    ``(seq, status, value)``.  The parent waits for one reply at a time and
+    drops any reply older than the one it waits for: the reply of a request
+    it gave up on (a batch-mate's error, a timeout) can then never be read
+    as the answer to a later one.
 
-    * ``("publish", key, manifest, overlay_manifest)`` — serve ``key`` from
-      the base segment ``manifest`` (attached only when it differs from the
-      one already served, replacing and closing the old one) and the
+    * ``(seq, "publish", key, manifest, overlay_manifest)`` — serve ``key``
+      from the base segment ``manifest`` (attached only when it differs from
+      the one already served, replacing and closing the old one) and the
       overlay segment ``overlay_manifest`` (``None``: no overlay), replacing
-      any previous overlay; reply ``("ok", None)``.
-    * ``("op", op, payload, tiles)`` — run the named op for every
+      any previous overlay; reply ``(seq, "ok", None)``.
+    * ``(seq, "op", op, payload, tiles)`` — run the named op for every
       ``(key, start, stop)`` query tile in order, each over
-      :func:`slice_payload`; reply ``("ok", [result, ...])``.
-    * ``("stop",)`` — release every mapping and exit (no reply).
+      :func:`slice_payload`; reply ``(seq, "ok", [result, ...])``.
+    * ``(seq, "stop")`` — release every mapping and exit (no reply).
 
-    Any exception is caught and reported as ``("error", traceback_text)`` —
-    the worker survives and keeps serving.
+    Any exception is caught and reported as ``(seq, "error",
+    traceback_text)`` — the worker survives and keeps serving.
     """
     views: dict[str, ShardView] = {}
     bases: dict[str, str] = {}
     try:
         while True:
             message = tasks.get()
-            kind = message[0]
+            seq, kind = message[0], message[1]
             if kind == "stop":
                 break
             try:
                 if kind == "publish":
-                    _, key, manifest, overlay_manifest = message
+                    _, _, key, manifest, overlay_manifest = message
                     view = views.get(key)
                     if view is None or bases[key] != manifest["shm"]:
                         fresh = attach_segment(manifest)
@@ -690,19 +693,19 @@ def worker_main(tasks, results) -> None:
                         attach_overlay(overlay_manifest) if overlay_manifest is not None else None
                     )
                     _release_overlay(old)
-                    results.put(("ok", None))
+                    results.put((seq, "ok", None))
                 elif kind == "op":
-                    _, op, payload, tiles = message
+                    _, _, op, payload, tiles = message
                     out = [
                         run_shard_op(op, views[key], slice_payload(payload, start, stop))
                         for key, start, stop in tiles
                     ]
-                    results.put(("ok", out))
+                    results.put((seq, "ok", out))
                 else:
-                    results.put(("error", f"unknown worker message kind {kind!r}"))
+                    results.put((seq, "error", f"unknown worker message kind {kind!r}"))
             except BaseException as exc:
                 results.put(
-                    ("error", "".join(traceback.format_exception(exc)).strip())
+                    (seq, "error", "".join(traceback.format_exception(exc)).strip())
                 )
     finally:
         for view in views.values():

@@ -9,7 +9,7 @@ standalone entry point):
   resolve to an existing file;
 * every fenced ```python`` snippet in those files must execute cleanly;
 * every knob row in ``docs/TUNING.md`` must resolve against the live
-  signatures / value registries;
+  signatures / value registries, and every knob parameter must have a row;
 * the experiments index block in ``docs/REPRODUCING.md`` must equal the
   registry rendering;
 * the constructor signatures ``docs/API.md`` spells out must match the
@@ -97,6 +97,18 @@ def test_tuning_knob_check_catches_a_renamed_knob():
     assert "definitely_not_a_knob" not in check_docs._resolvable_knobs()
     match = check_docs._KNOB_ROW.match("| `block_size` (queries per tile) | ... |")
     assert match is not None and match.group(1) == "block_size"
+
+
+def test_tuning_knob_check_catches_a_missing_row(tmp_path, monkeypatch):
+    """The knob gate must also reject a knob parameter that has no row."""
+    text = (REPO_ROOT / "docs" / "TUNING.md").read_text()
+    row = next(line for line in text.splitlines() if line.startswith("| `op_timeout`"))
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "docs" / "TUNING.md").write_text(text.replace(row + "\n", ""))
+    monkeypatch.setattr(check_docs, "REPO_ROOT", tmp_path)
+    with redirect_stdout(io.StringIO()):
+        failures = check_docs.check_knobs()
+    assert failures == ["docs/TUNING.md: knob parameter `op_timeout` has no row"]
 
 
 def test_experiments_index_in_sync():

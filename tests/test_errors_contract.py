@@ -33,6 +33,8 @@ from repro import (
     StructureStateError,
     UnsupportedOperationError,
     WALCorruptError,
+    WorkerCrashError,
+    WorkerFailureError,
     WorkerTimeoutError,
 )
 from repro.core.query import coerce_query, coerce_query_batch, validate_sample_size
@@ -61,6 +63,7 @@ class TestHierarchy:
             (GatewayClosedError, RuntimeError),
             (GatewayOverloadError, RuntimeError),
             (WorkerTimeoutError, TimeoutError),
+            (WorkerCrashError, RuntimeError),
             (PersistenceError, OSError),
             (SnapshotCorruptError, OSError),
             (WALCorruptError, OSError),
@@ -84,6 +87,11 @@ class TestHierarchy:
         # Pre-1.8 the executor op-timeout raised a bare TimeoutError; the
         # typed WorkerTimeoutError must remain catchable the old way.
         assert issubclass(WorkerTimeoutError, TimeoutError)
+
+    def test_worker_errors_share_one_base(self):
+        # The front end feeds exactly WorkerFailureError to its breaker.
+        assert issubclass(WorkerTimeoutError, WorkerFailureError)
+        assert issubclass(WorkerCrashError, WorkerFailureError)
 
     def test_persistence_errors_refine_persistence_error(self):
         assert issubclass(SnapshotCorruptError, PersistenceError)
@@ -271,9 +279,16 @@ class TestServiceStateErrors:
 
         class _StubProcess:
             pid = 4242
+            killed = False
 
             def is_alive(self):
-                return True
+                return not self.killed
+
+            def kill(self):
+                self.killed = True
+
+            def join(self, timeout=None):
+                pass
 
         class _StubQueue:
             def get(self, timeout=None):
@@ -286,7 +301,56 @@ class TestServiceStateErrors:
                 WorkerTimeoutError,
                 match=r"shard worker \(pid 4242\) did not reply within 0s",
             ):
-                executor._await(worker)
+                executor._await(worker, 1, ("op",))
+            # killed, so a late reply can never reach a later batch
+            assert worker.process.killed
+        finally:
+            executor._workers.clear()
+            executor.shutdown()
+
+    def test_worker_respawn_cap(self):
+        """The executor's respawn-cap raise site: typed error, pinned message."""
+        import queue as queue_module
+
+        from repro.service import ProcessExecutor
+        from repro.service.executor import MAX_RESPAWNS, _Worker
+
+        class _DeadProcess:
+            pid = 4242
+
+            def is_alive(self):
+                return False
+
+            def join(self, timeout=None):
+                pass
+
+        class _StubQueue:
+            def get(self, timeout=None):
+                raise queue_module.Empty
+
+            def put(self, item):
+                pass
+
+            def close(self):
+                pass
+
+        spawned = []
+
+        def spawn():
+            spawned.append(_Worker(_DeadProcess(), _StubQueue(), _StubQueue()))
+            return spawned[-1]
+
+        executor = ProcessExecutor()
+        executor._spawn = spawn
+        worker = _Worker(_DeadProcess(), _StubQueue(), _StubQueue())
+        try:
+            with pytest.raises(
+                WorkerCrashError,
+                match=rf"shard worker died {MAX_RESPAWNS + 1} times in a row",
+            ):
+                executor._await(worker, 1, ("op",))
+            assert len(spawned) == MAX_RESPAWNS
+            assert worker.respawns == 0  # the next batch gets a fresh budget
         finally:
             executor._workers.clear()
             executor.shutdown()

@@ -406,6 +406,92 @@ def test_process_executor_survives_worker_death(dataset, queries):
         executor.shutdown()
 
 
+def test_batches_after_a_raising_tile_get_their_own_replies(dataset, queries):
+    """A tile that raises must not leave its batch-mates' replies to later batches.
+
+    Two workers, one query per tile: the first tile raises, so the wait for
+    the second worker's reply is abandoned.  That reply is still queued;
+    every later batch must skip it and read its own answer.
+    """
+    from repro import WorkerFailureError
+
+    serial = ShardedEngine(dataset, num_shards=1)
+    executor = ProcessExecutor(max_workers=2, scatter="query", block_size=1)
+    engine = ShardedEngine(dataset, num_shards=1, executor=executor)
+    bad = {"ql": np.array([None, 5.0], dtype=object), "qr": np.array([10.0, 20.0], dtype=object)}
+    try:
+        engine.count_many(queries[:2])  # spawn and publish
+        with pytest.raises(RuntimeError, match=r"shard worker failed") as raised:
+            executor.run_shard_op(engine.shards, "count", bad)
+        # the op's own error, not a worker failure
+        assert not isinstance(raised.value, WorkerFailureError)
+        for start in range(0, 12, 2):
+            pair = queries[start : start + 2]
+            assert np.array_equal(engine.count_many(pair), serial.count_many(pair))
+        got = engine.sample_many(queries, 16, random_state=np.random.default_rng(5))
+        expected = serial.sample_many(queries, 16, random_state=np.random.default_rng(5))
+        _assert_rows_identical(got, expected)
+        assert executor.resends == 0
+    finally:
+        _close(serial)
+        _close(engine)
+
+
+def test_resend_after_worker_death_is_counted(dataset):
+    """A worker that dies under a message is respawned and the message resent."""
+    import queue as queue_module
+
+    from repro.service.executor import _Worker
+
+    class _Process:
+        pid = 4242
+
+        def __init__(self, alive):
+            self.alive = alive
+
+        def is_alive(self):
+            return self.alive
+
+        def join(self, timeout=None):
+            pass
+
+    class _Queue:
+        def __init__(self, replies=None):
+            self.items = []
+            self.replies = replies
+
+        def put(self, item):
+            self.items.append(item)
+            if self.replies is not None:  # a live worker: answer at once
+                self.replies.put((item[0], "ok", item[1:]))
+
+        def get(self, timeout=None):
+            if not self.items:
+                raise queue_module.Empty
+            return self.items.pop(0)
+
+        def close(self):
+            pass
+
+    def spawn():
+        results = _Queue()
+        return _Worker(_Process(alive=True), _Queue(replies=results), results)
+
+    executor = ProcessExecutor()
+    executor._spawn = spawn
+    dead = _Worker(_Process(alive=False), _Queue(), _Queue())
+    engine = ShardedEngine(dataset, num_shards=1, executor=executor)
+    try:
+        assert executor._await(dead, 1, ("op", "count")) == ("op", "count")
+        assert executor.resends == 1
+        assert engine.resends == 1
+        assert dead.respawns == 0  # the reply reset the respawn budget
+    finally:
+        engine.close()
+        executor._workers.clear()
+        executor.shutdown()
+
+
 def test_empty_batches_run_inline_under_query_scatter(dataset):
     """A 0-query batch spawns no worker and publishes nothing, even under ``query``."""
     executor = ProcessExecutor(max_workers=2, scatter="query")

@@ -305,10 +305,11 @@ class TestValidationAndLifecycle:
             "queue",
             "engine",
         }
-        assert stats["queue"] == {"depth": 0, "max_queue_depth": 8192}
+        assert stats["queue"] == {"depth": 0, "max_queue_depth": 256}
         assert stats["engine"]["executor"] == "serial"
         assert stats["engine"]["num_shards"] >= 1
         assert stats["engine"]["placements"] is None
+        assert stats["engine"]["resends"] == 0
         assert stats["completions"] == {"count": 1, "sample": 1}
         for op in ("count", "sample"):
             summary = stats["latency_ms"][op]
@@ -485,17 +486,11 @@ class TestBoundedIntake:
         assert gateway.process_pending() == 1
         gateway.close()
 
-    def test_unbounded_intake_when_disabled(self, engine):
-        gateway = RequestGateway(engine, max_queue_depth=None, start=False)
-        for _ in range(32):
-            gateway.submit("count", (0.0, 10.0))
-        assert gateway.stats()["queue"]["max_queue_depth"] is None
-        assert gateway.process_pending() == 32
-        gateway.close()
-
-    def test_constructor_validation(self, engine):
-        with pytest.raises(ValueError, match=r"max_queue_depth must be >= 1 or None"):
-            RequestGateway(engine, max_queue_depth=0)
+    @pytest.mark.parametrize("depth", [0, None])
+    def test_constructor_validation(self, engine, depth):
+        # The queue is the only intake bound: there is no unbounded mode.
+        with pytest.raises(ValueError, match=r"max_queue_depth must be an integer >= 1"):
+            RequestGateway(engine, max_queue_depth=depth)
 
 
 class TestTimeoutSemantics:

@@ -1,4 +1,4 @@
-"""The resilient serving subsystem: admission, deadlines, breaker, drain.
+"""The resilient serving subsystem: shedding, deadlines, breaker, drain.
 
 Unit layer — the :mod:`repro.service.admission` state machines are driven
 with injected clocks, so every transition is deterministic.
@@ -8,10 +8,11 @@ port over a real gateway/engine stack, with failure injection at the
 engine seam:
 
 * a *gated* engine whose reads block on a test-controlled event (deadline
-  and shedding tests create saturation on demand, no sleeps-as-load);
-* a *flaky* engine raising worker-death-classified errors on demand (the
+  tests create saturation on demand, no sleeps-as-load), and a paused
+  gateway whose full queue sheds on demand;
+* a *flaky* engine raising worker-failure errors on demand (the
   circuit-breaker chaos test: trip to degraded read-only mode, then
-  recover);
+  recover), and one raising an op's own error, which must not trip it;
 * graceful drain under concurrent writers: every 200-acked insert must be
   in the engine after ``close()``, and the listener must refuse new
   connections.
@@ -26,17 +27,14 @@ import time
 import numpy as np
 import pytest
 
-from repro import IntervalDataset, WorkerTimeoutError
+from repro import IntervalDataset, WorkerCrashError, WorkerTimeoutError
 from repro.service import (
-    AdmissionController,
     CircuitBreaker,
     Deadline,
     HttpFrontend,
     RequestGateway,
-    RetryPolicy,
     ShardedEngine,
     http_request,
-    is_worker_failure,
 )
 from repro.service.server import _decode_response
 
@@ -49,7 +47,7 @@ def _dataset(n: int = 64) -> IntervalDataset:
 
 
 # --------------------------------------------------------------------------- #
-# unit: admission primitives
+# unit: deadline and breaker primitives
 # --------------------------------------------------------------------------- #
 class TestDeadline:
     def test_remaining_and_expiry(self):
@@ -66,80 +64,6 @@ class TestDeadline:
     def test_rejects_non_positive_budget(self):
         with pytest.raises(ValueError, match=r"deadline must be positive"):
             Deadline(0.0)
-
-
-class TestAdmissionController:
-    def test_admits_to_capacity_then_sheds(self):
-        controller = AdmissionController(max_pending=3)
-        assert [controller.acquire() for _ in range(4)] == [True, True, True, False]
-        assert controller.depth == 3
-        assert controller.shedding
-
-    def test_hysteresis_resumes_below_low_water(self):
-        controller = AdmissionController(max_pending=4, high_water=4, low_water=1)
-        for _ in range(4):
-            assert controller.acquire()
-        assert not controller.acquire()  # latch on
-        controller.release()
-        controller.release()  # depth 2, still > low_water
-        assert not controller.acquire()
-        controller.release()  # depth 1 == low_water: latch releases
-        assert controller.acquire()
-        stats = controller.stats()
-        assert stats["admitted_total"] == 5
-        assert stats["shed_total"] == 2
-
-    def test_release_without_acquire_raises(self):
-        controller = AdmissionController(max_pending=1)
-        with pytest.raises(RuntimeError, match=r"release\(\) without a matching acquire"):
-            controller.release()
-
-    @pytest.mark.parametrize(
-        ("kwargs", "match"),
-        [
-            ({"max_pending": 0}, r"max_pending must be >= 1"),
-            ({"max_pending": 2, "high_water": 3}, r"high_water must be in"),
-            ({"max_pending": 4, "high_water": 2, "low_water": 2}, r"low_water must be in"),
-            ({"retry_after_s": 0.0}, r"retry_after_s must be positive"),
-        ],
-    )
-    def test_constructor_validation(self, kwargs, match):
-        with pytest.raises(ValueError, match=match):
-            AdmissionController(**kwargs)
-
-
-class TestRetryPolicy:
-    def test_delay_schedule_without_jitter(self):
-        policy = RetryPolicy(max_attempts=4, base_backoff_s=0.1, max_backoff_s=0.25, jitter=0.0)
-        assert [round(d, 3) for d in policy.delays()] == [0.1, 0.2, 0.25]
-
-    def test_jitter_shrinks_but_never_grows_delays(self):
-        policy = RetryPolicy(max_attempts=5, base_backoff_s=0.1, jitter=0.5, seed=7)
-        for delay, base in zip(policy.delays(), [0.1, 0.2, 0.4, 0.5]):
-            assert 0.5 * base <= delay <= base
-
-    def test_single_attempt_means_no_retries(self):
-        assert list(RetryPolicy(max_attempts=1).delays()) == []
-
-    def test_constructor_validation(self):
-        with pytest.raises(ValueError, match=r"max_attempts must be >= 1"):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError, match=r"jitter must be in"):
-            RetryPolicy(jitter=1.5)
-
-
-class TestWorkerFailureClassification:
-    def test_worker_timeout_is_worker_failure(self):
-        assert is_worker_failure(WorkerTimeoutError("shard worker (pid 1) timed out"))
-
-    def test_respawn_cap_runtime_error_is_worker_failure(self):
-        assert is_worker_failure(RuntimeError("shard worker died 4 times in a row; ..."))
-
-    @pytest.mark.parametrize(
-        "exc", [ValueError("bad query"), RuntimeError("engine is closed"), TimeoutError("t")]
-    )
-    def test_other_errors_are_not(self, exc):
-        assert not is_worker_failure(exc)
 
 
 class TestCircuitBreaker:
@@ -224,7 +148,7 @@ class _EngineProxy:
 
 
 class _GatedEngine(_EngineProxy):
-    """Reads block on an event — saturation and deadline misses on demand."""
+    """Reads block on an event — deadline misses on demand."""
 
     def __init__(self, inner):
         super().__init__(inner)
@@ -237,15 +161,15 @@ class _GatedEngine(_EngineProxy):
 
 
 class _FlakyEngine(_EngineProxy):
-    """Reads raise worker-death-classified errors while the storm flag is up."""
+    """Reads raise ``error`` (one per read) while it is set."""
 
     def __init__(self, inner):
         super().__init__(inner)
-        self.storm = False
+        self.error = None
 
     def count_many(self, queries):
-        if self.storm:
-            raise WorkerTimeoutError("shard worker (pid 4242) did not reply within 1s")
+        if self.error is not None:
+            raise self.error
         return self._inner.count_many(queries)
 
 
@@ -309,7 +233,7 @@ class TestHttpEndpoints:
         assert stats["state"] == "ready"
         assert stats["frontend"]["responses_2xx"] >= 8
         assert stats["gateway"]["completions"]["count"] == 2
-        assert stats["admission"]["depth"] == 0
+        assert stats["frontend"]["retries_total"] == 0  # a serial engine never resends
 
     def test_error_mapping(self, served):
         host, port = served.address
@@ -389,15 +313,11 @@ class TestDeadlines:
 
 
 class TestLoadShedding:
-    def test_saturation_sheds_429_with_retry_after(self):
+    def test_full_gateway_queue_sheds_429_with_retry_after(self):
         engine = ShardedEngine(_dataset(), num_shards=2)
-        gated = _GatedEngine(engine)
-        gateway = RequestGateway(gated)
-        frontend = HttpFrontend(
-            gateway,
-            admission=AdmissionController(max_pending=2, high_water=2, low_water=1,
-                                          retry_after_s=0.25),
-        )
+        # A paused gateway: requests stay queued until process_pending().
+        gateway = RequestGateway(engine, max_queue_depth=2, start=False)
+        frontend = HttpFrontend(gateway)
         host, port = frontend.start_in_thread()
         results: list[tuple[int, dict]] = []
         lock = threading.Lock()
@@ -410,24 +330,18 @@ class TestLoadShedding:
             with lock:
                 results.append((status, headers))
 
+        threads = [threading.Thread(target=client) for _ in range(8)]
         try:
-            gated.gate.clear()  # stall the engine: admitted requests hold slots
-            threads = [threading.Thread(target=client) for _ in range(8)]
             for thread in threads:
                 thread.start()
-            # 2 requests occupy the admission window; the other 6 must be shed
-            # *fast*, while the admitted ones are still stalled.
-            deadline = time.time() + 30.0
-            while time.time() < deadline:
-                with lock:
-                    if len(results) >= 6:
-                        break
-                time.sleep(0.01)
-            gated.gate.set()
+            # 2 requests fill the queue; the other 6 must be shed at once,
+            # while the queued ones are still waiting.
+            _wait_for(lambda: len(results) >= 6, timeout=30.0)
+            assert gateway.process_pending() == 2
             for thread in threads:
                 thread.join(timeout=60)
+            stats = frontend.stats()
         finally:
-            gated.gate.set()
             frontend.close()
             engine.close()
 
@@ -435,8 +349,9 @@ class TestLoadShedding:
         assert statuses == [200, 200, 429, 429, 429, 429, 429, 429]
         for status, headers in results:
             if status == 429:
-                assert int(headers["retry-after"]) >= 1
-        assert frontend.stats()["frontend"]["shed_429"] == 6
+                assert headers["retry-after"] == "1"
+        assert stats["frontend"]["shed_429"] == statuses.count(429)
+        assert sum(stats["gateway"]["shed"].values()) == statuses.count(429)
 
 
 class TestCircuitBreakerChaos:
@@ -445,9 +360,7 @@ class TestCircuitBreakerChaos:
         flaky = _FlakyEngine(engine)
         gateway = RequestGateway(flaky)
         frontend = HttpFrontend(
-            gateway,
-            retry=RetryPolicy(max_attempts=2, base_backoff_s=0.001, jitter=0.0),
-            breaker=CircuitBreaker(failure_threshold=3, cooldown_s=0.2),
+            gateway, breaker=CircuitBreaker(failure_threshold=3, cooldown_s=0.2)
         )
         host, port = frontend.start_in_thread()
         try:
@@ -455,9 +368,16 @@ class TestCircuitBreakerChaos:
             status, _, _ = http_request(host, port, "POST", "/count", {"query": list(DOMAIN)})
             assert status == 200 and frontend.state == "ready"
 
-            # worker-death storm: reads fail (after a retry each), breaker trips
-            flaky.storm = True
-            for _ in range(2):
+            # worker-failure storm: each failed read is one breaker failure
+            # (the front end does not retry), so 3 reads trip it
+            storm = [
+                WorkerTimeoutError("shard worker (pid 4242) did not reply within 1s"),
+                WorkerCrashError("shard worker died 4 times in a row"),
+                WorkerTimeoutError("shard worker (pid 4243) did not reply within 1s"),
+            ]
+            for error in storm:
+                assert frontend.state == "ready"
+                flaky.error = error
                 status, _, body = http_request(
                     host, port, "POST", "/count", {"query": list(DOMAIN)}
                 )
@@ -474,7 +394,7 @@ class TestCircuitBreakerChaos:
             assert (status, body["status"]) == (503, "degraded")
 
             # storm ends; after the cooldown a successful read closes the breaker
-            flaky.storm = False
+            flaky.error = None
             time.sleep(0.25)
             status, _, _ = http_request(host, port, "POST", "/count", {"query": list(DOMAIN)})
             assert status == 200
@@ -487,8 +407,45 @@ class TestCircuitBreakerChaos:
             stats = frontend.stats()
             assert stats["breaker"]["trips_total"] == 1
             assert stats["breaker"]["recoveries_total"] == 1
-            assert stats["frontend"]["retries_total"] >= 2
-            assert stats["frontend"]["worker_failures_total"] >= 3
+            assert stats["frontend"]["retries_total"] == 0
+            assert stats["frontend"]["worker_failures_total"] == 3
+        finally:
+            frontend.close()
+            engine.close()
+
+    def test_op_error_from_a_worker_does_not_count_toward_the_breaker(self):
+        # An exception raised by the op itself comes back from the workers as
+        # this RuntimeError; inline it would be the op's own exception.  Either
+        # way the request failed, not the substrate.
+        engine = ShardedEngine(_dataset(), num_shards=2)
+        flaky = _FlakyEngine(engine)
+        frontend = HttpFrontend(
+            RequestGateway(flaky), breaker=CircuitBreaker(failure_threshold=1, cooldown_s=60.0)
+        )
+        host, port = frontend.start_in_thread()
+        try:
+            flaky.error = RuntimeError("shard worker failed:\nTraceback ...\nKeyError: 'x'")
+            for _ in range(3):
+                status, _, body = http_request(
+                    host, port, "POST", "/count", {"query": list(DOMAIN)}
+                )
+                assert status == 500 and "shard worker failed" in body["error"]
+            stats = frontend.stats()
+            assert frontend.state == "ready"
+            assert stats["breaker"]["consecutive_failures"] == 0
+            assert stats["frontend"]["worker_failures_total"] == 0
+        finally:
+            frontend.close()
+            engine.close()
+
+    def test_retries_total_reads_the_engine_resends(self):
+        engine = ShardedEngine(_dataset(), num_shards=2)
+        flaky = _FlakyEngine(engine)
+        flaky.resends = 2  # what ShardedEngine.resends reports for its executor
+        frontend = HttpFrontend(RequestGateway(flaky))
+        frontend.start_in_thread()
+        try:
+            assert frontend.stats()["frontend"]["retries_total"] == 2
         finally:
             frontend.close()
             engine.close()
