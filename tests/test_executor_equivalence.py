@@ -16,12 +16,14 @@ publish-on-version-bump protocol, not a tautology.
 from __future__ import annotations
 
 import os
+import queue as queue_module
 
 import numpy as np
 import pytest
 
 from repro import ShardedEngine
 from repro.service import ProcessExecutor
+from repro.service.executor import _Worker
 
 SHARD_COUNTS = (1, 2, 4, 8)
 #: The equivalence matrix: the inline reference, then the process executor
@@ -437,49 +439,52 @@ def test_batches_after_a_raising_tile_get_their_own_replies(dataset, queries):
         _close(engine)
 
 
+class _StubProcess:
+    """A worker process that is alive or dead as the test says."""
+
+    pid = 4242
+
+    def __init__(self, alive):
+        self.alive = alive
+
+    def is_alive(self):
+        return self.alive
+
+    def join(self, timeout=None):
+        pass
+
+
+class _StubQueue:
+    """A worker queue; with ``replies`` it is a live worker's task queue."""
+
+    def __init__(self, replies=None):
+        self.items = []
+        self.replies = replies
+
+    def put(self, item):
+        self.items.append(item)
+        if self.replies is not None:  # a live worker: answer at once
+            self.replies.put((item[0], "ok", item[1:]))
+
+    def get(self, timeout=None):
+        if not self.items:
+            raise queue_module.Empty
+        return self.items.pop(0)
+
+    def close(self):
+        pass
+
+
+def _stub_worker(alive, answering=False):
+    results = _StubQueue()
+    return _Worker(_StubProcess(alive), _StubQueue(results if answering else None), results)
+
+
 def test_resend_after_worker_death_is_counted(dataset):
     """A worker that dies under a message is respawned and the message resent."""
-    import queue as queue_module
-
-    from repro.service.executor import _Worker
-
-    class _Process:
-        pid = 4242
-
-        def __init__(self, alive):
-            self.alive = alive
-
-        def is_alive(self):
-            return self.alive
-
-        def join(self, timeout=None):
-            pass
-
-    class _Queue:
-        def __init__(self, replies=None):
-            self.items = []
-            self.replies = replies
-
-        def put(self, item):
-            self.items.append(item)
-            if self.replies is not None:  # a live worker: answer at once
-                self.replies.put((item[0], "ok", item[1:]))
-
-        def get(self, timeout=None):
-            if not self.items:
-                raise queue_module.Empty
-            return self.items.pop(0)
-
-        def close(self):
-            pass
-
-    def spawn():
-        results = _Queue()
-        return _Worker(_Process(alive=True), _Queue(replies=results), results)
-
     executor = ProcessExecutor()
-    executor._spawn = spawn
-    dead = _Worker(_Process(alive=False), _Queue(), _Queue())
+    executor._spawn = lambda: _stub_worker(alive=True, answering=True)
+    dead = _stub_worker(alive=False)
     engine = ShardedEngine(dataset, num_shards=1, executor=executor)
     try:
         assert executor._await(dead, 1, ("op", "count")) == ("op", "count")
@@ -489,6 +494,38 @@ def test_resend_after_worker_death_is_counted(dataset):
     finally:
         engine.close()
         executor._workers.clear()
+        executor.shutdown()
+
+
+@pytest.mark.parametrize("stale_status", ["ok", "error"])
+def test_await_skips_replies_older_than_its_message(stale_status):
+    """A reply to an abandoned message is dropped, an error reply included."""
+    executor = ProcessExecutor()
+    worker = _stub_worker(alive=True)
+    worker.results.items = [(1, stale_status, "previous batch"), (2, "ok", "this batch")]
+    try:
+        assert executor._await(worker, 2, ("op", "count")) == "this batch"
+        assert worker.results.items == []
+    finally:
+        executor.shutdown()
+
+
+def test_respawn_replays_manifests_before_the_message():
+    """A respawned worker re-attaches every current shard before the next message."""
+    executor = ProcessExecutor()
+    executor._spawn = lambda: _stub_worker(alive=True)
+    worker = _stub_worker(alive=False)  # e.g. killed after a timeout
+    worker.manifests = {"shard-0": ({"base": 0}, None), "shard-1": ({"base": 1}, {"overlay": 1})}
+    try:
+        assert executor._send(worker, ("op", "count")) == 3
+        assert worker.process.is_alive()
+        assert worker.tasks.items == [
+            (1, "publish", "shard-0", {"base": 0}, None),
+            (2, "publish", "shard-1", {"base": 1}, {"overlay": 1}),
+            (3, "op", "count"),
+        ]
+        assert executor.resends == 0  # a respawn before sending is not a resend
+    finally:
         executor.shutdown()
 
 

@@ -354,6 +354,62 @@ class TestLoadShedding:
         assert sum(stats["gateway"]["shed"].values()) == statuses.count(429)
 
 
+class TestWorkerFailureClassification:
+    """Only a worker failure reaches the breaker; it is told by type, not by text."""
+
+    @pytest.fixture
+    def flaky(self):
+        engine = ShardedEngine(_dataset(), num_shards=2)
+        flaky = _FlakyEngine(engine)
+        frontend = HttpFrontend(
+            RequestGateway(flaky), breaker=CircuitBreaker(failure_threshold=1, cooldown_s=60.0)
+        )
+        frontend.start_in_thread()
+        yield flaky, frontend
+        frontend.close()
+        engine.close()
+
+    def _read(self, frontend):
+        host, port = frontend.address
+        return http_request(host, port, "POST", "/count", {"query": list(DOMAIN)})
+
+    @pytest.mark.parametrize(
+        "error",
+        [
+            WorkerTimeoutError("shard worker (pid 4242) did not reply within 1s"),
+            WorkerCrashError("shard worker died 4 times in a row"),
+        ],
+        ids=["timeout", "crash"],
+    )
+    def test_worker_failure_trips_the_breaker(self, flaky, error):
+        engine, frontend = flaky
+        engine.error = error
+        status, _, body = self._read(frontend)
+        assert status == 500 and body["error"].startswith(type(error).__name__)
+        assert frontend.state == "degraded"
+        assert frontend.stats()["frontend"]["worker_failures_total"] == 1
+
+    @pytest.mark.parametrize(
+        ("error", "expected"),
+        [
+            (ValueError("bad query"), 400),
+            (RuntimeError("engine is closed"), 500),
+            # A timeout of the op's own, not a worker's: the type decides.
+            (TimeoutError("shard worker (pid 4242) did not reply within 1s"), 500),
+        ],
+        ids=["value-error", "runtime-error", "plain-timeout"],
+    )
+    def test_other_errors_leave_the_breaker_alone(self, flaky, error, expected):
+        engine, frontend = flaky
+        engine.error = error
+        status, _, _ = self._read(frontend)
+        assert status == expected
+        stats = frontend.stats()
+        assert frontend.state == "ready"
+        assert stats["breaker"]["consecutive_failures"] == 0
+        assert stats["frontend"]["worker_failures_total"] == 0
+
+
 class TestCircuitBreakerChaos:
     def test_breaker_trips_to_read_only_and_recovers(self):
         engine = ShardedEngine(_dataset(), num_shards=2)
