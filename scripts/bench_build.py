@@ -18,7 +18,8 @@ Two measurements:
   the tree route pays Python-level work per node, so datasets building many
   nodes (taxi) gain the most;
 * **weighted_build** — the same comparison for the weighted AWIT layout
-  (weight-prefix pools included), at ``--weighted-sizes``.
+  (weight-prefix pools included), at ``--weighted-sizes``, with its own
+  ``bytes_per_interval``.
 
 The emitted payload is shape-validated before it is written, so a CI smoke
 invocation at tiny sizes doubles as a schema regression test:
@@ -127,6 +128,7 @@ def bench_weighted_build(n: int, repeats: int) -> dict:
         "tree_seconds": round(tree_seconds, 4),
         "columnar_seconds": round(columnar_seconds, 4),
         "speedup": round(speedup, 2),
+        "bytes_per_interval": round(columnar_flat.nbytes() / n, 2),
     }
 
 
@@ -146,7 +148,9 @@ def validate_payload(payload: dict) -> None:
             "bytes_per_interval",
         } <= set(row)
     for row in results["weighted_build"]:
-        assert {"n", "tree_seconds", "columnar_seconds", "speedup"} <= set(row)
+        assert {"n", "tree_seconds", "columnar_seconds", "speedup", "bytes_per_interval"} <= set(
+            row
+        )
     assert results["full_build"] and results["weighted_build"], (
         "every section must carry at least one row"
     )

@@ -113,7 +113,13 @@ SCHEMAS: dict[str, dict] = {
                 "arrays_equal",
                 "bytes_per_interval",
             },
-            "weighted_build": {"n", "tree_seconds", "columnar_seconds", "speedup"},
+            "weighted_build": {
+                "n",
+                "tree_seconds",
+                "columnar_seconds",
+                "speedup",
+                "bytes_per_interval",
+            },
         },
     },
     "BENCH_gateway.json": {

@@ -14,11 +14,14 @@ use to beat pointer trees in practice):
   and offset/length slices into the list pools;
 * the root's two sorted endpoint columns and one ``root_ids`` table: the
   interval ids in by-left order, then in by-right order;
-* four concatenated *list pools* — the per-node stab lists (sorted by left and
-  by right endpoint) and subtree lists (idem) laid back to back — holding one
-  int64 *position key* per entry (:meth:`FlatAIT._rank_search`);
-* for weighted trees, pools of per-node inclusive weight prefix sums aligned
-  with each list pool.
+* three concatenated *list pools* — the per-node stab lists sorted by left and
+  by right endpoint, and one subtree list per non-root node — holding one
+  int64 *position key* per entry (:meth:`FlatAIT._rank_search`).  A node
+  keeps only the subtree list its parent's case 3 reads: by right endpoint
+  for a left child (``AL^r``), by left endpoint for a right child
+  (``AL^l``).  The root keeps none: its lists are the root columns;
+* for weighted trees, inclusive weight prefix sums aligned with the list
+  pools, then the prefix sums of the root's two columns.
 
 Every node's list is a subsequence of the root's sorted order, so an entry
 is fully described by its node and its position ``p`` in the root column:
@@ -78,10 +81,10 @@ _F8 = np.float64
 #: Keys turned into ids per step by :meth:`FlatAIT._keys_to_ids`.
 _ID_BLOCK = 1 << 14
 
-#: Pool order used for the concatenated key / weight-prefix super-pools.
-#: Indices match :class:`~repro.core.records.ListKind`:
-#: 0 = stab by left, 1 = stab by right, 2 = subtree by right, 3 = subtree by left.
-_KIND_COUNT = 4
+#: The pool of each :class:`~repro.core.records.ListKind` in the key super-pool:
+#: stab by left, stab by right, and one subtree pool for both subtree kinds
+#: (2 = by right, held by left children; 3 = by left, held by right children).
+_KIND_POOL = (0, 1, 2, 2)
 
 
 class _RecordBatch:
@@ -170,10 +173,22 @@ def _key_modulus(n: int) -> int:
     return 1 << (2 * n).bit_length()
 
 
+def _offsets(lengths: np.ndarray) -> np.ndarray:
+    """Exclusive prefix sums: where each of back-to-back segments starts."""
+    return (np.cumsum(lengths) - lengths).astype(_ID, copy=False)
+
+
 def _pool_bounds(stab_len: np.ndarray, sub_len: np.ndarray) -> np.ndarray:
-    """Where each list kind's pool starts in the super-pool, and where the last ends."""
+    """Where each of the three pools starts in the super-pool, and where the last ends."""
     stab, sub = int(stab_len.sum()), int(sub_len.sum())
-    return np.array([0, stab, 2 * stab, 2 * stab + sub, 2 * stab + 2 * sub], dtype=_ID)
+    return np.array([0, stab, 2 * stab, 2 * stab + sub], dtype=_ID)
+
+
+def _left_children(left_child: np.ndarray) -> np.ndarray:
+    """Per node, whether it is a left child: it keeps its subtree list by right endpoint."""
+    mask = np.zeros(left_child.shape[0], dtype=bool)
+    mask[left_child[left_child >= 0]] = True
+    return mask
 
 
 def _node_keys(lengths: np.ndarray, m: int) -> np.ndarray:
@@ -267,8 +282,9 @@ class FlatAIT:
     #: in constructor order.  Shared by the persistence layer
     #: (:mod:`repro.persist.snapshot`) and the shared-memory publisher
     #: (:mod:`repro.service.shm`), so every serialisation of a snapshot
-    #: enumerates exactly the same fields.  ``all_weight_prefix`` is ``None``
-    #: for unweighted snapshots.
+    #: enumerates exactly the same fields.  ``all_keys`` holds the three list
+    #: pools (``sub_off``/``sub_len`` locate each node's one subtree list);
+    #: ``all_weight_prefix`` is ``None`` for unweighted snapshots.
     CORE_FIELDS = (
         ("centers", "_centers"),
         ("left_child", "_left_child"),
@@ -312,37 +328,37 @@ class FlatAIT:
         self._sorted_lefts = sorted_lefts
         self._sorted_rights = sorted_rights
         self._root_ids = root_ids
-        # Key super-pool: the four list pools concatenated in ListKind order
-        # (stab-by-left, stab-by-right, subtree-by-right, subtree-by-left),
-        # so a (kind, pool index) pair maps to one flat index.
+        # Key super-pool: stab-by-left, stab-by-right and subtree pools back
+        # to back, so a (kind, pool index) pair maps to one flat index.  The
+        # weight prefixes follow the same layout, then the root columns'.
         self._all_keys = all_keys
         self._all_weight_prefix = all_weight_prefix
         self._weighted = bool(weighted)
         self._rank_m = _key_modulus(int(sorted_lefts.shape[0]))
-        self._kind_base = kb = _pool_bounds(stab_len, sub_len)
-        self._kind_keys = tuple(all_keys[kb[k] : kb[k + 1]] for k in range(4))
+        self._pool_base = pb = _pool_bounds(stab_len, sub_len)
+        self._kind_base = pb[list(_KIND_POOL)]
+        self._kind_keys = tuple(all_keys[pb[p] : pb[p + 1]] for p in _KIND_POOL)
 
     @classmethod
     def from_id_pools(
-        cls, structure, sorted_lefts, sorted_rights, all_ids, all_weight_prefix, weighted
+        cls, structure, sorted_lefts, sorted_rights, root_ids, all_ids, all_weight_prefix,
+        weighted,
     ) -> "FlatAIT":
         """Build a snapshot from list pools of interval ids.
 
         ``structure`` holds the seven node arrays in :attr:`CORE_FIELDS`
-        order, ``all_ids`` the ids of every list entry in key super-pool
-        order; the root's subtree lists (the first entries of the two
-        subtree pools) give the root order.  Each id becomes its position in
-        that order, through a scatter table when the ids are dense and one
-        ``searchsorted`` over the sorted ids when they are sparse.  Raises
+        order, ``root_ids`` the ids in the root's by-left then by-right
+        order, and ``all_ids`` the ids of every list entry in key super-pool
+        order: the two stab pools, then each non-root node's one subtree
+        list.  Each id becomes its position in the root order, through a
+        scatter table when the ids are dense and one ``searchsorted`` over
+        the sorted ids when they are sparse.  Raises
         :class:`StructureStateError` when a node's list is not a subsequence
         of the root order: its keys would not increase.
         """
         stab_len, sub_len = structure[4], structure[6]
         n = int(sorted_lefts.shape[0])
-        kb = _pool_bounds(stab_len, sub_len)
-        root_ids = np.concatenate(
-            (all_ids[kb[3] : kb[3] + n], all_ids[kb[2] : kb[2] + n])
-        ).astype(_ID, copy=False)
+        root_ids = np.asarray(root_ids, dtype=_ID)
         if n and int(root_ids.max()) < max(16 * n, 1 << 20):
             # Dense id space (every internal caller: ids are column rows).
             size = int(root_ids.max()) + 1
@@ -355,22 +371,22 @@ class FlatAIT:
 
             def slot(ids):
                 return np.searchsorted(unique_ids, ids)
-        position_of = []
-        for ids in (root_ids[:n], root_ids[n:]):
-            table = np.empty(size, dtype=_ID)
-            table[slot(ids)] = np.arange(n, dtype=_ID)
-            position_of.append(table)
+        # Row 0: by-left positions; row 1: by-right positions, offset by n.
+        position_of = np.empty((2, size), dtype=_ID)
+        position_of[0, slot(root_ids[:n])] = np.arange(n, dtype=_ID)
+        position_of[1, slot(root_ids[n:])] = np.arange(n, 2 * n, dtype=_ID)
         m = _key_modulus(n)
+        pb = _pool_bounds(stab_len, sub_len)
+        sides = (0, 1, np.repeat(_left_children(structure[1]).astype(_ID), sub_len))
         all_keys = np.empty(all_ids.shape[0], dtype=_ID)
-        for kind in range(4):
-            by_right = int(kind in (1, 2))
-            keys = _node_keys(stab_len if kind < 2 else sub_len, m) + n * by_right
-            keys += position_of[by_right][slot(all_ids[kb[kind] : kb[kind + 1]])]
+        for pool, lengths in enumerate((stab_len, stab_len, sub_len)):
+            keys = _node_keys(lengths, m)
+            keys += position_of[sides[pool], slot(all_ids[pb[pool] : pb[pool + 1]])]
             if not (keys[1:] > keys[:-1]).all():
                 raise StructureStateError(
                     "a node list is not a subsequence of the root's sort order"
                 )
-            all_keys[kb[kind] : kb[kind + 1]] = keys
+            all_keys[pb[pool] : pb[pool + 1]] = keys
         return cls(
             *structure,
             sorted_lefts,
@@ -438,7 +454,7 @@ class FlatAIT:
     # ------------------------------------------------------------------ #
     @classmethod
     def from_tree(cls, tree: "AIT") -> "FlatAIT":
-        """Serialise the current structure of ``tree``: walk every node, gather every list."""
+        """Serialise the current structure of ``tree``: walk every node, gather every kept list."""
         weighted = tree.is_weighted
         nodes = cls._walk_preorder(tree)
         m = len(nodes)
@@ -456,44 +472,55 @@ class FlatAIT:
             if node.right is not None:
                 right_child[i] = index_of[id(node.right)]
             stab_len[i] = node.stab_ids_by_left.shape[0]
-            sub_len[i] = node.subtree_ids_by_left.shape[0]
-        stab_off = np.concatenate(([0], np.cumsum(stab_len)[:-1])) if m else np.empty(0, dtype=_ID)
-        sub_off = np.concatenate(([0], np.cumsum(sub_len)[:-1])) if m else np.empty(0, dtype=_ID)
+            # The root keeps no subtree list: the root columns are its lists.
+            sub_len[i] = node.subtree_ids_by_left.shape[0] if i else 0
+        by_right = _left_children(left_child)
 
         def _cat(arrays, dtype):
             if not arrays:
                 return np.empty(0, dtype=dtype)
             return np.concatenate(arrays).astype(dtype, copy=False)
 
+        def kept(by_right_list, by_left_list):
+            return [
+                getattr(v, by_right_list if r else by_left_list)
+                for v, r in zip(nodes[1:], by_right[1:])
+            ]
+
+        root = nodes[:1]
         all_ids = _cat(
-            [n.stab_ids_by_left for n in nodes]
-            + [n.stab_ids_by_right for n in nodes]
-            + [n.subtree_ids_by_right for n in nodes]
-            + [n.subtree_ids_by_left for n in nodes],
+            [v.stab_ids_by_left for v in nodes]
+            + [v.stab_ids_by_right for v in nodes]
+            + kept("subtree_ids_by_right", "subtree_ids_by_left"),
             _ID,
         )
         all_weight_prefix = None
         if weighted:
             all_weight_prefix = _cat(
-                [n.stab_weight_by_left for n in nodes]
-                + [n.stab_weight_by_right for n in nodes]
-                + [n.subtree_weight_by_right for n in nodes]
-                + [n.subtree_weight_by_left for n in nodes],
+                [v.stab_weight_by_left for v in nodes]
+                + [v.stab_weight_by_right for v in nodes]
+                + kept("subtree_weight_by_right", "subtree_weight_by_left")
+                + [v.subtree_weight_by_left for v in root]
+                + [v.subtree_weight_by_right for v in root],
                 _F8,
             )
         structure = (
             centers,
             left_child,
             right_child,
-            stab_off.astype(_ID, copy=False),
+            _offsets(stab_len),
             stab_len,
-            sub_off.astype(_ID, copy=False),
+            _offsets(sub_len),
             sub_len,
         )
         return cls.from_id_pools(
             structure,
-            _cat([n.subtree_lefts for n in nodes[:1]], _F8),
-            _cat([n.subtree_rights for n in nodes[:1]], _F8),
+            _cat([v.subtree_lefts for v in root], _F8),
+            _cat([v.subtree_rights for v in root], _F8),
+            _cat(
+                [v.subtree_ids_by_left for v in root] + [v.subtree_ids_by_right for v in root],
+                _ID,
+            ),
             all_ids,
             all_weight_prefix,
             weighted,
@@ -571,21 +598,8 @@ class FlatAIT:
         weighted = weights is not None
 
         if n == 0:
-            return cls(
-                np.empty(0, dtype=_F8),
-                np.empty(0, dtype=_ID),
-                np.empty(0, dtype=_ID),
-                np.empty(0, dtype=_ID),
-                np.empty(0, dtype=_ID),
-                np.empty(0, dtype=_ID),
-                np.empty(0, dtype=_ID),
-                np.empty(0, dtype=_F8),
-                np.empty(0, dtype=_F8),
-                np.empty(0, dtype=_ID),
-                np.empty(0, dtype=_ID),
-                np.empty(0, dtype=_F8) if weighted else None,
-                weighted,
-            )
+            f8, i8 = np.empty(0, dtype=_F8), np.empty(0, dtype=_ID)
+            return cls(f8, *[i8] * 6, f8, f8, i8, i8, f8 if weighted else None, weighted)
 
         # ---- level-synchronous partitioning over positions 0..n-1 -------- #
         # Two pools, each grouped into contiguous per-node segments: the live
@@ -598,6 +612,12 @@ class FlatAIT:
         order_l = cur_l = np.argsort(lefts, kind="stable").astype(pos_dtype, copy=False)
         order_r = cur_r = np.argsort(rights, kind="stable").astype(pos_dtype, copy=False)
         seg_len = np.array([n], dtype=_ID)
+        # Every position's root rank: its place in the by-left order, and n
+        # plus its place in the by-right order (the keys' ``p``).
+        by_left = np.empty(n, dtype=_ID)
+        by_left[order_l] = np.arange(n, dtype=_ID)
+        by_right = np.empty(n, dtype=_ID)
+        by_right[order_r] = np.arange(n, 2 * n, dtype=_ID)
 
         cls_buf = np.empty(n, dtype=np.int8)
 
@@ -606,8 +626,8 @@ class FlatAIT:
         lv_stab_counts: list[np.ndarray] = []
         lv_stab_l: list[np.ndarray] = []
         lv_stab_r: list[np.ndarray] = []
-        lv_sub_l: list[np.ndarray] = []
-        lv_sub_r: list[np.ndarray] = []
+        # Root ranks of each level's kept subtree lists (the root keeps none).
+        lv_sub: list[np.ndarray] = [np.empty(0, dtype=_ID)]
         lv_left_child: list[np.ndarray] = []
         lv_right_child: list[np.ndarray] = []
         lv_first_node: list[int] = []
@@ -683,8 +703,6 @@ class FlatAIT:
             lv_stab_counts.append(stab_counts)
             lv_stab_l.append(cur_l[stab_m])
             lv_stab_r.append(cur_r[cls_r == 1])
-            lv_sub_l.append(cur_l)
-            lv_sub_r.append(cur_r)
 
             left_counts = np.bincount(node_of[left_m], minlength=k).astype(_ID, copy=False)
             right_counts = np.bincount(node_of[right_m], minlength=k).astype(
@@ -713,6 +731,12 @@ class FlatAIT:
                 seg_len = np.concatenate(
                     (left_counts[has_left], right_counts[has_right])
                 )
+                # A left child keeps its by-right list, a right child its
+                # by-left list: the one its parent's case 3 reads.
+                split = int(left_counts.sum())
+                lv_sub.append(
+                    np.concatenate((by_right[cur_r[:split]], by_left[cur_l[split:]]))
+                )
             else:
                 seg_len = np.empty(0, dtype=_ID)
 
@@ -720,6 +744,7 @@ class FlatAIT:
         total_nodes = node_total
         bfs_center = np.concatenate(lv_centers)
         bfs_sub_len = np.concatenate(lv_seg_len).astype(_ID, copy=False)
+        bfs_sub_len[0] = 0
         bfs_stab_len = np.concatenate(lv_stab_counts).astype(_ID, copy=False)
         bfs_left = np.concatenate(lv_left_child)
         bfs_right = np.concatenate(lv_right_child)
@@ -751,7 +776,6 @@ class FlatAIT:
             has_l = lc >= 0
             pos[lc[has_l]] = parent_pos[has_l] + 1
             right_base = parent_pos + 1
-            right_base = right_base.copy()
             right_base[has_l] += subtree_nodes[lc[has_l]]
             has_r = rc >= 0
             pos[rc[has_r]] = right_base[has_r]
@@ -768,82 +792,52 @@ class FlatAIT:
         right_child = np.full(total_nodes, -1, dtype=_ID)
         has = bfs_right >= 0
         right_child[pos[has]] = pos[bfs_right[has]]
-        stab_off = np.concatenate(([0], np.cumsum(stab_len)[:-1])).astype(_ID, copy=False)
-        sub_off = np.concatenate(([0], np.cumsum(sub_len)[:-1])).astype(_ID, copy=False)
 
         # ---- pool assembly in preorder ----------------------------------- #
-        # Per-node start offsets into the level-concatenated stab / sub
-        # arrays, then one index expansion per pool family gathers every
-        # node's segment in preorder.
-        all_stab_l = np.concatenate(lv_stab_l)
-        all_stab_r = np.concatenate(lv_stab_r)
-        all_sub_l = np.concatenate(lv_sub_l)
-        all_sub_r = np.concatenate(lv_sub_r)
-        bfs_stab_start = np.empty(total_nodes, dtype=_ID)
-        bfs_sub_start = np.empty(total_nodes, dtype=_ID)
-        stab_base = 0
-        sub_base = 0
-        for li in range(level_count):
-            start = lv_first_node[li]
-            k = lv_centers[li].shape[0]
-            counts = lv_stab_counts[li]
-            bfs_stab_start[start : start + k] = stab_base + np.concatenate(
-                ([0], np.cumsum(counts)[:-1])
-            )
-            stab_base += int(counts.sum())
-            counts = lv_seg_len[li]
-            bfs_sub_start[start : start + k] = sub_base + np.concatenate(
-                ([0], np.cumsum(counts)[:-1])
-            )
-            sub_base += int(counts.sum())
+        # The level-concatenated stab and subtree arrays hold every node's
+        # segment in BFS order, so their BFS offsets are running sums; one
+        # index expansion per pool family gathers the segments in preorder.
         stab_start = np.empty(total_nodes, dtype=_ID)
-        stab_start[pos] = bfs_stab_start
+        stab_start[pos] = _offsets(bfs_stab_len)
         sub_start = np.empty(total_nodes, dtype=_ID)
-        sub_start[pos] = bfs_sub_start
-
+        sub_start[pos] = _offsets(bfs_sub_len)
         nz = stab_len > 0
         stab_idx = _ranges_to_indices(stab_start[nz], stab_len[nz])
         nz = sub_len > 0
         sub_idx = _ranges_to_indices(sub_start[nz], sub_len[nz])
-        stab_pos_l = all_stab_l[stab_idx]
-        stab_pos_r = all_stab_r[stab_idx]
-        sub_pos_l = all_sub_l[sub_idx]
-        sub_pos_r = all_sub_r[sub_idx]
+        stab_pos_l = np.concatenate(lv_stab_l)[stab_idx]
+        stab_pos_r = np.concatenate(lv_stab_r)[stab_idx]
+        sub_ranks = np.concatenate(lv_sub)[sub_idx]
 
-        # Position keys: each entry's node times M plus its position in the
-        # root's sorted column (by-right positions follow the n by-left ones).
+        # Position keys: each entry's node times M plus its root rank.
         m = _key_modulus(n)
-        by_left = np.empty(n, dtype=_ID)
-        by_left[order_l] = np.arange(n, dtype=_ID)
-        by_right = np.empty(n, dtype=_ID)
-        by_right[order_r] = np.arange(n, 2 * n, dtype=_ID)
         stab_keys = _node_keys(stab_len, m)
-        sub_keys = _node_keys(sub_len, m)
         all_keys = np.concatenate(
             (
                 stab_keys + by_left[stab_pos_l],
                 stab_keys + by_right[stab_pos_r],
-                sub_keys + by_right[sub_pos_r],
-                sub_keys + by_left[sub_pos_l],
+                _node_keys(sub_len, m) + sub_ranks,
             )
         )
         all_weight_prefix = None
         if weighted:
+            # Weights in root rank order: by-left ranks, then by-right ones.
+            root_weights = np.concatenate((weights[order_l], weights[order_r]))
             all_weight_prefix = np.concatenate(
                 (
                     segmented_cumsum(weights[stab_pos_l], stab_len),
                     segmented_cumsum(weights[stab_pos_r], stab_len),
-                    segmented_cumsum(weights[sub_pos_r], sub_len),
-                    segmented_cumsum(weights[sub_pos_l], sub_len),
+                    segmented_cumsum(root_weights[sub_ranks], sub_len),
+                    segmented_cumsum(root_weights, np.array([n, n], dtype=_ID)),
                 )
             )
         return cls(
             centers,
             left_child,
             right_child,
-            stab_off,
+            _offsets(stab_len),
             stab_len,
-            sub_off,
+            _offsets(sub_len),
             sub_len,
             lefts[order_l],
             rights[order_r],
@@ -875,7 +869,7 @@ class FlatAIT:
         ``arrays`` maps :attr:`CORE_FIELDS` names to arrays — typically
         views into a memory-mapped snapshot file or a
         ``multiprocessing.shared_memory`` segment.  Only the per-node list
-        lengths are read (to find the four pools in the key super-pool), so
+        lengths are read (to find the three pools in the key super-pool), so
         attaching touches no list page.  The returned snapshot aliases the
         given buffers: they must outlive it and stay unmodified.
         """
@@ -1114,9 +1108,9 @@ class FlatAIT:
         the flat layout: an interval overlaps ``q`` unless it lies entirely
         left (``right < q.l``) or entirely right (``left > q.r``) of it, and
         those two exclusions are disjoint, so
-        ``|q ∩ X| = #(lefts <= q.r) - #(rights < q.l)``.  The root node's
-        subtree lists are the globally sorted endpoint columns, so the whole
-        batch reduces to two ``np.searchsorted`` calls — no traversal at all.
+        ``|q ∩ X| = #(lefts <= q.r) - #(rights < q.l)``.  The root's sorted
+        endpoint columns hold every interval, so the whole batch reduces to
+        two ``np.searchsorted`` calls — no traversal at all.
         The record-based count (what the scalar AIT does) is still available
         via :meth:`collect_records_batch` and produces identical totals.
         """
@@ -1132,9 +1126,9 @@ class FlatAIT:
     def total_weight_many(self, queries) -> np.ndarray:
         """Total weight of ``q ∩ X`` for every query (weighted counting).
 
-        Same inclusion-exclusion as :meth:`count_many`, read off the root
-        node's weight prefix pools: ``W(q ∩ X) = W(lefts <= q.r) -
-        W(rights < q.l)``.
+        Same inclusion-exclusion as :meth:`count_many`, read off the weight
+        prefixes of the root's two sorted columns, stored after the list
+        pools: ``W(q ∩ X) = W(lefts <= q.r) - W(rights < q.l)``.
         """
         return self._total_weight_many(*self.coerce_queries(queries))
 
@@ -1145,12 +1139,10 @@ class FlatAIT:
             return np.zeros(nq, dtype=_F8)
         if not self._weighted:
             return self._count_many(ql, qr).astype(_F8)
-        prefix = self._all_weight_prefix
+        # The root columns' prefixes follow the list pools: by left, then by right.
+        root = self._all_weight_prefix[self._pool_base[3] :]
         n_active = self._sorted_lefts.shape[0]
-        # Root segments of the subtree weight pools: by-right at kind 2,
-        # by-left at kind 3 (both start at the root's offset 0).
-        prefix_by_right = prefix[self._kind_base[2] : self._kind_base[2] + n_active]
-        prefix_by_left = prefix[self._kind_base[3] : self._kind_base[3] + n_active]
+        prefix_by_left, prefix_by_right = root[:n_active], root[n_active:]
         not_right, left_of = self._endpoint_ranks(ql, qr)
         weight_not_right = np.where(not_right > 0, prefix_by_left[np.maximum(not_right - 1, 0)], 0.0)
         weight_left_of = np.where(left_of > 0, prefix_by_right[np.maximum(left_of - 1, 0)], 0.0)

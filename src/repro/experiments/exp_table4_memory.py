@@ -2,9 +2,15 @@
 
 Besides regenerating the table, the run asserts the repo's memory-accounting
 invariants: ``AIT.memory_bytes`` must expose the capacity-vs-live column
-split exactly, and ``FlatAIT.nbytes`` one key per list entry — so the numbers
-reported here (and by ``ShardedEngine.nbytes``) are mutually consistent
-rather than ad-hoc sums.
+split exactly, and ``FlatAIT.nbytes`` one key per kept list entry — so the
+numbers reported here (and by ``ShardedEngine.nbytes``) are mutually
+consistent rather than ad-hoc sums.
+
+Every row reports one structure's own ``memory_bytes``.  The AIT row is the
+pointer tree of :mod:`repro.core.ait`, which keeps both subtree lists of
+every node as the paper describes; the ``FlatAIT`` snapshot that the
+service engine serves keeps one subtree list per non-root node and is not
+part of any row.
 """
 
 from __future__ import annotations
@@ -34,8 +40,11 @@ def _assert_accounting_invariants(config: ExperimentConfig) -> None:
       live-only figure by exactly the columnar slack — three float64 columns
       of ``column_capacity - len(columns)`` rows;
     * list pools: ``FlatAIT.nbytes()`` is the node arrays, the root's two
-      sorted endpoint columns and two id columns (32 B per interval) and one
-      8-byte position key per list entry — nothing else.
+      sorted endpoint columns and two id columns (32 B per interval), one
+      8-byte position key per entry of every node's two stab lists and one
+      per entry of each non-root node's one kept subtree list — nothing
+      else.  (A weighted snapshot adds one 8-byte prefix per key and the
+      root columns' two prefixes; Table IV is unweighted.)
     """
     dataset = build_dataset(config, config.datasets[0])
     tree = AIT(dataset, build_backend="tree")
@@ -49,10 +58,13 @@ def _assert_accounting_invariants(config: ExperimentConfig) -> None:
         "memory_bytes capacity/live split must equal the columnar slack exactly"
     )
     flat = tree.flat()
-    entries = 2 * int(flat._stab_len.sum() + flat._sub_len.sum())
+    nodes = list(tree.iter_nodes())
+    stab = sum(int(node.stab_ids_by_left.shape[0]) for node in nodes)
+    kept = sum(int(node.subtree_ids_by_left.shape[0]) for node in nodes if node is not tree.root)
     node_bytes = sum(int(getattr(flat, attr).nbytes) for _, attr in FlatAIT.CORE_FIELDS[:7])
-    assert flat.nbytes() == node_bytes + 4 * 8 * (len(dataset) + 1) + 8 * entries, (
-        "nbytes must be the node arrays, the root columns and ids, and one key per entry"
+    assert flat.nbytes() == node_bytes + 4 * 8 * (len(dataset) + 1) + 8 * (2 * stab + kept), (
+        "nbytes must be the node arrays, the root columns and ids, and one key per "
+        "stab entry and per kept subtree entry"
     )
 
 
@@ -67,7 +79,10 @@ def run(config: ExperimentConfig) -> ExperimentResult:
         paper_reference=PAPER_REFERENCE,
         notes=(
             "Paper reference is in GB at full cardinality; measured values are MB at "
-            "config.dataset_size.  Expected shape: AIT uses the most memory (O(n log n) "
+            "config.dataset_size.  Each row is one structure's memory_bytes; the AIT row "
+            "is the pointer tree (core/ait.py), which keeps both subtree lists per node "
+            "as in the paper, not the served FlatAIT snapshot (one subtree list per "
+            "non-root node).  Expected shape: AIT uses the most memory (O(n log n) "
             "lists), AIT-V roughly an order of magnitude less (O(n))."
         ),
     )

@@ -306,7 +306,7 @@ def _restore_shard(shard_cls, arrays: dict, meta: dict):
         lefts=lefts,
         rights=rights,
         weights=weights,
-        snapshot=flat_from_arrays(arrays, weighted, prefix="flat."),
+        snapshot=flat_from_arrays(arrays, weighted, meta["format_version"], prefix="flat."),
         global_ids=global_ids,
         dead=dead,
         version=int(meta.get("version", 1)),
@@ -345,6 +345,11 @@ def _load_epoch(engine_cls, directory: str, manifest: dict, mmap: bool, verify: 
         arrays, meta = load_arrays(os.path.join(directory, name), mmap=mmap, verify=verify)
         if meta.get("kind") != "shard":
             raise SnapshotCorruptError(f"{name}: not a shard snapshot file")
+        if meta["format_version"] != manifest["format_version"]:
+            raise SnapshotCorruptError(
+                f"{name}: format version {meta['format_version']} does not match "
+                f"its manifest's {manifest['format_version']}"
+            )
         shards.append(_restore_shard(Shard, arrays, meta))
     shards.sort(key=lambda shard: shard.shard_id)
 

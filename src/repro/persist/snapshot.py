@@ -35,9 +35,11 @@ On top of the generic container this module also knows how to persist a
 (the implementations behind ``FlatAIT.save`` / ``FlatAIT.load``) store the
 arrays of ``FlatAIT.CORE_FIELDS``, which ``load`` adopts as they are.
 
-Format 2 stores one position key per list entry.  Format 1 stored an
-endpoint, an id and a rank key per entry; its files still load:
-:func:`flat_from_arrays` converts their list pools to position keys.
+Format 3 stores one position key per list entry and one subtree list per
+non-root node.  Format 2 stored both subtree lists of every node, the
+root's included; format 1 stored an endpoint, an id and a rank key per
+entry.  Their files still load: :func:`flat_from_arrays` dispatches on the
+header's format version and converts them.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from typing import Optional
 import numpy as np
 
 from ..core.errors import SnapshotCorruptError, StructureStateError
-from ..core.flat import FlatAIT
+from ..core.flat import FlatAIT, _key_modulus, _left_children, _offsets, _ranges_to_indices
 from .checksum import CHECKSUM_ALGORITHM, checksum, resolve_checksum
 
 __all__ = [
@@ -69,9 +71,9 @@ __all__ = [
 ]
 
 MAGIC = b"RPRSNAP1"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 #: Every format version this module reads (see :func:`flat_from_arrays`).
-READABLE_VERSIONS = (1, 2)
+READABLE_VERSIONS = (1, 2, 3)
 PAGE_SIZE = 4096
 
 _ID = np.int64
@@ -182,11 +184,12 @@ def read_header(path) -> tuple[dict, int]:
 def load_arrays(path, mmap: bool = True, verify: bool = True) -> tuple[dict, dict]:
     """Load a snapshot written by :func:`save_arrays`.
 
-    Returns ``(arrays, meta)``.  With ``mmap=True`` every array is a
-    read-only ``np.memmap`` view (lazy page-in); otherwise the segments are
-    read eagerly into read-only in-memory arrays.  ``verify=True`` checks
-    every segment's checksum and raises :class:`SnapshotCorruptError` on the
-    first mismatch.
+    Returns ``(arrays, meta)``; ``meta`` carries the header's
+    ``format_version`` beside the caller's keys.  With ``mmap=True`` every
+    array is a read-only ``np.memmap`` view (lazy page-in); otherwise the
+    segments are read eagerly into read-only in-memory arrays.
+    ``verify=True`` checks every segment's checksum and raises
+    :class:`SnapshotCorruptError` on the first mismatch.
     """
     path = os.fspath(path)
     header, data_start = read_header(path)
@@ -225,7 +228,7 @@ def load_arrays(path, mmap: bool = True, verify: bool = True) -> tuple[dict, dic
     finally:
         if eager_handle is not None:
             eager_handle.close()
-    return arrays, header.get("meta", {})
+    return arrays, {**header.get("meta", {}), "format_version": header["format_version"]}
 
 
 # ---------------------------------------------------------------------- #
@@ -236,37 +239,75 @@ def flat_to_arrays(flat: FlatAIT, prefix: str = "") -> dict:
     return {prefix + name: getattr(flat, attr) for name, attr in FlatAIT.CORE_FIELDS}
 
 
-def flat_from_arrays(arrays: dict, weighted: bool, prefix: str = "") -> FlatAIT:
+def flat_from_arrays(arrays: dict, weighted: bool, version: int, prefix: str = "") -> FlatAIT:
     """Reassemble a :class:`FlatAIT` from loaded (possibly mmap-backed) arrays.
 
-    Thin file-schema wrapper over :meth:`FlatAIT.from_buffers`: strips the
-    name ``prefix`` and maps a malformed weighted snapshot onto the
-    persistence error contract.  A format-1 table (it has an ``all_ids``
-    pool) is converted instead: its root subtree pools are the sorted
-    endpoint columns, and :meth:`FlatAIT.from_id_pools` turns its id pools
-    into position keys.
+    ``version`` is the format version of the file the arrays came from.  A
+    format-3 table is adopted as it is through :meth:`FlatAIT.from_buffers`
+    (zero-copy); formats 1 and 2 are converted (:func:`_convert_legacy`).
+    Strips the name ``prefix`` and maps a malformed snapshot onto the
+    persistence error contract.
     """
     if arrays.get(prefix + "all_weight_prefix") is None and weighted:
         raise SnapshotCorruptError(
             "weighted snapshot is missing its all_weight_prefix array"
         )
-    if arrays.get(prefix + "all_ids") is None:
-        named = {name: arrays.get(prefix + name) for name, _ in FlatAIT.CORE_FIELDS}
+    named = {name: arrays.get(prefix + name) for name, _ in FlatAIT.CORE_FIELDS}
+    if version == FORMAT_VERSION:
         return FlatAIT.from_buffers(named, weighted)
-    # Format 1 shares the seven node arrays that lead CORE_FIELDS.
-    structure = tuple(arrays[prefix + name] for name, _ in FlatAIT.CORE_FIELDS[:7])
-    n = int(structure[6][0]) if structure[0].shape[0] else 0
-    try:
-        return FlatAIT.from_id_pools(
-            structure,
-            arrays[prefix + "sub_lefts"][:n],
-            arrays[prefix + "sub_rights"][:n],
-            arrays[prefix + "all_ids"],
-            arrays.get(prefix + "all_weight_prefix"),
-            weighted,
+    if version not in READABLE_VERSIONS:
+        raise SnapshotCorruptError(f"unsupported snapshot format version {version!r}")
+    if version == 1:
+        named.update(
+            (name, arrays[prefix + name]) for name in ("all_ids", "sub_lefts", "sub_rights")
         )
-    except StructureStateError as exc:
-        raise SnapshotCorruptError(f"format-1 snapshot: {exc}") from exc
+    try:
+        return _convert_legacy(named, weighted, version)
+    except (StructureStateError, IndexError) as exc:
+        raise SnapshotCorruptError(f"format-{version} snapshot: {exc}") from exc
+
+
+def _convert_legacy(named: dict, weighted: bool, version: int) -> FlatAIT:
+    """A format-1 or format-2 table in the format-3 layout.
+
+    Both formats stored four list pools: stab by left, stab by right, then
+    the subtree lists by right and by left of every node, the root's first.
+    Format 1 stored their ids (``all_ids``) and the root's endpoints in its
+    subtree pools; format 2 stored position keys over ``root_ids``.  The
+    conversion keeps each non-root node's one read subtree list and the
+    root's weight prefixes, and :meth:`FlatAIT.from_id_pools` keys them.
+    """
+    structure = [named[name] for name, _ in FlatAIT.CORE_FIELDS[:7]]
+    left_child, stab_len, sub_off, sub_len = (structure[i] for i in (1, 4, 5, 6))
+    n = int(sub_len[0]) if sub_len.shape[0] else 0
+    if version == 1:
+        ids = named["all_ids"]
+        sorted_lefts, sorted_rights = named["sub_lefts"][:n], named["sub_rights"][:n]
+    else:
+        ids = named["root_ids"][named["all_keys"] & (_key_modulus(n) - 1)]
+        sorted_lefts, sorted_rights = named["sorted_lefts"], named["sorted_rights"]
+    stab = int(stab_len.sum())
+    by_right, by_left = 2 * stab, 2 * stab + int(sub_len.sum())
+    kept_len = np.array(sub_len, dtype=_ID)
+    kept_len[:1] = 0
+    starts = np.where(_left_children(left_child), by_right, by_left) + sub_off
+    nz = kept_len > 0
+    kept = np.concatenate((np.arange(2 * stab), _ranges_to_indices(starts[nz], kept_len[nz])))
+    prefix = named["all_weight_prefix"]
+    if weighted:
+        prefix = np.concatenate(
+            (prefix[kept], prefix[by_left : by_left + n], prefix[by_right : by_right + n])
+        )
+    structure[5:] = _offsets(kept_len), kept_len
+    return FlatAIT.from_id_pools(
+        tuple(structure),
+        sorted_lefts,
+        sorted_rights,
+        np.concatenate((ids[by_left : by_left + n], ids[by_right : by_right + n])),
+        ids[kept],
+        prefix,
+        weighted,
+    )
 
 
 def save_flat(flat: FlatAIT, path, fsync: bool = True, opener=open) -> None:
@@ -287,4 +328,4 @@ def load_flat(path, mmap: bool = True, verify: bool = True) -> FlatAIT:
         raise SnapshotCorruptError(
             f"{os.fspath(path)}: not a FlatAIT snapshot (kind={meta.get('kind')!r})"
         )
-    return flat_from_arrays(arrays, bool(meta.get("weighted", False)))
+    return flat_from_arrays(arrays, bool(meta.get("weighted", False)), meta["format_version"])

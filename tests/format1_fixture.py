@@ -21,6 +21,7 @@ import sys
 import numpy as np
 
 from repro import FlatAIT, IntervalDataset, ShardedEngine
+from repro.service import ProcessExecutor
 
 #: Fixture directories: a K = 2 engine with a WAL tail of inserts and deletes,
 #: and a K = 2 weighted engine (weighted engines take no writes).
@@ -56,6 +57,22 @@ def engine_digest(engine: ShardedEngine) -> str:
     for chunk in engine.sample_many(qs, 13, random_state=np.random.default_rng(5)):
         h.update(np.asarray(chunk).tobytes() + b"|")
     return h.hexdigest()[:16]
+
+
+def open_digest(directory, executor: str) -> str:
+    """Open a checkpoint on one executor (``"serial"`` or ``"process"``) and digest it."""
+    pool = ProcessExecutor(max_workers=2, scatter="query") if executor == "process" else None
+    try:
+        with ShardedEngine.open(directory, executor=pool) as engine:
+            digest = engine_digest(engine)
+            if pool is not None:
+                # The query scatter sent the reads to the workers, which
+                # attached the converted snapshots from shared memory.
+                assert engine.placements["query"] > 0
+            return digest
+    finally:
+        if pool is not None:
+            pool.shutdown()
 
 
 def flat_digest(flat: FlatAIT) -> str:

@@ -8,7 +8,7 @@ query's records.
 This suite pins each kernel to the straightforward per-node or per-query
 loop it stands in for, at three granularities:
 
-* unit — ``_rank_search`` over all four list pools (dense and sparse id
+* unit — ``_rank_search`` over all four list kinds (dense and sparse id
   spaces), ``_endpoint_ranks`` and ``_ranges_to_indices`` against
   per-segment ``np.searchsorted`` / ``np.arange`` loops;
 * snapshot — ``collect_records_batch``, ``count_many``, ``report_many`` and
@@ -34,7 +34,7 @@ import numpy as np
 import pytest
 
 from repro import IntervalDataset, ShardedEngine
-from repro.core.flat import FlatAIT, _ranges_to_indices
+from repro.core.flat import FlatAIT, _left_children, _ranges_to_indices
 
 SIZES = (0, 1, 2, 63, 1000)
 
@@ -82,7 +82,7 @@ def sample_digest(index, queries: np.ndarray) -> str:
 # --------------------------------------------------------------------------- #
 # unit kernels
 # --------------------------------------------------------------------------- #
-#: (kind in key super-pool order, node offsets, node lengths, sorted root column)
+#: (list kind, node offsets, node lengths, sorted root column)
 POOLS = {
     "stab_lefts": (0, "_stab_off", "_stab_len", "_sorted_lefts"),
     "stab_rights": (1, "_stab_off", "_stab_len", "_sorted_rights"),
@@ -92,13 +92,28 @@ POOLS = {
 
 
 def pool_values(flat: FlatAIT, pool: str) -> np.ndarray:
-    """The endpoint of every entry of one list pool, read off its position key."""
-    kind, _, _, column = POOLS[pool]
-    kb = flat._kind_base
-    positions = flat._all_keys[kb[kind] : kb[kind + 1]] % flat._rank_m
-    if kind in (1, 2):
-        positions = positions - flat._sorted_lefts.shape[0]
-    return getattr(flat, column)[positions]
+    """The endpoint of every entry of the pool holding one list, read off its position key.
+
+    Both subtree kinds share one pool: a by-left key decodes to the root's
+    left column, a by-right key (offset by ``n``) to its right column.
+    """
+    kind = POOLS[pool][0]
+    positions = flat._kind_keys[kind] % flat._rank_m
+    return np.concatenate((flat._sorted_lefts, flat._sorted_rights))[positions]
+
+
+def holders(flat: FlatAIT, pool: str) -> np.ndarray:
+    """The nodes that hold a list of the pool's kind.
+
+    Every node holds both stab lists; a left child holds only the subtree
+    list by right endpoint, a right child only the one by left endpoint.
+    """
+    kind = POOLS[pool][0]
+    nodes = np.arange(flat.node_count)
+    if kind < 2:
+        return nodes
+    is_left = _left_children(flat._left_child)
+    return nodes[is_left] if kind == 2 else nodes[(nodes > 0) & ~is_left]
 
 
 def id_pools(flat: FlatAIT) -> np.ndarray:
@@ -117,7 +132,7 @@ class TestUnitKernels:
         offsets = getattr(flat, off_attr)
         lengths = getattr(flat, len_attr)
         rng = np.random.default_rng(17)
-        nodes = rng.integers(0, flat.node_count, 300).astype(np.int64)
+        nodes = rng.choice(holders(flat, pool), 300).astype(np.int64)
         # Half the needles are pool values, so exact ties exercise ``side``.
         needles = rng.uniform(-5.0, 235.0, 300)
         needles[::2] = rng.choice(values, 150)
@@ -150,7 +165,13 @@ class TestUnitKernels:
         structure = tuple(getattr(sparse, attr) for _, attr in FlatAIT.CORE_FIELDS[:7])
         for flat in (dense, sparse):
             rebuilt = FlatAIT.from_id_pools(
-                structure, flat._sorted_lefts, flat._sorted_rights, id_pools(flat), None, False
+                structure,
+                flat._sorted_lefts,
+                flat._sorted_rights,
+                flat._root_ids,
+                id_pools(flat),
+                None,
+                False,
             )
             assert rebuilt.arrays_equal(flat)
         queries = make_queries(count=40, seed=3) / 5.0

@@ -3,14 +3,19 @@
 A list entry is stored as one int64 key ``node * M + p``: ``p`` is its
 position in the root's sorted-by-left column (by-left lists) or ``n`` plus
 its position in the sorted-by-right column (by-right lists).  The id is
-``root_ids[key % M]`` and the endpoint is the root column at ``p``.  For
-each degenerate shape this suite checks that
+``root_ids[key % M]`` and the endpoint is the root column at ``p``.  The
+super-pool holds three pools: both stab lists of every node, then one
+subtree list per non-root node, the one its parent's case 3 of Algorithm 1
+reads (by right endpoint for a left child, by left endpoint for a right
+child).  For each degenerate shape this suite checks that
 
+* the root holds no subtree list and every other node exactly one, of the
+  kind its parent reads;
 * every key pool is strictly increasing, so one ``searchsorted`` per pool
   finds every node's insertion point;
 * the keys decode to the ids and endpoints of a node tree built over the
   same intervals (``AIT(..., build_backend="tree")``), list by list;
-* count, report and sample agree with the exhaustive scan.
+* count, report, sample and total weight agree with the exhaustive scan.
 """
 
 from __future__ import annotations
@@ -20,14 +25,6 @@ import pytest
 
 from repro import AIT, AWIT, FlatAIT, IntervalDataset
 from repro.baselines.exhaustive import ExhaustiveScan
-
-#: Kind order of the key super-pool: (node id list, node endpoint list, root column).
-KINDS = (
-    ("stab_ids_by_left", "stab_lefts", "_sorted_lefts"),
-    ("stab_ids_by_right", "stab_rights", "_sorted_rights"),
-    ("subtree_ids_by_right", "subtree_rights", "_sorted_rights"),
-    ("subtree_ids_by_left", "subtree_lefts", "_sorted_lefts"),
-)
 
 
 def shape(name: str):
@@ -71,25 +68,53 @@ def preorder(tree: AIT) -> list:
     return nodes
 
 
+def kept_lists(nodes: list) -> list:
+    """``(node, id list, endpoint list)`` of every subtree list a snapshot keeps."""
+    left_children = {id(v.left) for v in nodes if v.left is not None}
+    return [
+        (v, "subtree_ids_by_right", "subtree_rights")
+        if id(v) in left_children
+        else (v, "subtree_ids_by_left", "subtree_lefts")
+        for v in nodes[1:]
+    ]
+
+
 def assert_keys_decode_to_tree(flat: FlatAIT, tree: AIT, ids=None) -> None:
-    """Strictly increasing key pools that decode to the tree's lists."""
+    """One kept subtree list per non-root node; strictly increasing key pools
+    that decode to the tree's lists."""
     nodes = preorder(tree)
     assert flat.node_count == len(nodes)
     n = flat._sorted_lefts.shape[0]
-    m = flat._rank_m
-    kb = flat._kind_base
-    for kind, (id_attr, value_attr, column) in enumerate(KINDS):
-        keys = flat._all_keys[kb[kind] : kb[kind + 1]]
-        assert (np.diff(keys) > 0).all(), id_attr
-        want_ids = np.concatenate([getattr(v, id_attr) for v in nodes] + [np.empty(0, np.int64)])
-        want_values = np.concatenate([getattr(v, value_attr) for v in nodes] + [np.empty(0)])
-        got_ids = flat._root_ids[keys % m]
+    kept = kept_lists(nodes)
+    assert flat._sub_len.tolist() == [0] * bool(nodes) + [
+        getattr(v, id_attr).shape[0] for v, id_attr, _ in kept
+    ]
+    pools = (
+        [(v, "stab_ids_by_left", "stab_lefts") for v in nodes],
+        [(v, "stab_ids_by_right", "stab_rights") for v in nodes],
+        kept,
+    )
+    pb = flat._pool_base
+    assert pb[-1] == flat._all_keys.shape[0]
+    columns = np.concatenate((flat._sorted_lefts, flat._sorted_rights))
+    for pool, lists in enumerate(pools):
+        keys = flat._all_keys[pb[pool] : pb[pool + 1]]
+        assert (np.diff(keys) > 0).all(), pool
+        want_ids = np.concatenate([getattr(v, a) for v, a, _ in lists] + [np.empty(0, np.int64)])
+        want_values = np.concatenate([getattr(v, a) for v, _, a in lists] + [np.empty(0)])
+        by_right = np.concatenate(
+            [np.full(getattr(v, a).shape[0], a.endswith("right")) for v, a, _ in lists]
+            + [np.empty(0, bool)]
+        )
+        positions = keys % flat._rank_m
         if ids is not None:
             want_ids = ids[want_ids]
-        assert got_ids.tolist() == want_ids.tolist(), id_attr
-        offset = n if kind in (1, 2) else 0
-        values = getattr(flat, column)[keys % m - offset]
-        assert values.tobytes() == want_values.astype(np.float64).tobytes(), value_attr
+        assert flat._root_ids[positions].tolist() == want_ids.tolist(), pool
+        assert columns[positions].tobytes() == want_values.astype(np.float64).tobytes(), pool
+        assert ((positions >= n) == by_right).all(), pool
+    if flat.is_weighted:
+        # The pools' prefixes, then the root columns' two.
+        assert flat._all_weight_prefix.shape[0] == pb[-1] + 2 * n
 
 
 def assert_answers_match_exhaustive(flat: FlatAIT, dataset, ids=None) -> None:
@@ -149,3 +174,21 @@ def test_tree_snapshot_after_scalar_updates():
     ids = np.asarray(sorted(live), dtype=np.int64)
     survivors = IntervalDataset(tree._lefts[ids], tree._rights[ids])
     assert_answers_match_exhaustive(flat, survivors, ids)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [(0.0, 5e-324, 1e300, 1.5), (0.0, 5e-324, 1.5), (0.0, 5e-324), (0.0,)],
+    ids=["huge", "subnormal", "tiny", "zero"],
+)
+def test_total_weight_many_on_extreme_weights(values):
+    # Inclusion-exclusion over the root prefixes cancels rounding only up to
+    # the total weight's scale; without huge weights it is exact here.
+    lefts, rights, _, _ = shape("heavy-ties")
+    weights = np.random.default_rng(8).choice(values, lefts.shape[0])
+    flat = FlatAIT.from_arrays(lefts, rights, weights=weights)
+    oracle = ExhaustiveScan(IntervalDataset(lefts, rights, weights), weighted=True)
+    got = flat.total_weight_many(queries())
+    want = np.array([oracle.total_weight(tuple(q)) for q in queries()])
+    assert (got >= 0).all()
+    assert np.abs(got - want).max() <= 1e-12 * weights.sum()

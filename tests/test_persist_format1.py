@@ -4,8 +4,8 @@ The fixtures under ``tests/data/format1`` were written at v1.13.0, the last
 release whose ``FlatAIT`` stored an endpoint, an id and a rank key per list
 entry (see ``tests/format1_fixture.py``).  The pinned digests cover counts,
 reports, total weights and fixed-seed samples, printed by the fixture
-script at that version.  A format-2 save and open must reproduce the same
-answers too.
+script at that version.  A save in the current format (3) and an open must
+reproduce the same answers too.
 """
 
 from __future__ import annotations
@@ -23,10 +23,10 @@ from format1_fixture import (
     engine_digest,
     flat_digest,
     flat_source,
+    open_digest,
 )
 from repro import FlatAIT, IntervalDataset, ShardedEngine
 from repro.persist.snapshot import FORMAT_VERSION, read_header
-from repro.service import ProcessExecutor
 
 FIXTURES = Path(__file__).parent / "data" / "format1"
 
@@ -36,22 +36,6 @@ PINNED = {
     "weighted": "3a5da48062878115",
     FLAT_FILE: "e59b3fdda761b111",
 }
-
-
-def open_digest(directory, executor: str) -> str:
-    """Open a checkpoint on one executor and digest its answers."""
-    pool = ProcessExecutor(max_workers=2, scatter="query") if executor == "process" else None
-    try:
-        with ShardedEngine.open(directory, executor=pool) as engine:
-            digest = engine_digest(engine)
-            if pool is not None:
-                # The query scatter sent the reads to the workers, which
-                # attached the converted snapshots from shared memory.
-                assert engine.placements["query"] > 0
-            return digest
-    finally:
-        if pool is not None:
-            pool.shutdown()
 
 
 @pytest.mark.parametrize("executor", ["serial", "process"])
@@ -72,7 +56,7 @@ def test_format1_flat_file_loads_as_a_fresh_build(mmap):
     assert loaded.arrays_equal(FlatAIT.from_arrays(lefts, rights, ids=ids, weights=weights))
 
 
-def test_format1_checkpoint_resaves_as_format2(tmp_path):
+def test_format1_checkpoint_resaves_as_format3(tmp_path):
     old = tmp_path / "old"
     shutil.copytree(FIXTURES / "unweighted", old)
     new = tmp_path / "new"
@@ -84,14 +68,14 @@ def test_format1_checkpoint_resaves_as_format2(tmp_path):
         want = engine_digest(engine)
     saved = new / f"shard-0-{epoch}.snap"
     header = read_header(saved)[0]
-    assert header["format_version"] == FORMAT_VERSION == 2
+    assert header["format_version"] == FORMAT_VERSION == 3
     assert "flat.all_keys" in {entry["name"] for entry in header["arrays"]}
     assert saved.stat().st_size < (old / "shard-0-1.snap").stat().st_size
     assert open_digest(new, "serial") == want
 
 
 @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
-def test_format2_save_open_round_trip(tmp_path, weighted):
+def test_format3_save_open_round_trip(tmp_path, weighted):
     lefts, rights, weights = columns(7, 400, weighted)
     directory = tmp_path / "ckpt"
     with ShardedEngine(IntervalDataset(lefts, rights, weights), num_shards=2) as engine:
@@ -100,6 +84,6 @@ def test_format2_save_open_round_trip(tmp_path, weighted):
             engine.insert_many(*columns(8, 30, False)[:2])
             engine.delete_many(np.arange(3, 430, 11))
         want = engine_digest(engine)
-    assert read_header(directory / "shard-0-1.snap")[0]["format_version"] == 2
+    assert read_header(directory / "shard-0-1.snap")[0]["format_version"] == 3
     for executor in ("serial", "process"):
         assert open_digest(directory, executor) == want
