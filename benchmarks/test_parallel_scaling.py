@@ -32,7 +32,7 @@ def test_parallel_scaling_bit_identity_and_floor(bench_config):
     assert result.rows, "parallel_scaling produced no rows"
     # Hard invariant, independent of load: every row's answers matched the
     # serial executor at the same shard count, bit for bit.
-    assert all(bool(row["identical"]) for row in result.rows)
+    assert all(bool(row["results_identical"]) for row in result.rows)
     assert all(row["qps"] > 0 for row in result.rows)
     # Loose wall-clock floor: a warm process scatter must stay within 50x of
     # the serial loop.  Real overhead at smoke scale is ~2-10x on one core;

@@ -23,15 +23,16 @@ def test_recovery_cold_start_and_replay(benchmark, bench_config, bench_dataset, 
     print_result(result)
 
     for row in result.rows:
-        # hard invariant at any size: recovery reproduces the engine exactly
-        assert row["consistent"] is True
-        # replay throughput is finite and positive whenever ops were journaled
-        assert row["wal_ops_per_sec"] > 0
+        if row["section"] == "wal_replay":
+            # hard invariant at any size: recovery reproduces the engine exactly
+            assert row["recovered_ok"] is True
+            # replay throughput is finite and positive whenever ops were journaled
+            assert row["ops_per_sec"] > 0
+        if row["section"] == "kill_recover":
+            assert row["ok"] is True
 
-    # The experiment's open_s includes a 2000-op WAL replay + refresh, which
-    # dominates at smoke sizes — the cold-start claim is about the *pure*
-    # snapshot path, so measure that directly: reopening an epoch with an
-    # empty WAL must beat rebuilding the engine from the raw arrays.
+    # The cold-start claim on its own: reopening an epoch with an empty WAL
+    # must beat rebuilding the engine from the raw arrays.
     with tempfile.TemporaryDirectory(prefix="repro-bench-reopen-") as directory:
         start = time.perf_counter()
         engine = ShardedEngine(bench_dataset, num_shards=4)

@@ -50,7 +50,7 @@ from .persist import DeltaLog
 from .sampling import AliasTable, CumulativeSampler
 from .service import RequestGateway, ShardedEngine
 
-__version__ = "1.16.0"
+__version__ = "1.17.0"
 
 __all__ = [
     "AIT",

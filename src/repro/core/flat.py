@@ -908,8 +908,8 @@ class FlatAIT:
         The shared equality oracle for the two build routes
         (:meth:`from_tree` / :meth:`from_arrays`): every
         :attr:`CORE_FIELDS` array, dtype included.  Used by the equivalence
-        tests, the ``build_throughput`` experiment and
-        ``scripts/bench_build.py`` so "equal" means one thing everywhere.
+        tests and the ``build_throughput`` experiment, so "equal" means one
+        thing everywhere.
         """
         if self._weighted != other._weighted:
             return False

@@ -11,24 +11,33 @@ engine on the same synthetic dataset analogues:
   :meth:`~repro.core.flat.FlatAIT.from_arrays`, which partitions the raw
   endpoint arrays level-synchronously and never allocates a Python node.
 
-Both routes produce bit-identical engines (asserted per cell), so the
-speedup column is a pure constant-factor comparison of the two builders.
-The sweep runs over ``config.dataset_size_fractions`` of
-``config.dataset_size`` per dataset, exposing how the gap widens with n —
-the Python tree build pays per *node*, the columnar build per *array pass*.
+Both routes must produce bit-identical engines (``arrays_equal``; the run
+errors otherwise), so the speedup column is a pure constant-factor
+comparison of the two builders; ``bytes_per_interval`` records
+``FlatAIT.nbytes()`` per interval.  The ``full_build`` section runs every
+dataset at every size, and ``weighted_build`` runs the weighted (AWIT)
+layout on the btc analogue.  ``scripts/bench.py build_throughput`` writes
+the same rows to ``BENCH_build.json``.
 """
 
 from __future__ import annotations
 
-import time
-
-from ..core import AIT
+from ..core import AIT, AWIT
 from ..core.flat import FlatAIT
-from .config import ExperimentConfig
-from .harness import build_dataset
+from ..datasets import generate_paper_dataset
+from .config import DEFAULT_DATASETS, ExperimentConfig
+from .harness import ledger_result, time_round_robin
 from .report import ExperimentResult
 
-__all__ = ["PAPER_REFERENCE", "run"]
+__all__ = ["PAPER_REFERENCE", "run", "measure", "indicators", "LEDGER", "DEFAULTS", "SCHEMA"]
+
+LEDGER = "build"
+
+#: Settable values of ``scripts/bench.py build_throughput`` and their defaults.
+DEFAULTS = {"sizes": [1_000_000], "weighted_sizes": [200_000], "repeats": 2}
+
+_ROW = {"dataset", "n", "tree_seconds", "columnar_seconds", "speedup", "bytes_per_interval"}
+SCHEMA = {"full_build": _ROW | {"arrays_equal"}, "weighted_build": _ROW}
 
 #: Table III's AIT row (seconds, C++ at full scale) — the closest published
 #: reference point for full-build cost of this index family.
@@ -37,25 +46,65 @@ PAPER_REFERENCE = [
 ]
 
 
-def _assert_equal_snapshots(columnar: FlatAIT, tree: FlatAIT) -> None:
-    """The two build routes must produce bit-identical engines."""
-    assert columnar.arrays_equal(tree), "from_arrays diverged from from_tree"
+def measure_cell(dataset_name: str, n: int, repeats: int, weighted: bool = False) -> dict:
+    """Best-of-``repeats`` tree-route vs columnar-route build of one FlatAIT."""
+    dataset = generate_paper_dataset(dataset_name, n=n, weighted=weighted, random_state=1)
+    tree_type = AWIT if weighted else AIT
+    weights = dataset.weights if weighted else None
+    routes = {
+        "tree": lambda: tree_type(dataset, build_backend="tree").flat(),
+        "columnar": lambda: FlatAIT.from_arrays(dataset.lefts, dataset.rights, weights=weights),
+    }
+    columnar = routes["columnar"]()
+    if not columnar.arrays_equal(routes["tree"]()):
+        raise AssertionError(f"from_arrays diverged from from_tree on {dataset_name} n={n}")
+    times = time_round_robin(routes, repeats)
+    tree_seconds, columnar_seconds = min(times["tree"]), min(times["columnar"])
+    return {
+        "dataset": dataset_name,
+        "n": n,
+        "tree_seconds": tree_seconds,
+        "columnar_seconds": columnar_seconds,
+        "speedup": tree_seconds / columnar_seconds,
+        "arrays_equal": True,
+        "bytes_per_interval": columnar.nbytes() / n,
+    }
+
+
+def measure(sizes, weighted_sizes, repeats, datasets=DEFAULT_DATASETS) -> dict:
+    """Both sections: every dataset at every size, then the weighted layout."""
+    return {
+        "full_build": [measure_cell(name, n, repeats) for n in sizes for name in datasets],
+        "weighted_build": [
+            measure_cell("btc", n, repeats, weighted=True) for n in weighted_sizes
+        ],
+    }
+
+
+def indicators(payload: dict) -> dict[str, float]:
+    """Columnar-over-tree speedups, plus the hard builders_bit_identical invariant."""
+    results = payload["results"]
+    return {
+        "columnar_build_speedup": max(float(row["speedup"]) for row in results["full_build"]),
+        "columnar_weighted_speedup": max(
+            float(row["speedup"]) for row in results["weighted_build"]
+        ),
+        # Hard invariant rather than a ratio: the two build routes must stay
+        # bit-identical on every measured cell.
+        "builders_bit_identical": float(
+            all(bool(row["arrays_equal"]) for row in results["full_build"])
+        ),
+    }
 
 
 def run(config: ExperimentConfig) -> ExperimentResult:
     """Measure full-build time of both backends per (dataset, size) point."""
-    result = ExperimentResult(
-        experiment_id="build_throughput",
-        title="Full-build time: treeless columnar vs tree-walk [sec]",
-        columns=[
-            "dataset",
-            "n",
-            "tree_seconds",
-            "columnar_seconds",
-            "speedup",
-            "builds_per_sec",
-        ],
-        paper_reference=PAPER_REFERENCE,
+    sizes = [max(2, int(round(config.dataset_size * f))) for f in config.dataset_size_fractions]
+    results = measure(sizes, [config.dataset_size], config.repeats, config.datasets)
+    return ledger_result(
+        "build_throughput",
+        "Full-build time: treeless columnar vs tree-walk [sec]",
+        results,
         notes=(
             "tree = AIT(build_backend='tree') + FlatAIT.from_tree; columnar = "
             "FlatAIT.from_arrays on the raw endpoint columns.  Outputs are "
@@ -64,34 +113,5 @@ def run(config: ExperimentConfig) -> ExperimentResult:
             "per node while the columnar route pays one vectorised pass per "
             "tree level."
         ),
+        paper_reference=PAPER_REFERENCE,
     )
-    for dataset_name in config.datasets:
-        for fraction in config.dataset_size_fractions:
-            n = max(2, int(round(config.dataset_size * fraction)))
-            dataset = build_dataset(config, dataset_name, size=n)
-
-            best_tree = float("inf")
-            tree_flat = None
-            for _ in range(max(1, config.repeats)):
-                start = time.perf_counter()
-                tree = AIT(dataset, build_backend="tree")
-                tree_flat = tree.flat()
-                best_tree = min(best_tree, time.perf_counter() - start)
-
-            best_columnar = float("inf")
-            columnar_flat = None
-            for _ in range(max(1, config.repeats)):
-                start = time.perf_counter()
-                columnar_flat = FlatAIT.from_arrays(dataset.lefts, dataset.rights)
-                best_columnar = min(best_columnar, time.perf_counter() - start)
-
-            _assert_equal_snapshots(columnar_flat, tree_flat)
-            result.add_row(
-                dataset=dataset_name,
-                n=n,
-                tree_seconds=best_tree,
-                columnar_seconds=best_columnar,
-                speedup=best_tree / best_columnar if best_columnar > 0 else float("inf"),
-                builds_per_sec=1.0 / best_columnar if best_columnar > 0 else float("inf"),
-            )
-    return result

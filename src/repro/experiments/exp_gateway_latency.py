@@ -18,9 +18,10 @@ end-to-end latency, comparing two dispatch modes:
 At ``C = 1`` the gateway can only add its thread hand-off to each request's
 latency.  As ``C`` grows the scalar mode's per-call fixed cost serialises
 (p95 grows roughly linearly with ``C``) while the gateway amortises it
-across the whole micro-batch, so its p95 flattens.
-``scripts/bench_gateway.py`` runs the same measurement standalone and emits
-``BENCH_gateway.json``.
+across the whole micro-batch, so its p95 flattens.  The ``summary``
+section holds the headline number per operation: scalar p95 over gateway
+p95 at the peak client count.  ``scripts/bench.py gateway_latency`` writes
+the same rows to ``BENCH_gateway.json``.
 """
 
 from __future__ import annotations
@@ -33,19 +34,49 @@ import numpy as np
 
 from ..service import RequestGateway, ShardedEngine
 from .config import ExperimentConfig
-from .harness import build_dataset, build_workload
+from .harness import btc_workload, ledger_result
 from .report import ExperimentResult
 
 __all__ = [
     "run",
+    "measure",
+    "indicators",
+    "summarise",
     "measure_latency_profile",
     "measure_modes",
-    "CLIENT_SWEEP",
+    "LEDGER",
+    "DEFAULTS",
+    "SCHEMA",
     "ENGINE_SHARDS",
 ]
 
-#: Concurrent closed-loop client counts measured by default.
-CLIENT_SWEEP: tuple[int, ...] = (1, 8, 32)
+LEDGER = "gateway"
+
+#: Settable values of ``scripts/bench.py gateway_latency`` and their defaults:
+#: requests per point (``queries``), samples per request, the client-count
+#: sweep and the gateway's ``max_batch_size`` (``batch``).
+DEFAULTS = {
+    "sizes": [100_000],
+    "queries": 1024,
+    "samples": 100,
+    "clients": [1, 4, 16, 64],
+    "batch": 128,
+}
+
+SCHEMA = {
+    "latency": {
+        "n",
+        "operation",
+        "mode",
+        "clients",
+        "requests",
+        "rps",
+        "p50_ms",
+        "p95_ms",
+        "p99_ms",
+    },
+    "summary": {"n", "operation", "clients", "scalar_p95_ms", "gateway_p95_ms", "p95_speedup"},
+}
 
 #: Shards behind the engine (kept fixed; shard scaling is service_throughput's job).
 ENGINE_SHARDS = 2
@@ -109,9 +140,7 @@ def measure_modes(
 
     Returns ``(operation, mode, profile)`` tuples — the scalar baseline
     (lock-serialised one-query-per-call) for each of ``count`` / ``sample``,
-    then the gateway measurement of each.  Used by :func:`run` and by
-    ``scripts/bench_gateway.py`` so the committed ``BENCH_gateway.json``
-    measures exactly what the registered experiment measures.
+    then the gateway measurement of each.
     """
     lock = threading.Lock()
 
@@ -141,29 +170,77 @@ def measure_modes(
     return rows
 
 
-def _tile_queries(workload, total: int) -> np.ndarray:
-    """Repeat the workload until it covers ``total`` requests."""
-    base = np.asarray(list(workload), dtype=np.float64)
-    reps = -(-total // base.shape[0])
-    return np.tile(base, (reps, 1))[:total]
+def summarise(rows: list[dict]) -> list[dict]:
+    """Per (n, operation): scalar p95 over gateway p95 at the peak client count."""
+    summary = []
+    for n in sorted({row["n"] for row in rows}):
+        peak = max(row["clients"] for row in rows if row["n"] == n)
+        for operation in sorted({row["operation"] for row in rows}):
+            p95 = {
+                row["mode"]: row["p95_ms"]
+                for row in rows
+                if (row["n"], row["operation"], row["clients"]) == (n, operation, peak)
+            }
+            summary.append(
+                {
+                    "n": n,
+                    "operation": operation,
+                    "clients": peak,
+                    "scalar_p95_ms": p95["scalar"],
+                    "gateway_p95_ms": p95["gateway"],
+                    "p95_speedup": p95["scalar"] / p95["gateway"],
+                }
+            )
+    return summary
+
+
+def measure(sizes, queries, samples, clients, batch) -> dict:
+    """Latency profile per (n, operation, mode, clients), plus the summary."""
+    rows = []
+    for n in sizes:
+        dataset, query_array = btc_workload(n, queries)
+        with ShardedEngine(dataset, num_shards=ENGINE_SHARDS) as engine:
+            engine.refresh()
+            for count in clients:
+                for operation, mode, profile in measure_modes(
+                    engine, query_array, count, samples, batch
+                ):
+                    rows.append(
+                        {"n": n, "operation": operation, "mode": mode, "clients": count}
+                        | profile
+                    )
+    return {"latency": rows, "summary": summarise(rows)}
+
+
+def indicators(payload: dict) -> dict[str, float]:
+    """The gateway's p95 advantage over scalar dispatch for ``sample`` traffic.
+
+    Only the sample op gates: micro-batching must keep beating scalar
+    dispatch on p95 wherever per-request work is non-trivial.  At smoke
+    scale a count call is so cheap that the dispatcher hand-off dominates.
+    """
+    speedups = [
+        float(row["p95_speedup"])
+        for row in payload["results"]["summary"]
+        if row["operation"] == "sample"
+    ]
+    return {"gateway_p95_speedup[sample]": max(speedups)}
 
 
 def run(config: ExperimentConfig) -> ExperimentResult:
     """Measure request latency percentiles: gateway micro-batching vs scalar calls."""
-    result = ExperimentResult(
-        experiment_id="gateway_latency",
-        title="Request latency under concurrent load: gateway vs scalar dispatch [ms]",
-        columns=[
-            "dataset",
-            "operation",
-            "mode",
-            "clients",
-            "requests",
-            "rps",
-            "p50_ms",
-            "p95_ms",
-            "p99_ms",
-        ],
+    results = measure(
+        **DEFAULTS
+        | {
+            "sizes": [config.dataset_size],
+            "queries": config.query_count,
+            "samples": min(config.sample_size, 100),
+        }
+    )
+    return ledger_result(
+        "gateway_latency",
+        "Request latency under concurrent load: gateway vs scalar dispatch [ms]",
+        results,
         notes=(
             "C closed-loop client threads issue single queries against one "
             f"ShardedEngine (K={ENGINE_SHARDS}).  scalar = lock-serialised "
@@ -172,24 +249,3 @@ def run(config: ExperimentConfig) -> ExperimentResult:
             "Latency is end-to-end per request, including queueing."
         ),
     )
-    sample_size = min(config.sample_size, 100)
-    per_point = max(config.query_count, 64)
-
-    for dataset_name in config.datasets:
-        dataset = build_dataset(config, dataset_name)
-        workload = build_workload(config, dataset, dataset_name)
-        queries = _tile_queries(workload, per_point)
-        with ShardedEngine(dataset, num_shards=ENGINE_SHARDS) as engine:
-            engine.refresh()
-            for clients in CLIENT_SWEEP:
-                for operation, mode, profile in measure_modes(
-                    engine, queries, clients, sample_size
-                ):
-                    result.add_row(
-                        dataset=dataset_name,
-                        operation=operation,
-                        mode=mode,
-                        clients=clients,
-                        **profile,
-                    )
-    return result

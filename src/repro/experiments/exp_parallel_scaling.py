@@ -1,7 +1,7 @@
 """Parallel scaling — process-executor scatter vs the serial loop.
 
 Not a table from the paper: this experiment tracks the engineering headroom
-of the process-parallel execution tier.  For each dataset it sweeps shard
+of the process-parallel execution tier.  On the btc analogue it sweeps shard
 counts K and batch sizes with the serial (inline) loop and the
 :class:`~repro.service.ProcessExecutor` under both scatter strategies
 (``query`` — shard x query-block tiles over all workers; ``auto`` — the
@@ -12,8 +12,10 @@ default, which answers a batch in the owner process unless it is a
 (K, batch, operation) cell timed round-robin, reported as the median and
 quartiles of its rounds — and — the part that gates —
 asserts that every process-executor answer is **bit-identical** to the
-serial executor's at the same K and batch (``identical`` column; exact
-array equality on counts and on sample draws under a fixed seed).
+serial executor's at the same K and batch (``results_identical`` column;
+exact array equality on counts and on sample draws under a fixed seed).
+``vs_serial_k1`` is the median relative to the serial engine at the first
+swept K and the same batch size.
 
 The batch-size axis is the measurement the ``auto`` rule comes from: at
 small batches the worker round trip costs more than the work it moves, so
@@ -27,41 +29,66 @@ drops to O((Q/W)·K·log(n/K)) — and can exceed 1x on count given real
 cores.  On a single-core runner every worker-bound row pays IPC without
 any gain.  That is why the committed baseline records ``cpu_count`` and why
 the scaling ratios are advisory (compared under the regression gate's wide
-tolerance) while ``identical`` is a hard 1.0 invariant.
+tolerance) while ``results_identical`` is a hard 1.0 invariant.
+``scripts/bench.py parallel_scaling`` writes the same rows to
+``BENCH_parallel.json``.
 """
 
 from __future__ import annotations
 
-import time
 from functools import partial
 
 import numpy as np
 
 from ..service import ProcessExecutor, ShardedEngine
 from .config import ExperimentConfig
-from .harness import build_dataset, build_workload
+from .harness import btc_workload, ledger_result, time_round_robin
 from .report import ExperimentResult
 
 __all__ = [
     "run",
-    "PARALLEL_SHARD_SWEEP",
-    "PARALLEL_BATCH_SWEEP",
-    "PARALLEL_SCATTERS",
+    "measure",
+    "indicators",
     "answers",
     "results_identical",
-    "sweep",
-    "time_round_robin",
+    "LEDGER",
+    "DEFAULTS",
+    "SCHEMA",
+    "PARALLEL_SCATTERS",
 ]
 
-#: Shard counts swept by the parallel-scaling experiment.
-PARALLEL_SHARD_SWEEP: tuple[int, ...] = (1, 2, 4)
+LEDGER = "parallel"
 
-#: Batch sizes (queries per ``count_many`` / ``sample_many`` call) swept at
-#: every shard count; the workload is cycled when it has fewer queries.  The
-#: sweep spans both sides of the ``auto`` rule: ``sample`` crosses its
-#: threshold at 64, and 4096 is past where a ``count`` batch might pay for
-#: the round trip on more cores.
-PARALLEL_BATCH_SWEEP: tuple[int, ...] = (1, 16, 64, 256, 1024, 4096)
+#: Settable values of ``scripts/bench.py parallel_scaling`` and their
+#: defaults.  The batch sizes (queries per ``count_many`` / ``sample_many``
+#: call; the workload is cycled to fill a batch) span both sides of the
+#: ``auto`` rule: ``sample`` crosses its threshold at 64, and 4096 is past
+#: where a ``count`` batch might pay for the round trip on more cores.
+#: ``repeats`` is the minimum number of timed rounds per placement and cell.
+DEFAULTS = {
+    "sizes": [100_000],
+    "queries": 1_000,
+    "samples": 100,
+    "shards": [1, 2, 4],
+    "batches": [1, 16, 64, 256, 1024, 4096],
+    "repeats": 7,
+}
+
+SCHEMA = {
+    None: {
+        "n",
+        "operation",
+        "shards",
+        "executor",
+        "scatter",
+        "batch",
+        "qps",
+        "qps_p25",
+        "qps_p75",
+        "vs_serial_k1",
+        "results_identical",
+    },
+}
 
 #: Process-executor scatter strategies swept beside the serial loop.
 PARALLEL_SCATTERS: tuple[str, ...] = ("query", "auto")
@@ -78,31 +105,13 @@ def answers(engine, query_array, sample_size: int):
     """``(counts, draws)`` of one engine: the bit-identity evidence.
 
     For a process executor the first calls also absorb the one-off worker
-    spawn and segment publish, so the timed rounds measure steady state.
+    spawn and segment publish.
     """
     counts = engine.count_many(query_array)
     draws = engine.sample_many(
         query_array, sample_size, random_state=np.random.default_rng(SAMPLE_SEED)
     )
     return counts, draws
-
-
-def time_round_robin(calls: dict, rounds: int) -> dict:
-    """Seconds per call of every entry of ``calls``, ``rounds`` times each.
-
-    The calls take turns within each round, and the turn order rotates
-    from round to round, so a change in machine load during the sweep hits
-    every placement alike instead of whichever ran in that stretch.
-    """
-    keys = list(calls)
-    times: dict = {key: [] for key in keys}
-    for round_ in range(rounds):
-        shift = round_ % len(keys)
-        for key in keys[shift:] + keys[:shift]:
-            start = time.perf_counter()
-            calls[key]()
-            times[key].append(time.perf_counter() - start)
-    return times
 
 
 def results_identical(reference, candidate) -> bool:
@@ -116,103 +125,111 @@ def results_identical(reference, candidate) -> bool:
     return all(np.array_equal(a, b) for a, b in zip(ref_draws, cand_draws))
 
 
-def sweep(
-    dataset,
-    query_array: np.ndarray,
-    sample_size: int,
-    shard_counts=PARALLEL_SHARD_SWEEP,
-    batches=PARALLEL_BATCH_SWEEP,
-    repeats: int = 1,
-) -> list[dict]:
-    """Time serial and every process scatter per (K, batch); check bit-identity.
+def measure(sizes, queries, samples, shards, batches, repeats) -> list[dict]:
+    """Time serial and every process scatter per (n, K, batch); check bit-identity.
 
     At each K the serial engine and one engine per scatter stay open side
-    by side, and each (batch, operation) cell times them round-robin
-    (:func:`time_round_robin`) for at least ``repeats`` rounds.  Returns one
-    dict per (shards, executor, scatter, batch, operation) with the median
-    ``qps`` and its quartiles ``qps_p25`` / ``qps_p75``, ``vs_serial_k1``
-    (median relative to the serial K = first swept count at the same batch
-    size) and ``identical`` (bit-identity against the serial engine at the
-    same K and batch; always True on serial rows).
+    by side, and each (batch, operation) cell times them round-robin for at
+    least ``repeats`` rounds.  One row per (shards, executor, scatter,
+    batch, operation) with the median ``qps`` and its quartiles.
     """
-    workloads = {batch: np.resize(query_array, (batch, 2)) for batch in batches}
     rows: list[dict] = []
-    baselines: dict[tuple[str, int], float] = {}
-    for shards in shard_counts:
-        executors = {
-            scatter: ProcessExecutor(max_workers=max(shards, 2), scatter=scatter)
-            for scatter in PARALLEL_SCATTERS
-        }
-        engines = {None: ShardedEngine(dataset, num_shards=shards)}
-        try:
-            for scatter, executor in executors.items():
-                engines[scatter] = ShardedEngine(dataset, num_shards=shards, executor=executor)
-            for batch, queries in workloads.items():
-                rounds = max(repeats, _QUERIES_PER_MEASUREMENT // batch)
-                evidence = {
-                    scatter: answers(engine, queries, sample_size)
-                    for scatter, engine in engines.items()
-                }
-                ops = {
-                    "count": lambda engine: engine.count_many(queries),
-                    "sample": lambda engine: engine.sample_many(
-                        queries, sample_size, random_state=np.random.default_rng(SAMPLE_SEED)
-                    ),
-                }
-                for operation, op in ops.items():
-                    times = time_round_robin(
-                        {scatter: partial(op, engine) for scatter, engine in engines.items()},
-                        rounds,
-                    )
-                    for scatter, seconds in times.items():
-                        p25, median, p75 = np.percentile(batch / np.asarray(seconds), [25, 50, 75])
-                        base = baselines.setdefault((operation, batch), median)
-                        rows.append(
-                            {
-                                "operation": operation,
-                                "shards": shards,
-                                "executor": "serial" if scatter is None else "process",
-                                "scatter": scatter,
-                                "batch": batch,
-                                "qps": float(median),
-                                "qps_p25": float(p25),
-                                "qps_p75": float(p75),
-                                "vs_serial_k1": median / base if base > 0 else float("inf"),
-                                "identical": results_identical(
-                                    evidence[None], evidence[scatter]
-                                ),
-                            }
+    for n in sizes:
+        dataset, query_array = btc_workload(n, queries)
+        baselines: dict[tuple[str, int], float] = {}
+        for k in shards:
+            executors = {
+                scatter: ProcessExecutor(max_workers=max(k, 2), scatter=scatter)
+                for scatter in PARALLEL_SCATTERS
+            }
+            engines = {None: ShardedEngine(dataset, num_shards=k)}
+            try:
+                for scatter, executor in executors.items():
+                    engines[scatter] = ShardedEngine(dataset, num_shards=k, executor=executor)
+                for batch in batches:
+                    batch_queries = np.resize(query_array, (batch, 2))
+                    evidence = {
+                        scatter: answers(engine, batch_queries, samples)
+                        for scatter, engine in engines.items()
+                    }
+                    ops = {
+                        "count": lambda engine: engine.count_many(batch_queries),
+                        "sample": lambda engine: engine.sample_many(
+                            batch_queries, samples, random_state=np.random.default_rng(SAMPLE_SEED)
+                        ),
+                    }
+                    for operation, op in ops.items():
+                        times = time_round_robin(
+                            {scatter: partial(op, engine) for scatter, engine in engines.items()},
+                            max(repeats, _QUERIES_PER_MEASUREMENT // batch),
                         )
-        finally:
-            for engine in engines.values():
-                engine.close()
-            for executor in executors.values():
-                executor.shutdown()
+                        for scatter, seconds in times.items():
+                            p25, median, p75 = np.percentile(
+                                batch / np.asarray(seconds), [25, 50, 75]
+                            )
+                            base = baselines.setdefault((operation, batch), median)
+                            rows.append(
+                                {
+                                    "n": n,
+                                    "operation": operation,
+                                    "shards": k,
+                                    "executor": "serial" if scatter is None else "process",
+                                    "scatter": scatter,
+                                    "batch": batch,
+                                    "qps": float(median),
+                                    "qps_p25": float(p25),
+                                    "qps_p75": float(p75),
+                                    "vs_serial_k1": float(median / base),
+                                    "results_identical": results_identical(
+                                        evidence[None], evidence[scatter]
+                                    ),
+                                }
+                            )
+            finally:
+                for engine in engines.values():
+                    engine.close()
+                for executor in executors.values():
+                    executor.shutdown()
     return rows
+
+
+def indicators(payload: dict) -> dict[str, float]:
+    """The hard process_bit_identical invariant, plus advisory scaling ratios.
+
+    Every process-executor row must be bit-identical to the serial executor
+    at the same K: 1.0 or bust.  The best relative throughput per
+    (operation, scatter) gates only against order-of-magnitude collapses
+    such as a republish-every-batch bug: raw parallel speedup is a property
+    of the runner's core count (``config.cpu_count``).
+    """
+    rows = payload["results"]
+    out = {"process_bit_identical": float(all(bool(row["results_identical"]) for row in rows))}
+    for row in rows:
+        if row["executor"] == "process":
+            key = f"process_vs_serial_k1[{row['operation']}:{row['scatter']}]"
+            out[key] = max(out.get(key, 0.0), float(row["vs_serial_k1"]))
+    return out
 
 
 def run(config: ExperimentConfig) -> ExperimentResult:
     """Measure process-executor scaling and verify executor bit-identity."""
-    result = ExperimentResult(
-        experiment_id="parallel_scaling",
-        title="Process-executor scaling vs the serial scatter loop [queries/sec]",
-        columns=[
-            "dataset",
-            "operation",
-            "shards",
-            "executor",
-            "scatter",
-            "batch",
-            "qps",
-            "qps_p25",
-            "qps_p75",
-            "vs_serial_k1",
-            "identical",
-        ],
+    rows = measure(
+        **DEFAULTS
+        | {
+            "sizes": [config.dataset_size],
+            "queries": config.query_count,
+            "samples": min(config.sample_size, 100),
+            "repeats": config.repeats,
+        }
+    )
+    return ledger_result(
+        "parallel_scaling",
+        "Process-executor scaling vs the serial scatter loop [queries/sec]",
+        rows,
         notes=(
             "qps = median over round-robin rounds, with quartiles.  "
-            "identical = bit-identity of the row's answers vs the serial "
-            "executor at the same K and batch (hard invariant).  "
+            "results_identical = bit-identity of the row's answers vs the "
+            "serial executor at the same K and batch (hard invariant).  "
             "vs_serial_k1 = throughput relative to the serial K=1 engine at "
             "the same batch size (advisory; on a single-core runner "
             "worker-bound rows pay IPC with no parallel gain).  "
@@ -222,11 +239,3 @@ def run(config: ExperimentConfig) -> ExperimentResult:
             "owner process."
         ),
     )
-    sample_size = min(config.sample_size, 100)
-    for dataset_name in config.datasets:
-        dataset = build_dataset(config, dataset_name)
-        workload = build_workload(config, dataset, dataset_name)
-        query_array = np.asarray(list(workload), dtype=np.float64)
-        for row in sweep(dataset, query_array, sample_size, repeats=max(1, config.repeats)):
-            result.add_row(dataset=dataset_name, **row)
-    return result

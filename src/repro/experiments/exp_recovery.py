@@ -1,135 +1,204 @@
-"""Recovery — cold-start time from snapshots and WAL replay throughput.
+"""Recovery — cold start from snapshots, WAL replay, and SIGKILL recovery.
 
-The durability layer (``repro.persist``) claims two performance properties
-worth tracking alongside the paper's tables:
+The durability layer (``repro.persist``) makes two performance claims and
+one behavioural one, measured in three sections on the book analogue:
 
-* **Cold start**: reopening an engine from an epoch of checksummed,
-  page-aligned, mmap-able snapshots must be far cheaper than rebuilding the
-  shards from the raw endpoint arrays (the snapshot files *are* the
-  FlatAIT columns, so loading is I/O-bound rather than sort-bound).
-* **WAL replay**: recovering writes that landed after the last snapshot
-  costs one sequential scan plus the normal overlay refresh; the replay
-  rate bounds how much un-snapshotted history is tolerable.
+* **cold_start** — time to answer the first query from nothing: rebuilding
+  the sharded engine from the raw endpoint arrays vs reopening the
+  page-aligned snapshot epoch written by ``save_snapshot`` (checksums
+  verified, arrays mmap-ed).  Both are timed round-robin, best of
+  ``repeats``, each call including the engine's close (no fsync: nothing was
+  written).  The snapshot files *are* the FlatAIT columns, so a restart
+  pays sequential I/O instead of comparison sorts;
+* **wal_replay** — journal ``ops`` bulk writes after the snapshot, drop the
+  engine, and time a reopen that replays the WAL chain through the overlay
+  refresh; ``recovered_ok`` is an exact ``count_many``/size equality check
+  against the pre-shutdown engine;
+* **kill_recover** — the SIGKILL harness (:mod:`repro.persist.harness`): a
+  child ingests acknowledged batches under ``fsync="always"``, dies mid
+  stream, and the recovered engine must match an oracle prefix that
+  contains every acknowledged batch.
 
-Each measured point builds an engine, snapshots it, applies a burst of bulk
-writes journaled to the WAL, then reopens the directory and verifies the
-recovered engine answers ``count_many`` exactly like the original.
-
-``scripts/bench_recovery.py`` runs the same measurement standalone — plus
-the SIGKILL kill-and-recover harness — and emits ``BENCH_recovery.json``.
+``scripts/bench.py recovery`` writes the same rows to
+``BENCH_recovery.json``.
 """
 
 from __future__ import annotations
 
-import shutil
 import tempfile
-import time
 
 import numpy as np
 
+from ..datasets import generate_paper_dataset, generate_queries
+from ..persist.harness import run_kill_and_recover
 from ..service import ShardedEngine
 from .config import ExperimentConfig
-from .harness import build_dataset, build_workload
+from .harness import ledger_result, time_round_robin, time_seconds
 from .report import ExperimentResult
 
-__all__ = ["run", "SHARD_SWEEP", "measure_recovery_point"]
+__all__ = ["run", "measure", "indicators", "LEDGER", "DEFAULTS", "SCHEMA", "SHARD_SWEEP"]
 
-#: Shard counts measured by default.
+LEDGER = "recovery"
+
+#: Settable values of ``scripts/bench.py recovery`` and their defaults:
+#: ``ops`` journaled writes for wal_replay, the kill_recover base size.
+DEFAULTS = {"sizes": [1_000_000], "ops": 20_000, "kill_n": 10_000, "repeats": 3}
+
+SCHEMA = {
+    "cold_start": {
+        "n",
+        "shards",
+        "rebuild_seconds",
+        "save_seconds",
+        "open_seconds",
+        "speedup",
+        "mmap",
+        "verify",
+    },
+    "wal_replay": {"n", "ops", "replay_seconds", "ops_per_sec", "recovered_ok"},
+    "kill_recover": {"n", "acknowledged", "recovered", "ok"},
+}
+
+#: Shard counts of the cold_start section.
 SHARD_SWEEP: tuple[int, ...] = (1, 4)
 
-#: Bulk writes journaled to the WAL between snapshot and reopen.
-WAL_OPS = 2_000
+
+def _book(n: int, seed: int):
+    dataset = generate_paper_dataset("book", n=n, random_state=seed)
+    queries = generate_queries(dataset, count=64, random_state=19)
+    return dataset, np.asarray(list(queries), dtype=np.float64)
 
 
-def measure_recovery_point(
-    dataset, query_array: np.ndarray, shards: int, seed: int, directory: str
-) -> dict:
-    """Snapshot, journal, kill (by closing), reopen; return the timings."""
-    start = time.perf_counter()
-    engine = ShardedEngine(dataset, num_shards=shards)
-    engine.refresh()
-    rebuild_s = time.perf_counter() - start
+def measure_cold_start(n: int, repeats: int) -> list[dict]:
+    """First-query latency: rebuild from raw arrays vs reopen the snapshot."""
+    dataset, queries = _book(n, seed=5)
+    rows = []
+    for shards in SHARD_SWEEP:
+        with tempfile.TemporaryDirectory(prefix="repro-bench-cold-") as directory:
+            with ShardedEngine(dataset, num_shards=shards) as engine:
+                engine.refresh()
+                _, save_seconds = time_seconds(lambda: engine.save_snapshot(directory))
+                want = engine.count_many(queries)
+            with ShardedEngine.open(directory, mmap=True, verify=True) as restored:
+                if not np.array_equal(restored.count_many(queries), want):
+                    raise AssertionError("reopened engine diverged from the original")
 
-    start = time.perf_counter()
-    engine.save_snapshot(directory)
-    save_s = time.perf_counter() - start
+            def rebuild():
+                with ShardedEngine(dataset, num_shards=shards) as engine:
+                    engine.refresh()
+                    engine.count_many(queries[:1])
 
-    rng = np.random.default_rng(seed)
-    lo, hi = dataset.domain()
-    half = WAL_OPS // 2
-    lefts = rng.uniform(lo, hi, half)
-    rights = lefts + rng.exponential((hi - lo) * 0.02, half)
-    new_ids = engine.insert_many(lefts, rights)
-    engine.delete_many(new_ids[: half // 2])
-    engine.sync_wal()
-    want = engine.count_many(query_array)
-    want_size = engine.size
-    engine.close()
+            def reopen():
+                with ShardedEngine.open(directory, mmap=True, verify=True) as restored:
+                    restored.count_many(queries[:1])
 
-    start = time.perf_counter()
-    restored = ShardedEngine.open(directory)
-    # force the replayed deltas through the overlay refresh so the cost
-    # of recovery is fully paid inside the measured window
-    restored.refresh()
-    open_s = time.perf_counter() - start
-    consistent = bool(
-        restored.size == want_size
-        and np.array_equal(restored.count_many(query_array), want)
-    )
-    restored.close()
+            times = time_round_robin({"rebuild": rebuild, "open": reopen}, repeats)
+        rebuild_seconds, open_seconds = min(times["rebuild"]), min(times["open"])
+        rows.append(
+            {
+                "n": n,
+                "shards": shards,
+                "rebuild_seconds": rebuild_seconds,
+                "save_seconds": save_seconds,
+                "open_seconds": open_seconds,
+                "speedup": rebuild_seconds / open_seconds,
+                "mmap": True,
+                "verify": True,
+            }
+        )
+    return rows
 
-    wal_ops = half + half // 2
+
+def measure_wal_replay(n: int, ops: int) -> dict:
+    """Reopen cost when ``ops`` journaled writes must be replayed on top."""
+    dataset, queries = _book(n, seed=6)
+    with tempfile.TemporaryDirectory(prefix="repro-bench-wal-") as directory:
+        with ShardedEngine(dataset, num_shards=4) as engine:
+            engine.refresh()
+            engine.save_snapshot(directory)
+            rng = np.random.default_rng(23)
+            lo, hi = dataset.domain()
+            half = ops // 2
+            lefts = rng.uniform(lo, hi, half)
+            new_ids = engine.insert_many(lefts, lefts + rng.exponential((hi - lo) * 0.02, half))
+            engine.delete_many(new_ids[: ops - half])
+            engine.sync_wal()
+            want, want_size = engine.count_many(queries), engine.size
+
+        def replay():
+            restored = ShardedEngine.open(directory)
+            restored.refresh()  # fold the replayed deltas inside the window
+            return restored
+
+        restored, replay_seconds = time_seconds(replay)
+        with restored:
+            recovered_ok = restored.size == want_size and bool(
+                np.array_equal(restored.count_many(queries), want)
+            )
     return {
-        "rebuild_s": rebuild_s,
-        "save_s": save_s,
-        "open_s": open_s,
-        "speedup": rebuild_s / open_s if open_s > 0 else float("inf"),
-        "wal_ops": wal_ops,
-        "wal_ops_per_sec": wal_ops / open_s if open_s > 0 else float("inf"),
-        "consistent": consistent,
+        "n": n,
+        "ops": ops,
+        "replay_seconds": replay_seconds,
+        "ops_per_sec": ops / replay_seconds,
+        "recovered_ok": recovered_ok,
+    }
+
+
+def measure_kill_recover(n: int) -> dict:
+    """SIGKILL mid-ingest: every acknowledged batch must be recovered."""
+    with tempfile.TemporaryDirectory(prefix="repro-bench-kill-") as directory:
+        report = run_kill_and_recover(
+            directory, base_n=n, seed=97, batch=16, kill_after_acks=6, num_shards=4
+        )
+    return {
+        "n": n,
+        "acknowledged": report["acked_ops"],
+        "recovered": report["recovered_ops"],
+        "ok": bool(report["ok"]),
+    }
+
+
+def measure(sizes, ops, kill_n, repeats) -> dict:
+    """All three sections; cold_start and wal_replay at every size."""
+    return {
+        "cold_start": [row for n in sizes for row in measure_cold_start(n, repeats)],
+        "wal_replay": [measure_wal_replay(n, ops) for n in sizes],
+        "kill_recover": [measure_kill_recover(kill_n)],
+    }
+
+
+def indicators(payload: dict) -> dict[str, float]:
+    """Cold-start speedup, plus the hard recovery_consistent invariant."""
+    results = payload["results"]
+    return {
+        "cold_start_speedup": max(float(row["speedup"]) for row in results["cold_start"]),
+        # Hard invariant rather than a ratio: recovery must reproduce the
+        # pre-shutdown engine exactly, and a SIGKILLed ingest must keep
+        # every acknowledged batch.
+        "recovery_consistent": float(
+            all(bool(row["recovered_ok"]) for row in results["wal_replay"])
+            and all(bool(row["ok"]) for row in results["kill_recover"])
+        ),
     }
 
 
 def run(config: ExperimentConfig) -> ExperimentResult:
-    """Measure snapshot cold-start speedup and WAL replay throughput."""
-    result = ExperimentResult(
-        experiment_id="recovery",
-        title="Recovery: snapshot cold start vs rebuild, WAL replay [seconds]",
-        columns=[
-            "dataset",
-            "shards",
-            "rebuild_s",
-            "save_s",
-            "open_s",
-            "speedup",
-            "wal_ops",
-            "wal_ops_per_sec",
-            "consistent",
-        ],
+    """Measure snapshot cold-start speedup, WAL replay and SIGKILL recovery."""
+    results = measure(
+        sizes=[config.dataset_size],
+        ops=config.update_count,
+        kill_n=config.dataset_size,
+        repeats=config.repeats,
+    )
+    return ledger_result(
+        "recovery",
+        "Recovery: snapshot cold start vs rebuild, WAL replay, SIGKILL [seconds]",
+        results,
         notes=(
-            "rebuild_s constructs the sharded AIT engine from raw endpoint "
-            "arrays; open_s restores the same state from the newest snapshot "
-            "epoch plus a WAL replay of the post-snapshot writes (including "
-            "the overlay refresh that folds them in). consistent is an "
-            "exact count_many/size equality check against the pre-shutdown "
-            "engine — it must always be True."
+            "rebuild_seconds constructs the sharded engine from raw endpoint "
+            "arrays; open_seconds restores it from the newest snapshot epoch; "
+            "both include the first query.  recovered_ok and ok must always "
+            "be True: recovery reproduces the pre-shutdown engine exactly and "
+            "keeps every acknowledged write."
         ),
     )
-    for dataset_name in config.datasets:
-        dataset = build_dataset(config, dataset_name)
-        workload = build_workload(config, dataset, dataset_name)
-        query_array = np.asarray(list(workload), dtype=np.float64)
-        for shards in SHARD_SWEEP:
-            directory = tempfile.mkdtemp(prefix="repro-recovery-")
-            try:
-                point = measure_recovery_point(
-                    dataset,
-                    query_array,
-                    shards,
-                    config.dataset_seed(dataset_name) + shards,
-                    directory,
-                )
-            finally:
-                shutil.rmtree(directory, ignore_errors=True)
-            result.add_row(dataset=dataset_name, shards=shards, **point)
-    return result

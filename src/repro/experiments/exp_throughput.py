@@ -5,63 +5,94 @@ of the reproduction itself.  The paper's complexity results fix the *asymptotic*
 query cost; what dominates wall-clock time in Python is per-query interpreter
 dispatch.  The flat batch engine (:class:`~repro.core.flat.FlatAIT`) amortises
 that dispatch across a whole query batch, and this experiment measures the
-resulting throughput (queries/second) for counting, reporting and sampling,
-per dataset, alongside the scalar-loop baseline and the speedup factor.
+resulting throughput (queries/second) for counting, reporting and sampling
+on the btc analogue, alongside the scalar-loop baseline and the speedup
+factor.  Sampling is measured at every requested sample size because the
+speedup is s-dependent: at small s the batch engine amortises per-query
+dispatch; at large s both paths are dominated by per-draw array work.
 
-``scripts/bench_throughput.py`` runs the same measurement standalone and
-emits machine-readable ``BENCH_throughput.json`` so successive PRs have a
-perf trajectory to compare against.
+``scripts/bench.py throughput`` writes the same rows to
+``BENCH_throughput.json``.
 """
 
 from __future__ import annotations
 
-import time
-from typing import Callable
-
-import numpy as np
+from functools import partial
 
 from ..core import AIT
 from ..sampling.rng import resolve_rng
 from .config import ExperimentConfig
-from .harness import build_dataset, build_workload
+from .harness import btc_workload, ledger_result, time_round_robin
 from .report import ExperimentResult
 
-__all__ = ["run", "measure_pair"]
+__all__ = ["run", "measure", "indicators", "LEDGER", "DEFAULTS", "SCHEMA"]
+
+LEDGER = "throughput"
+
+#: Settable values of ``scripts/bench.py throughput`` and their defaults.
+DEFAULTS = {"sizes": [10_000, 100_000], "queries": 1_000, "samples": [100, 1_000], "repeats": 3}
+
+SCHEMA = {None: {"n", "operation", "sample_size", "scalar_qps", "batch_qps", "speedup"}}
 
 
-def _best_of(fn: Callable[[], object], repeats: int) -> float:
-    best = float("inf")
-    for _ in range(max(1, repeats)):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
+def measure(sizes, queries, samples, repeats) -> list[dict]:
+    """Best-of-``repeats`` scalar and batch throughput per (n, operation, s)."""
+    rows = []
+    for n in sizes:
+        dataset, query_array = btc_workload(n, queries)
+        scalar_queries = [tuple(query) for query in query_array.tolist()]
+        tree = AIT(dataset)
+        tree.flat()  # snapshot once; both paths then query a warm structure
+
+        def scalar_sample(s):
+            # One Generator per invocation, created outside the per-query
+            # loop so its construction is not charged to the scalar side.
+            rng = resolve_rng(0)
+            return [tree.sample(q, s, random_state=rng) for q in scalar_queries]
+
+        operations = [
+            ("count", None, lambda: [tree.count(q) for q in scalar_queries],
+             partial(tree.count_many, query_array)),
+            ("report", None, lambda: [tree.report(q) for q in scalar_queries],
+             partial(tree.report_many, query_array)),
+        ] + [
+            ("sample", s, partial(scalar_sample, s),
+             partial(tree.sample_many, query_array, s, random_state=0))
+            for s in samples
+        ]
+        for operation, s, scalar_fn, batch_fn in operations:
+            times = time_round_robin({"scalar": scalar_fn, "batch": batch_fn}, repeats)
+            scalar_qps = queries / min(times["scalar"])
+            batch_qps = queries / min(times["batch"])
+            rows.append(
+                {
+                    "n": n,
+                    "operation": operation,
+                    "sample_size": s,
+                    "scalar_qps": scalar_qps,
+                    "batch_qps": batch_qps,
+                    "speedup": batch_qps / scalar_qps,
+                }
+            )
+    return rows
 
 
-def measure_pair(
-    scalar_fn: Callable[[], object],
-    batch_fn: Callable[[], object],
-    query_count: int,
-    repeats: int = 1,
-) -> tuple[float, float, float]:
-    """Best-of-N timings for a scalar loop vs its batch counterpart.
-
-    Returns ``(scalar_qps, batch_qps, speedup)``; both callables must answer
-    the same ``query_count`` queries.
-    """
-    scalar_s = _best_of(scalar_fn, repeats)
-    batch_s = _best_of(batch_fn, repeats)
-    scalar_qps = query_count / scalar_s if scalar_s > 0 else float("inf")
-    batch_qps = query_count / batch_s if batch_s > 0 else float("inf")
-    return scalar_qps, batch_qps, (batch_qps / scalar_qps if scalar_qps > 0 else float("inf"))
+def indicators(payload: dict) -> dict[str, float]:
+    """Batch-over-scalar speedup per operation (best row)."""
+    out: dict[str, float] = {}
+    for row in payload["results"]:
+        key = f"batch_speedup[{row['operation']}]"
+        out[key] = max(out.get(key, 0.0), float(row["speedup"]))
+    return out
 
 
 def run(config: ExperimentConfig) -> ExperimentResult:
-    """Measure scalar vs batch throughput of the AIT per dataset and operation."""
-    result = ExperimentResult(
-        experiment_id="throughput",
-        title="Batch vs scalar query throughput [queries/sec]",
-        columns=["dataset", "operation", "scalar_qps", "batch_qps", "speedup"],
+    """Measure scalar vs batch throughput of the AIT per operation."""
+    rows = measure([config.dataset_size], config.query_count, [config.sample_size], config.repeats)
+    return ledger_result(
+        "throughput",
+        "Batch vs scalar query throughput [queries/sec]",
+        rows,
         notes=(
             "Scalar = one Python call per query on the pointer-based AIT; "
             "batch = count_many/report_many/sample_many on the flat "
@@ -69,45 +100,3 @@ def run(config: ExperimentConfig) -> ExperimentResult:
             "(identical asymptotics and identical results)."
         ),
     )
-    repeats = max(1, config.repeats)
-    for dataset_name in config.datasets:
-        dataset = build_dataset(config, dataset_name)
-        workload = build_workload(config, dataset, dataset_name)
-        queries = list(workload)
-        query_array = np.asarray(queries, dtype=np.float64)
-        tree = AIT(dataset)
-        tree.flat()  # snapshot once; both paths then query a warm structure
-
-        def scalar_sample():
-            # One Generator per invocation (like a real serving loop), created
-            # outside the per-query iteration so its construction cost is not
-            # charged to the scalar side.
-            rng = resolve_rng(0)
-            return [tree.sample(q, config.sample_size, random_state=rng) for q in queries]
-
-        operations = {
-            "count": (
-                lambda: [tree.count(q) for q in queries],
-                lambda: tree.count_many(query_array),
-            ),
-            "report": (
-                lambda: [tree.report(q) for q in queries],
-                lambda: tree.report_many(query_array),
-            ),
-            "sample": (
-                scalar_sample,
-                lambda: tree.sample_many(query_array, config.sample_size, random_state=0),
-            ),
-        }
-        for operation, (scalar_fn, batch_fn) in operations.items():
-            scalar_qps, batch_qps, speedup = measure_pair(
-                scalar_fn, batch_fn, len(queries), repeats
-            )
-            result.add_row(
-                dataset=dataset_name,
-                operation=operation,
-                scalar_qps=scalar_qps,
-                batch_qps=batch_qps,
-                speedup=speedup,
-            )
-    return result

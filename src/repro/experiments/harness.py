@@ -12,6 +12,7 @@ experiments can iterate over them uniformly.
 
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
@@ -23,6 +24,7 @@ from ..core import AIT, AITV, AWIT, IntervalDataset
 from ..datasets import QueryWorkload, generate_paper_dataset, generate_queries
 from ..sampling.rng import resolve_rng
 from .config import ExperimentConfig
+from .report import ExperimentResult
 
 __all__ = [
     "AlgorithmAdapter",
@@ -37,6 +39,11 @@ __all__ = [
     "measure_build",
     "measure_query_timings",
     "measure_counting",
+    "time_round_robin",
+    "btc_workload",
+    "ledger_result",
+    "validate_payload",
+    "PROVENANCE_KEYS",
 ]
 
 
@@ -232,6 +239,29 @@ def build_workload(
 # ---------------------------------------------------------------------- #
 # timing
 # ---------------------------------------------------------------------- #
+def time_round_robin(calls: dict, rounds: int) -> dict:
+    """Seconds per call of every entry of ``calls``, ``rounds`` times each.
+
+    One untimed round runs first, so first-touch costs (page faults, lazy
+    snapshots, worker spawns, segment publishes) stay out of the timings.
+    The calls then take turns within each round, and the turn order rotates
+    from round to round, so a change in machine load during the sweep hits
+    every entry alike instead of whichever ran in that stretch.
+    """
+    keys = list(calls)
+    for key in keys:
+        calls[key]()
+    gc.collect()
+    times: dict = {key: [] for key in keys}
+    for round_ in range(max(1, rounds)):
+        shift = round_ % len(keys)
+        for key in keys[shift:] + keys[:shift]:
+            start = time.perf_counter()
+            calls[key]()
+            times[key].append(time.perf_counter() - start)
+    return times
+
+
 def time_seconds(fn: Callable[[], Any]) -> tuple[Any, float]:
     """Run ``fn`` once and return ``(result, elapsed_seconds)``."""
     start = time.perf_counter()
@@ -293,3 +323,67 @@ def measure_counting(
         index.count(query)
     elapsed = time.perf_counter() - start
     return elapsed / max(1, len(queries)) * 1e6
+
+
+# ---------------------------------------------------------------------- #
+# ledger experiments (the BENCH_*.json families)
+# ---------------------------------------------------------------------- #
+#: Keys every ledger payload's ``config`` records besides its settable values.
+PROVENANCE_KEYS: tuple[str, ...] = ("repro_version", "python", "numpy", "cpu_count")
+
+
+def btc_workload(n: int, count: int) -> tuple[IntervalDataset, np.ndarray]:
+    """The ledgers' read workload: ``n`` btc-analogue intervals and ``count``
+    queries at 8% extent, as an ``(count, 2)`` array (fixed seeds 1 and 2)."""
+    dataset = generate_paper_dataset("btc", n=n, random_state=1)
+    workload = generate_queries(dataset, count=count, extent_fraction=0.08, random_state=2)
+    return dataset, np.asarray(list(workload), dtype=np.float64)
+
+
+def ledger_result(
+    experiment_id: str,
+    title: str,
+    results: list | dict,
+    notes: str = "",
+    paper_reference: list | None = None,
+) -> ExperimentResult:
+    """Render a ledger's rows as a table; rows of a section lead with its name."""
+    sections = results if isinstance(results, dict) else {None: results}
+    rows = [
+        row if name is None else {"section": name, **row}
+        for name, section_rows in sections.items()
+        for row in section_rows
+    ]
+    columns = list(dict.fromkeys(key for row in rows for key in row))
+    return ExperimentResult(experiment_id, title, columns, rows, paper_reference, notes)
+
+
+def validate_payload(name: str, payload: dict, ledger) -> list[str]:
+    """Failures of ``payload`` against a ledger experiment's schema.
+
+    ``ledger`` is the experiment module: ``ledger.SCHEMA`` maps each results
+    section to its required row fields (``None``: ``results`` is one row
+    list), and the run's ``config`` must record every settable value
+    (``ledger.DEFAULTS``) plus :data:`PROVENANCE_KEYS`.  Returns ``[]`` when
+    the payload conforms.
+    """
+    if not isinstance(payload, dict) or set(payload) != {"config", "results"}:
+        keys = sorted(payload) if isinstance(payload, dict) else type(payload).__name__
+        return [f"{name}: top-level keys {keys} != ['config', 'results']"]
+    failures = []
+    missing = {*PROVENANCE_KEYS, *ledger.DEFAULTS} - set(payload["config"])
+    if missing:
+        failures.append(f"{name}[config]: missing keys {sorted(missing)}")
+    results = payload["results"]
+    for section, required in ledger.SCHEMA.items():
+        rows = results if section is None else isinstance(results, dict) and results.get(section)
+        label = name if section is None else f"{name}[{section}]"
+        if not isinstance(rows, list) or not rows:
+            failures.append(f"{label}: must carry a non-empty row list")
+            continue
+        for index, row in enumerate(rows):
+            if required - set(row):
+                missing = sorted(required - set(row))
+                failures.append(f"{label} row {index}: missing fields {missing}")
+                break
+    return failures

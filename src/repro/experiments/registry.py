@@ -34,7 +34,14 @@ from . import (
     exp_table10_counting,
 )
 
-__all__ = ["ExperimentEntry", "EXPERIMENTS", "list_experiments", "run_experiment", "run_all"]
+__all__ = [
+    "ExperimentEntry",
+    "EXPERIMENTS",
+    "LEDGERS",
+    "list_experiments",
+    "run_experiment",
+    "run_all",
+]
 
 
 @dataclass(frozen=True, slots=True)
@@ -101,6 +108,22 @@ EXPERIMENTS: dict[str, ExperimentEntry] = {
         "Serving SLO: shed rate and p99 under open-loop overload, drain safety",
         exp_serving_slo.run,
     ),
+}
+
+
+#: The experiments whose rows ``scripts/bench.py <id>`` writes to a committed
+#: ``BENCH_<module.LEDGER>.json``.  Each module carries its settable values
+#: (``DEFAULTS``), its row schema (``SCHEMA``), its one measurement loop
+#: (``measure``) and its regression indicators (``indicators``).
+LEDGERS = {
+    "throughput": exp_throughput,
+    "service_throughput": exp_service_throughput,
+    "update_throughput": exp_update_throughput,
+    "gateway_latency": exp_gateway_latency,
+    "build_throughput": exp_build_throughput,
+    "recovery": exp_recovery,
+    "parallel_scaling": exp_parallel_scaling,
+    "serving_slo": exp_serving_slo,
 }
 
 

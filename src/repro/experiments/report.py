@@ -90,7 +90,15 @@ class ExperimentResult:
     # ------------------------------------------------------------------ #
     def to_text(self) -> str:
         """Render the result (and the paper reference, when present) as text."""
-        parts = [f"== {self.experiment_id}: {self.title} ==", format_table(self.rows, self.columns)]
+        parts = [f"== {self.experiment_id}: {self.title} =="]
+        if "section" in self.columns:
+            # Sectioned rows (a ledger with several row shapes): one table each.
+            for name in dict.fromkeys(row["section"] for row in self.rows):
+                rows = [row for row in self.rows if row["section"] == name]
+                columns = list(dict.fromkeys(key for row in rows for key in row))[1:]
+                parts += [f"-- {name} --", format_table(rows, columns)]
+        else:
+            parts.append(format_table(self.rows, self.columns))
         if self.paper_reference:
             parts.append("-- paper reference (published values) --")
             reference_columns = list(self.paper_reference[0].keys())

@@ -4,8 +4,8 @@ The strongest claim the durability layer makes is behavioural, not
 structural: *every write acknowledged under ``fsync="always"`` before a hard
 kill is present, bit-for-bit, in the reopened engine*.  This module turns
 that claim into a runnable check shared by the pytest suite
-(``tests/test_recovery_kill.py``) and the recovery benchmark/CI smoke step
-(``scripts/bench_recovery.py``):
+(``tests/test_recovery_kill.py``) and the ``recovery`` experiment's
+``kill_recover`` section (``scripts/bench.py recovery``, a CI smoke step):
 
 * :func:`ingest_child_main` is the victim process: it opens the snapshot
   directory with ``fsync="always"``, applies a *deterministic* op stream

@@ -69,28 +69,39 @@ class TestRegistry:
     def test_update_throughput_experiment_runs_end_to_end(self):
         result = run_experiment("update_throughput", TINY)
         assert result.experiment_id == "update_throughput"
-        ratios = {row["write_ratio"] for row in result.rows}
+        sections = {row["section"] for row in result.rows}
+        assert sections == {"bulk_insert", "refresh", "overlay", "mixed"}
+        mixed = [row for row in result.rows if row["section"] == "mixed"]
+        ratios = {row["write_ratio"] for row in mixed}
         assert 0.0 in ratios and len(ratios) >= 2  # read-only baseline + sweep
-        assert {row["shards"] for row in result.rows} >= {1, 2}
-        assert all(row["reads_per_sec"] > 0 for row in result.rows)
-        read_only = [row for row in result.rows if row["write_ratio"] == 0.0]
+        assert {row["shards"] for row in mixed} >= {1, 2}
+        assert all(row["reads_per_sec"] > 0 for row in mixed)
+        read_only = [row for row in mixed if row["write_ratio"] == 0.0]
         assert all(row["writes_per_sec"] == 0.0 for row in read_only)
+        # A 15-op delta log on a 2500-interval shard lands in the overlay.
+        (refresh,) = [row for row in result.rows if row["section"] == "refresh"]
+        assert refresh["base_rebuilds_delta"] == 0
 
     def test_gateway_latency_experiment_runs_end_to_end(self):
         result = run_experiment("gateway_latency", TINY)
         assert result.experiment_id == "gateway_latency"
-        modes = {row["mode"] for row in result.rows}
+        latency = [row for row in result.rows if row["section"] == "latency"]
+        modes = {row["mode"] for row in latency}
         assert modes == {"scalar", "gateway"}
-        assert {row["operation"] for row in result.rows} == {"count", "sample"}
-        assert len({row["clients"] for row in result.rows}) >= 2
-        assert all(row["requests"] > 0 and row["rps"] > 0 for row in result.rows)
+        assert {row["operation"] for row in latency} == {"count", "sample"}
+        assert len({row["clients"] for row in latency}) >= 2
+        assert all(row["requests"] > 0 and row["rps"] > 0 for row in latency)
         # Percentiles must be ordered within every row (p50 <= p95 <= p99).
-        for row in result.rows:
+        for row in latency:
             assert row["p50_ms"] <= row["p95_ms"] <= row["p99_ms"]
         # One gateway row per (operation, clients): there is no window axis.
-        gateway_rows = [row for row in result.rows if row["mode"] == "gateway"]
+        gateway_rows = [row for row in latency if row["mode"] == "gateway"]
         assert len(gateway_rows) == len({(r["operation"], r["clients"]) for r in gateway_rows})
         assert all("window_ms" not in row for row in result.rows)
+        # One summary row per operation, at the peak client count.
+        summary = [row for row in result.rows if row["section"] == "summary"]
+        assert {row["operation"] for row in summary} == {"count", "sample"}
+        assert {row["clients"] for row in summary} == {max(r["clients"] for r in latency)}
 
     def test_build_throughput_experiment_runs_end_to_end(self):
         result = run_experiment("build_throughput", TINY)
@@ -106,13 +117,20 @@ class TestRegistry:
     def test_recovery_experiment_runs_end_to_end(self):
         result = run_experiment("recovery", TINY)
         assert result.experiment_id == "recovery"
-        assert {row["shards"] for row in result.rows} == {1, 4}
+        sections = {}
         for row in result.rows:
-            # Recovery must reproduce the pre-shutdown engine exactly; the
-            # timing columns are only required to be well-formed at tiny sizes.
-            assert row["consistent"] is True
-            assert row["rebuild_s"] > 0 and row["open_s"] > 0
-            assert row["wal_ops"] > 0 and row["wal_ops_per_sec"] > 0
+            sections.setdefault(row["section"], []).append(row)
+        assert {row["shards"] for row in sections["cold_start"]} == {1, 4}
+        for row in sections["cold_start"]:
+            # The timing columns are only required to be well-formed at tiny sizes.
+            assert row["rebuild_seconds"] > 0 and row["open_seconds"] > 0
+        # Recovery must reproduce the pre-shutdown engine exactly, and a
+        # SIGKILLed ingest must keep every acknowledged write.
+        (replay,) = sections["wal_replay"]
+        assert replay["recovered_ok"] is True
+        assert replay["ops"] == TINY.update_count and replay["ops_per_sec"] > 0
+        (kill,) = sections["kill_recover"]
+        assert kill["ok"] is True and kill["recovered"] >= kill["acknowledged"] > 0
 
     def test_update_experiment_shows_batch_speedup(self):
         result = run_experiment("table7", TINY)
